@@ -1272,12 +1272,11 @@ def _neg_key(vals: np.ndarray) -> np.ndarray:
 
 def composite_page(keys, after, size: int) -> pa.Table:
     """ONE composite-agg page over a matched key array — the shared
-    kernel behind the REST composite on BOTH backends (the shard
-    partial `served.ShardQueryActor.facet_composite_partial` and the
-    local reader branch): drop null keys (OpenSearch
-    ``missing_bucket: false``), cast the request cursor to the
-    COLUMN's type (an unrepresentable cursor is a 400 — validated
-    even on an empty match set so the two backends cannot diverge),
+    kernel behind the REST composite (the shard partial
+    `served.ShardQueryActor.facet_composite_partial`): drop null keys
+    (OpenSearch ``missing_bucket: false``), cast the request cursor to
+    the COLUMN's type (an unrepresentable cursor is a 400 — validated
+    even on an empty match set so no shard can diverge),
     keep keys strictly after it, and return the ``size`` smallest
     with counts → ``(value: native type, partial: int64)``."""
     keys = (

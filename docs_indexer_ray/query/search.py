@@ -7,17 +7,20 @@ site renders url/title/breadcrumb + snippet from exactly that shape;
 ``/root/reference/hugo.py`` feeds ``uri``/``title``/``body`` for this
 purpose).  This module rebuilds the response surface on the engine:
 
-* :func:`search_response` — the LOCAL assembly: rank the query
-  (full ``query_string`` syntax or a plain analyzed term query),
-  fetch stored fields for the k hits only (row-group-pruned
-  ``IndexReader.fetch_docs`` — never a corpus read), and highlight
-  the densest snippet per hit from the query's POSITIVE terms
-  (``qstring.positive_terms`` — prohibited terms never light up).
-* the SHARDED variant lives on ``served.ShardedQueryService.search``:
-  phase 1 is the existing exact per-shard top-k merge, phase 2
-  routes each hit's fetch+highlight to the shard OWNING its doc
-  range (OpenSearch's fetch phase) — document bodies never leave
-  their shard; only k assembled rows travel.
+* :func:`search_response` — the library assembly over one reader:
+  rank the query (full ``query_string`` syntax or a plain analyzed
+  term query), fetch stored fields for the k hits only
+  (row-group-pruned ``IndexReader.fetch_docs`` — never a corpus
+  read), and highlight the densest snippet per hit from the query's
+  POSITIVE terms (``qstring.positive_terms`` — prohibited terms never
+  light up).  The CLI and in-process callers use it; it is the
+  reference the served path is pinned to.
+* the SERVED path is ``served.ShardedQueryService.search`` — one
+  protocol for the REST server's in-process shard and for an actor
+  fleet: phase 1 is the exact per-shard top-k merge, phase 2 routes
+  each hit's fetch+highlight to the shard OWNING its doc range
+  (OpenSearch's fetch phase) — document bodies never leave their
+  shard; only k assembled rows travel.
 
 Output schema: ``rank (int64), doc_id (int64), score (float64),
 *fields, snippet (string, when highlighting)``.
@@ -44,7 +47,7 @@ def assemble_hits(
     hl_post: str = "</em>",
 ) -> pa.Table:
     """hits + stored fields (+ snippet) → the response table, in rank
-    order.  Shared by the local path and each shard's fetch phase.
+    order.  Shared by :func:`search_response` and the hybrid query.
     ``rank_start``: first row's rank (``from_ + 1`` on offset pages)."""
     cols: dict[str, pa.Array] = {
         "rank": pa.array(

@@ -146,7 +146,11 @@ class TermPostings:
         for its lifetime, so hot terms decode once per actor — the
         shard analog of :meth:`decode_all`'s memo (without it, every
         query re-pays varint decode and sharded p50 LOSES to the
-        unsharded reader at 1M docs)."""
+        unsharded reader at 1M docs).  A range covering the whole
+        list (the one in-process shard over ``[0, n_docs)``) is
+        :meth:`decode_all` and shares its memo."""
+        if self.n_blocks and lo <= 0 and hi > int(self.block_last[-1]):
+            return self.decode_all()
         if self._range_memo is None:
             self._range_memo = {}
         hit = self._range_memo.get((lo, hi))

@@ -1,138 +1,36 @@
-"""Query serving tier: a pool of Ray actors each holding reader state.
+"""Query serving tier: one shard protocol, served in-process or by Ray actors.
 
 The reference serves queries from OpenSearch (a long-lived process
-with loaded segment state); the rebuild's equivalent is an actor pool
-where each actor loads an :class:`IndexReader` ONCE in ``__init__``
-(term dictionary, norms array, postings cache, file handles) and
-answers queries from warm state — the actor-pool rule for stateful
+with loaded segment state); the rebuild's equivalent is a fleet of
+doc-id RANGE shards, each loading an :class:`IndexReader` ONCE
+(term dictionary, norms slice, postings cache, file handles) and
+answering queries from warm state — the actor-pool rule for stateful
 stages applied to the read path (SURVEY §7 step 7).
 
-Two tiers:
+* :class:`ShardQueryActor` — one shard over ``[lo, hi)``: its norms
+  slice + range-limited posting decode (``IndexReader(doc_range=…)``
+  + ``bm25.score_topk_range``).  Every query surface is a ``*_partial``
+  method over that range.
+* :class:`ShardedQueryService` — the coordinator: fans each partial
+  out to one replica per shard and merges.  BM25 scores are globally
+  comparable because N/avgdl/df are global statistics, so every
+  cross-shard merge is **exact** (tested ≡ the unsharded library
+  functions).  Each shard pays O(n_docs / n_shards) and shards score
+  in parallel.
 
-* :class:`QueryService` — replica pool: every actor holds the whole
-  index; provides query *throughput* (concurrent queries).
-* :class:`ShardedQueryService` — capacity/latency tier: each actor
-  serves a doc-id RANGE shard (its norms slice + range-limited posting
-  decode — ``IndexReader(doc_range=…)`` + ``bm25.score_topk_range``).
-  BM25 scores are globally comparable because N/avgdl/df are global
-  statistics, so the per-shard top-k merge is **exact** (tested ≡ the
-  local reader).  This removes the dense-TAAT O(n_docs) per-query
-  floor: each shard pays O(n_docs / n_shards) and shards score in
-  parallel.
-
-Everything dispatched through :class:`QueryService` is exactly the
-library's local query path (`bm25.topk`, `phrase.phrase_topk`,
-`suggest.Suggester`), so results are identical to a local reader by
-construction (tested).
+The same service runs two ways: ``ShardedQueryService(root,
+n_shards=…)`` spawns Ray actors, and
+:meth:`ShardedQueryService.in_process` wraps an already-open reader as
+ONE in-process shard over ``[0, n_docs)`` — the reference's
+``number_of_shards: 1`` index, and the REST server's local backend.
+Only the service's dispatch knows which kind of shard it talks to.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["QueryActor", "QueryService", "ShardQueryActor", "ShardedQueryService"]
-
-
-class QueryActor:
-    """One serving actor: reader + analyzer + suggester, loaded once."""
-
-    def __init__(self, index_root: str, chain: str | None = None):
-        from ..functions.analyzer import Analyzer
-        from .reader import IndexReader
-
-        self.reader = IndexReader(index_root, chain=chain)
-        self.analyzer = Analyzer(self.reader.chain)
-        self._suggester = None
-
-    def topk(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        from .bm25 import topk
-
-        return topk(self.reader, self.analyzer(query), k=k)
-
-    def phrase(self, query: str, k: int = 10) -> list[tuple[int, float]]:
-        from .phrase import phrase_topk
-
-        return phrase_topk(self.reader, self.analyzer(query), k=k)
-
-    def suggest(self, query: str, n: int = 3) -> list[tuple[str, float]]:
-        from .suggest import Suggester
-
-        if self._suggester is None:
-            self._suggester = Suggester(self.reader)
-        return self._suggester.suggest(query, max_suggestions=n)
-
-    def search(
-        self,
-        query: str,
-        k: int = 10,
-        fields: tuple[str, ...] = ("url", "title"),
-        highlight_field: str | None = None,
-        syntax: bool = False,
-    ):
-        """Assembled ``_search`` response from this replica's warm
-        reader — exactly ``query.search.search_response``."""
-        from .search import search_response
-
-        return search_response(
-            self.reader,
-            query,
-            k=k,
-            fields=fields,
-            highlight_field=highlight_field,
-            syntax=syntax,
-        )
-
-    def match_all_count(self) -> int:
-        return self.reader.match_all_count()
-
-
-class QueryService:
-    """Round-robin pool of :class:`QueryActor` s.
-
-    ``topk``/``phrase``/``suggest`` return Ray ObjectRefs (callers
-    batch with ``ray.get``); ``topk_many`` fans a query list across
-    the pool and gathers.
-    """
-
-    def __init__(self, index_root: str, n_actors: int = 2, chain: str | None = None):
-        import ray
-
-        actor_cls = ray.remote(num_cpus=1)(QueryActor)
-        self._actors = [
-            actor_cls.remote(index_root, chain) for _ in range(max(1, n_actors))
-        ]
-        self._i = 0
-
-    def _next(self):
-        a = self._actors[self._i % len(self._actors)]
-        self._i += 1
-        return a
-
-    def topk(self, query: str, k: int = 10):
-        return self._next().topk.remote(query, k)
-
-    def phrase(self, query: str, k: int = 10):
-        return self._next().phrase.remote(query, k)
-
-    def suggest(self, query: str, n: int = 3):
-        return self._next().suggest.remote(query, n)
-
-    def search(self, query: str, k: int = 10, **kw):
-        """Assembled ``_search`` response ObjectRef from the next
-        replica (fields/highlight_field/syntax kwargs pass through)."""
-        return self._next().search.remote(query, k, **kw)
-
-    def topk_many(self, queries: list[str], k: int = 10) -> list[list[tuple[int, float]]]:
-        import ray
-
-        return ray.get([self.topk(q, k) for q in queries])
-
-    def shutdown(self) -> None:
-        import ray
-
-        for a in self._actors:
-            ray.kill(a)
-        self._actors = []
+__all__ = ["ShardQueryActor", "ShardedQueryService"]
 
 
 class ShardQueryActor:
@@ -141,15 +39,29 @@ class ShardQueryActor:
     globally comparable scores)."""
 
     def __init__(self, index_root: str, lo: int, hi: int, chain: str | None = None):
-        from ..functions.analyzer import Analyzer
         from .reader import IndexReader
 
-        self.reader = IndexReader(index_root, chain=chain, doc_range=(lo, hi))
-        self.analyzer = Analyzer(self.reader.chain)
+        self._attach(IndexReader(index_root, chain=chain, doc_range=(lo, hi)))
+
+    @classmethod
+    def over(cls, reader) -> "ShardQueryActor":
+        """A shard over an already-open reader's doc range — no second
+        reader is opened (a full reader is the one shard ``[0,
+        n_docs)``)."""
+        self = cls.__new__(cls)
+        self._attach(reader)
+        return self
+
+    def _attach(self, reader) -> None:
+        from ..functions.analyzer import Analyzer
+
+        self.reader = reader
+        self.analyzer = Analyzer(reader.chain)
         self._masks: dict[str, np.ndarray] = {}
+        lo, hi = reader.doc_lo, reader.doc_hi
         # soft deletes: each shard holds only ITS range's live mask
         # (None when the build has no tombstones — the common case)
-        dels = self.reader.deleted_ids()
+        dels = reader.deleted_ids()
         in_range = dels[(dels >= lo) & (dels < hi)]
         if len(in_range):
             live = np.ones(max(0, hi - lo), dtype=bool)
@@ -533,14 +445,23 @@ class ShardQueryActor:
         fleet latency for no reason (the values are exactly
         ``topk_partial``/``query_string_partial`` + ``count_partial``,
         so the merged results stay pinned to the two-call path).
+        With ``syntax`` one query_string evaluation serves both.
         ``after`` pages the rank phase; the count stays the FULL match
         count (OpenSearch ``hits.total`` is cursor-independent)."""
-        hits = (
-            self.query_string_partial(query, k, default_operator, after=after)
-            if syntax
-            else self.topk_partial(query, k, after=after)
+        if not syntax:
+            return self.topk_partial(query, k, after=after), self.count_partial(query)
+        from .qstring import query_string_topk_range
+
+        return query_string_topk_range(
+            self.reader,
+            query,
+            k=k,
+            default_operator=default_operator,
+            analyzer=self.analyzer,
+            live_mask=self._live,
+            after=after,
+            with_total=True,
         )
-        return hits, self.count_partial(query, syntax=syntax)
 
     def sort_partial(
         self,
@@ -634,7 +555,7 @@ class ShardQueryActor:
 
 
 class ShardedQueryService:
-    """Doc-range-sharded serving: ``n_shards`` actors each hold one
+    """Doc-range-sharded serving: ``n_shards`` shards each hold one
     contiguous doc-id range; a query fans out to every shard and the
     per-shard top-k lists merge exactly (score desc, doc asc).
 
@@ -647,7 +568,8 @@ class ShardedQueryService:
     node's CPU count still schedules (actors are mostly idle between
     queries; an unschedulable actor would deadlock every ``ray.get``).
     On a dedicated serving cluster pass ``num_cpus=1`` to pin one core
-    per shard."""
+    per shard.  :meth:`in_process` builds the one-shard, actor-free
+    variant over an open reader."""
 
     def __init__(
         self,
@@ -671,6 +593,7 @@ class ShardedQueryService:
         bounds = np.linspace(0, n_docs, n_shards + 1).astype(np.int64)
         actor_cls = ray.remote(num_cpus=num_cpus)(ShardQueryActor)
         self._bounds = bounds
+        self.remote = True
         index_root = bdir
         # n_replicas > 1 is OpenSearch's primary+replica read scaling:
         # a Ray actor serves ONE request at a time, so concurrent
@@ -691,16 +614,49 @@ class ShardedQueryService:
             index_root, int(bounds[i]), int(bounds[i + 1]), chain
         )
 
+    @classmethod
+    def in_process(cls, reader) -> "ShardedQueryService":
+        """ONE in-process shard over an open reader's doc range — the
+        single-shard index the reference serves from, with no actor and
+        no second reader: every partial is a plain call on ``reader``
+        and the merges are the fleet's own.  ``revive()`` replaces
+        nothing and ``shutdown()`` releases nothing."""
+        self = cls.__new__(cls)
+        self._bounds = np.array([reader.doc_lo, reader.doc_hi], np.int64)
+        self.remote = False
+        self._groups = [[ShardQueryActor.over(reader)]]
+        self._rr = 0
+        return self
+
+    @property
+    def n_shards(self) -> int:
+        return len(self._groups)
+
     @property
     def _actors(self):
         """One replica per doc-range shard, rotated per access — every
-        existing fan-out (``for a in self._actors`` / ``_actors[s]``)
-        transparently load-balances across replicas.  The lock-free
-        counter bump is intentionally racy: it only influences replica
-        CHOICE, never correctness (replicas are identical readers)."""
+        fan-out transparently load-balances across replicas.  The
+        lock-free counter bump is intentionally racy: it only
+        influences replica CHOICE, never correctness (replicas are
+        identical readers)."""
         self._rr += 1
         r = self._rr
         return [g[r % len(g)] for g in self._groups]
+
+    def _gather(self, calls: list) -> list:
+        """Run ``[(shard, method, args), …]`` and return the results in
+        order — the ONE place that knows whether a shard is a Ray actor
+        (all calls submitted, then one ``ray.get``) or an in-process
+        object (plain calls)."""
+        if not self.remote:
+            return [getattr(a, op)(*args) for a, op, args in calls]
+        import ray
+
+        return ray.get([getattr(a, op).remote(*args) for a, op, args in calls])
+
+    def _fan(self, op: str, *args) -> list:
+        """``op(*args)`` on one replica of every shard, in shard order."""
+        return self._gather([(a, op, args) for a in self._actors])
 
     def revive(self, timeout_s: float = 5.0) -> int:
         """Replace CONFIRMED-DEAD shard replicas (node loss, OOM-kill,
@@ -721,7 +677,9 @@ class ShardedQueryService:
         query).  A hung-but-alive actor is therefore left alone: busy
         and hung are indistinguishable from outside; escalate with
         ``shutdown()`` + a fresh service.  Returns the number of
-        replicas replaced."""
+        replicas replaced (always 0 in-process)."""
+        if not self.remote:
+            return 0
         import ray
 
         probes = [
@@ -748,13 +706,9 @@ class ShardedQueryService:
         k: int = 10,
         after: tuple[float, int] | None = None,
     ) -> list[tuple[int, float]]:
-        import ray
-
         from .bm25 import merge_shard_topk
 
-        parts = ray.get(
-            [a.topk_partial.remote(query, k, after) for a in self._actors]
-        )
+        parts = self._fan("topk_partial", query, k, after)
         return merge_shard_topk(parts, k)
 
     def match_phrase(self, query: str) -> list[tuple[int, int]]:
@@ -764,9 +718,7 @@ class ShardedQueryService:
         ``match_phrase`` — each shard decoded only its overlapping
         posting blocks, dividing the positional-decode cost by the
         fleet the same way the BM25 tier divides dense TAAT."""
-        import ray
-
-        parts = ray.get([a.phrase_partial.remote(query) for a in self._actors])
+        parts = self._fan("phrase_partial", query)
         return [hit for part in parts for hit in part]
 
     def query_string(
@@ -783,16 +735,9 @@ class ShardedQueryService:
         lists merge exactly, the same division the plain BM25 tier
         gets.  Pinned identical to the local
         ``query_string_topk``."""
-        import ray
-
         from .bm25 import merge_shard_topk
 
-        parts = ray.get(
-            [
-                a.query_string_partial.remote(qs, k, default_operator, after)
-                for a in self._actors
-            ]
-        )
+        parts = self._fan("query_string_partial", qs, k, default_operator, after)
         return merge_shard_topk(parts, k)
 
     def search(
@@ -867,19 +812,12 @@ class ShardedQueryService:
         key as a ``sort_key`` column (per-hit ``sort`` values for the
         ``search_after`` cursor); hits score 0.0 (OpenSearch reports
         ``_score: null`` when sorting by field)."""
-        import ray
-
         from .sortq import merge_sorted_pages
 
         col, order = sort
-        parts = ray.get(
-            [
-                a.sort_partial.remote(
-                    query, col, order == "desc", from_ + k, syntax,
-                    default_operator, after,
-                )
-                for a in self._actors
-            ]
+        parts = self._fan(
+            "sort_partial", query, col, order == "desc", from_ + k, syntax,
+            default_operator, after,
         )
         rows = merge_sorted_pages(
             [p[0] for p in parts], from_ + k, order == "desc"
@@ -914,8 +852,6 @@ class ShardedQueryService:
         build across a concurrent reload.  Returns ``(table, total)``,
         the table identical to :meth:`search` (same ``from_``/``after``
         pagination; ``total`` is always the FULL match count)."""
-        import ray
-
         from .bm25 import merge_shard_topk
 
         if from_ and after is not None:
@@ -927,13 +863,8 @@ class ShardedQueryService:
                 query, k, fields, highlight_field, width, syntax,
                 default_operator, from_, after, sort, hl_tags,
             )
-        parts = ray.get(
-            [
-                a.rank_count_partial.remote(
-                    query, from_ + k, syntax, default_operator, after
-                )
-                for a in self._actors
-            ]
+        parts = self._fan(
+            "rank_count_partial", query, from_ + k, syntax, default_operator, after
         )
         hits = merge_shard_topk([p[0] for p in parts], from_ + k)[from_:]
         total = int(sum(p[1] for p in parts))
@@ -957,21 +888,27 @@ class ShardedQueryService:
         hl_tags: tuple = ("<em>", "</em>"),
     ):
         import pyarrow as pa
-        import ray
 
-        # route hits to owning shards (bounds are sorted, right-open)
-        per_shard: dict[int, list[int]] = {}
+        # route hits to owning shards (bounds are sorted, right-open);
+        # an empty page still takes a zero-row fetch through shard 0 so
+        # it keeps the STORE's column types (same fix as assemble_hits)
+        per_shard: dict[int, list[int]] = {} if hits else {0: []}
         for d, _ in hits:
             s = int(np.searchsorted(self._bounds, d, side="right")) - 1
             per_shard.setdefault(s, []).append(d)
-        parts = ray.get(
-            [
-                self._actors[s].fetch_partial.remote(
-                    ids, tuple(fields), query, highlight_field, width,
-                    syntax, hl_tags
-                )
-                for s, ids in per_shard.items()
-            ]
+        actors = self._actors
+        parts = self._gather([
+            (
+                actors[s], "fetch_partial",
+                (ids, tuple(fields), query, highlight_field, width, syntax,
+                 hl_tags),
+            )
+            for s, ids in per_shard.items()
+        ])
+        fetched = pa.concat_tables(parts, promote_options="default")
+        row_of = {int(i): r for r, i in enumerate(fetched["doc_id"].to_pylist())}
+        fetched = fetched.take(
+            pa.array([row_of[int(d)] for d, _ in hits], pa.int64())
         )
         cols: dict[str, pa.Array] = {
             "rank": pa.array(
@@ -980,27 +917,7 @@ class ShardedQueryService:
             "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
             "score": pa.array([float(s) for _, s in hits], pa.float64()),
         }
-        extra = list(fields) + (["snippet"] if highlight_field else [])
-        if not hits:
-            # zero-row fetch through a shard so the empty page keeps
-            # the STORE's column types (hardcoded pa.string() gave
-            # numeric/timestamp fields a different schema than
-            # non-empty pages — and diverged from the local
-            # search_response; same fix as assemble_hits)
-            empty = ray.get(
-                self._actors[0].fetch_partial.remote(
-                    [], tuple(fields), query, highlight_field, width,
-                    syntax, hl_tags
-                )
-            )
-            for f in extra:
-                cols[f] = empty[f].combine_chunks()
-            return pa.table(cols)
-        fetched = pa.concat_tables(parts, promote_options="default")
-        row_of = {int(i): r for r, i in enumerate(fetched["doc_id"].to_pylist())}
-        order = pa.array([row_of[int(d)] for d, _ in hits], pa.int64())
-        fetched = fetched.take(order)
-        for f in extra:
+        for f in list(fields) + (["snippet"] if highlight_field else []):
             cols[f] = fetched[f].combine_chunks()
         return pa.table(cols)
 
@@ -1008,22 +925,14 @@ class ShardedQueryService:
         """Unordered span query across the fleet — per-doc-local
         matching over disjoint ranges concatenates (doc asc) to
         exactly the full-reader ``phrase.span_near``."""
-        import ray
-
-        parts = ray.get(
-            [a.span_near_partial.remote(list(terms), slop) for a in self._actors]
-        )
+        parts = self._fan("span_near_partial", list(terms), slop)
         return [hit for part in parts for hit in part]
 
     def count(self, query: str, syntax: bool = False) -> int:
         """OpenSearch ``_count``: live docs matching ANY query term
         (or the full query_string semantics with ``syntax=True``) —
         per-shard counts over disjoint ranges sum exactly."""
-        import ray
-
-        return sum(
-            ray.get([a.count_partial.remote(query, syntax) for a in self._actors])
-        )
+        return sum(self._fan("count_partial", query, syntax))
 
     def terms_facet(
         self, query: str, col: str, size: int | None = None, syntax: bool = False
@@ -1035,11 +944,8 @@ class ShardedQueryService:
         1/n_shards of the per-actor work and with the docs-store column
         slice cached in each shard after the first facet query."""
         import pyarrow as pa
-        import ray
 
-        parts = ray.get(
-            [a.facet_terms_partial.remote(query, col, syntax) for a in self._actors]
-        )
+        parts = self._fan("facet_terms_partial", query, col, syntax)
         parts = [p for p in parts if p.num_rows]
         if not parts:
             return pa.table(
@@ -1063,12 +969,8 @@ class ShardedQueryService:
         ≤ shards×size-row groupby + key-ascending head — per-page
         driver work is page-scale regardless of key cardinality."""
         import pyarrow as pa
-        import ray
 
-        parts = ray.get([
-            a.facet_composite_partial.remote(query, col, after, size, syntax)
-            for a in self._actors
-        ])
+        parts = self._fan("facet_composite_partial", query, col, after, size, syntax)
         parts = [p for p in parts if p.num_rows]
         if not parts:
             return None  # caller renders an empty page
@@ -1085,11 +987,8 @@ class ShardedQueryService:
         caller → one row ``(n_docs, min_v, max_v, sum_v, avg_v)``,
         the schema of ``facets.stats_facet``."""
         import pyarrow as pa
-        import ray
 
-        parts = ray.get(
-            [a.facet_stats_partial.remote(query, col, syntax) for a in self._actors]
-        )
+        parts = self._fan("facet_stats_partial", query, col, syntax)
         parts = [p for p in parts if p[0]]
         n = sum(p[0] for p in parts)
         if n == 0:
@@ -1123,14 +1022,8 @@ class ShardedQueryService:
         sorted by key.  Serves date_histogram / histogram / range /
         the exact value histograms behind cardinality + percentiles."""
         import pyarrow as pa
-        import ray
 
-        parts = ray.get(
-            [
-                a.facet_values_partial.remote(query, col, kind, arg, syntax)
-                for a in self._actors
-            ]
-        )
+        parts = self._fan("facet_values_partial", query, col, kind, arg, syntax)
         live = [p for p in parts if p.num_rows]
         if not live:
             return pa.table(
@@ -1153,18 +1046,12 @@ class ShardedQueryService:
         the concatenated partials — exact by idempotence.  Returns
         ``(value, rank, doc_id, s)``, buckets ascending."""
         import pyarrow as pa
-        import ray
 
         from ..ops.windows import head_k_per_key
 
-        parts = ray.get(
-            [
-                a.facet_top_hits_partial.remote(
-                    query, group_col, sort_col, k, ascending, syntax,
-                    values,
-                )
-                for a in self._actors
-            ]
+        parts = self._fan(
+            "facet_top_hits_partial", query, group_col, sort_col, k, ascending,
+            syntax, values,
         )
         live = [p for p in parts if p.num_rows]
         if not live:
@@ -1190,15 +1077,9 @@ class ShardedQueryService:
         sorted by key — the histogram-with-metric every pipeline
         function reduces over."""
         import pyarrow as pa
-        import ray
 
-        parts = ray.get(
-            [
-                a.facet_bucket_sums_partial.remote(
-                    query, col, kind, arg, val_col, syntax
-                )
-                for a in self._actors
-            ]
+        parts = self._fan(
+            "facet_bucket_sums_partial", query, col, kind, arg, val_col, syntax
         )
         live = [p for p in parts if p.num_rows]
         if not live:
@@ -1264,18 +1145,9 @@ class ShardedQueryService:
         (``facets.fold_terms_stats``), identical output schema to the
         Dataset facet: ``(value, n_docs, min_v, max_v, sum_v, avg_v)``
         ordered count desc / key asc."""
-        import ray
-
         from .facets import fold_terms_stats
 
-        parts = ray.get(
-            [
-                a.facet_terms_stats_partial.remote(
-                    query, key_col, val_col, syntax
-                )
-                for a in self._actors
-            ]
-        )
+        parts = self._fan("facet_terms_stats_partial", query, key_col, val_col, syntax)
         return fold_terms_stats(parts)
 
     def cardinality_facet(
@@ -1297,26 +1169,29 @@ class ShardedQueryService:
         — no corpus-scale id set ever reaches the caller.  Scores use
         global statistics (Lucene filtered-query semantics), so the
         cross-shard merge stays exact."""
-        import ray
-
         from .bm25 import merge_shard_topk
 
-        parts = ray.get(
-            [a.filtered_topk_partial.remote(query, predicate, k) for a in self._actors]
-        )
+        parts = self._fan("filtered_topk_partial", query, predicate, k)
         return merge_shard_topk(parts, k)
 
     def topk_many(
         self, queries: list[str], k: int = 10
     ) -> list[list[tuple[int, float]]]:
-        import ray
-
         from .bm25 import merge_shard_topk
 
-        refs = [[a.topk_partial.remote(q, k) for a in self._actors] for q in queries]
-        return [merge_shard_topk(ray.get(r), k) for r in refs]
+        actors = self._actors
+        parts = self._gather(
+            [(a, "topk_partial", (q, k)) for q in queries for a in actors]
+        )
+        n = len(actors)
+        return [
+            merge_shard_topk(parts[i * n:(i + 1) * n], k)
+            for i in range(len(queries))
+        ]
 
     def shutdown(self) -> None:
+        if not self.remote:
+            return  # in-process: no actors to release
         import ray
 
         for group in self._groups:

@@ -60,12 +60,14 @@ one-synchronous-PUT-per-document loop:
 
 Writes serialize behind one lock; reads keep flowing between them.
 
-Backends: ``backend="local"`` holds one warm :class:`IndexReader` in
-the server process (single-node serving); ``backend="sharded"`` holds
-a :class:`ShardedQueryService` actor fleet — every search/count fans
-out per doc-range shard exactly as the library tier does, so one HTTP
-front door scales reads with the fleet (OpenSearch's coordinating-
-node role).  Errors map to ``{"error": {"type", "reason"}}`` with
+Backends: every read goes through ONE shard protocol, a
+:class:`ShardedQueryService`.  ``backend="local"`` serves it as one
+in-process shard over the server's warm :class:`IndexReader`
+(single-node serving — the reference's one-shard index);
+``backend="sharded"`` serves it from a Ray actor fleet — every
+search/count fans out per doc-range shard, so one HTTP front door
+scales reads with the fleet (OpenSearch's coordinating-node role).
+Errors map to ``{"error": {"type", "reason"}}`` with
 400 (bad query syntax / params) or 500, mirroring OpenSearch's error
 envelope.
 """
@@ -202,13 +204,14 @@ class SearchServer:
         self._analyzer = None
         self._suggester = None
         self._tv_readers: dict = {}  # per-chain readers (termvectors)
-        # point-in-time contexts: pit_id → (pinned reader, expiry).
-        # Builds are immutable directories, so a PIT is just a reader
-        # kept warm on the OLD build across writes — deliberately NOT
-        # cleared by _reload (that is the feature).  Ids carry a
-        # per-open sequence number: two clients opening PITs on the
-        # same build must NOT share one entry (a shared id would let
-        # one client's keep_alive or delete clobber the other's)
+        # point-in-time contexts: pit_id → (in-process service, pinned
+        # reader, expiry).  Builds are immutable directories, so a PIT
+        # is just a reader kept warm on the OLD build across writes —
+        # deliberately NOT cleared by _reload (that is the feature).
+        # Ids carry a per-open sequence number: two clients opening
+        # PITs on the same build must NOT share one entry (a shared id
+        # would let one client's keep_alive or delete clobber the
+        # other's)
         self._pits: dict = {}
         self._pit_seq = 0
         # request cache (OpenSearch's shard request cache, one tier
@@ -244,8 +247,8 @@ class SearchServer:
         revive the fleet's dead replicas ONCE and retry the request;
         a second failure surfaces loudly (500).  Writes never take
         this path (they hold the write lock and their failure
-        semantics are the caller's), and a local backend has no fleet
-        to heal.  Concurrent handler threads serialize on the revive
+        semantics are the caller's), and an in-process backend never
+        raises it.  Concurrent handler threads serialize on the revive
         lock so a request burst against one dead shard spawns ONE
         replacement, not one per thread (the second thread's revive
         finds nothing dead and replaces 0)."""
@@ -254,38 +257,38 @@ class SearchServer:
         except Exception as e:
             import ray.exceptions as rex
 
-            svc = getattr(self, "_svc", None)
-            if (
-                isinstance(e, rex.RayActorError)
-                and svc is not None
-                and hasattr(svc, "revive")
-            ):
+            if isinstance(e, rex.RayActorError):
                 with self._revive_lock:
-                    svc.revive()
+                    self._svc.revive()
                 return fn(*args)
             raise
 
     def _ensure_backend(self):
         from .functions.analyzer import Analyzer
         from .query.reader import IndexReader
+        from .query.served import ShardedQueryService
 
-        self._reader = IndexReader(self.index_root, chain=self.chain)
-        self._analyzer = Analyzer(self._reader.chain)
-        if self.backend == "sharded":
-            from .query.served import ShardedQueryService
-
-            self._svc = ShardedQueryService(
+        reader = IndexReader(self.index_root, chain=self.chain)
+        svc = (
+            ShardedQueryService(
                 self.index_root,
                 n_shards=self.n_shards,
                 chain=self.chain,
                 n_replicas=self.n_replicas,
             )
+            if self.backend == "sharded"
+            else ShardedQueryService.in_process(reader)
+        )
+        # swap all three together: reads snapshot them as one backend
+        self._reader, self._analyzer, self._svc = (
+            reader, Analyzer(reader.chain), svc
+        )
 
     def _search_post(self, params, body: bytes) -> dict:
         """``POST /_search`` — the OpenSearch JSON body interface.
         ``query`` is a JSON query-DSL object (``query/dsl.py`` — it
-        lowers onto the query_string AST, so the whole local/sharded
-        machinery serves it); ``size``/``from``/``search_after``/
+        lowers onto the query_string AST, so the shard protocol serves
+        it); ``size``/``from``/``search_after``/
         ``_source``/``highlight``/``aggs`` map onto the GET surface's
         parameters.  URL query params still apply as defaults.
         Aggregations come back keyed by their AGG NAME (OpenSearch
@@ -849,7 +852,6 @@ class SearchServer:
         ``fetch_docs``)."""
         from .query.dsl import dsl_to_node
         from .query.hybrid import rrf_fuse
-        from .query.qstring import query_string_topk
         from .query.search import assemble_hits
 
         for bad in ("sort", "highlight", "aggs", "aggregations",
@@ -883,11 +885,7 @@ class SearchServer:
         t0 = time.perf_counter()
         maps = []
         for leg in legs:
-            hits = (
-                svc.query_string(leg, k=window)
-                if svc is not None
-                else query_string_topk(reader, leg, k=window)
-            )
+            hits = svc.query_string(leg, k=window)
             maps.append({int(d): r for r, (d, _) in enumerate(hits, 1)})
         fused = rrf_fuse(maps, k=rrf_k, topn=from_ + k).slice(from_)
         page = list(
@@ -971,35 +969,20 @@ class SearchServer:
         # smaller than the hits it accompanies)
         svc, reader, analyzer = self._svc, self._reader, self._analyzer
         if params.get("pit_id"):
-            # point-in-time search: the pinned OLD-build reader serves
-            # instead of the current backend (fleet included — a PIT
-            # pins a build, and the fleet always tracks CURRENT)
-            reader = self._pit_reader(
+            # point-in-time search: an in-process shard over the pinned
+            # OLD-build reader serves instead of the current backend
+            # (fleet included — a PIT pins a build, and the fleet
+            # always tracks CURRENT)
+            svc, reader = self._pit_backend(
                 params["pit_id"], params.get("pit_keep_alive")
             )
-            svc = None
-        if svc is not None:
-            # rank + true match count in ONE fleet fan-out (a separate
-            # count() call doubles the round trips on the hottest path)
-            table, total = svc.search_with_total(
-                q, k=k, fields=fields, highlight_field=highlight,
-                width=hl_width, syntax=syntax, from_=from_, after=after,
-                sort=sort_spec, hl_tags=hl_tags,
-            )
-            total = int(total)
-        else:
-            from .query.search import search_response
-
-            # hits + TRUE match count from ONE evaluation — a separate
-            # _count_impl call would re-parse and re-evaluate the same
-            # query over the whole corpus on the hottest path
-            table, total = search_response(
-                reader, q, k=k, fields=fields,
-                highlight_field=highlight, width=hl_width, syntax=syntax,
-                from_=from_, after=after, sort=sort_spec, hl_tags=hl_tags,
-                with_total=True,
-            )
-            total = int(total)
+        # rank + true match count in ONE fan-out (a separate count()
+        # call doubles the round trips on the hottest path)
+        table, total = svc.search_with_total(
+            q, k=k, fields=fields, highlight_field=highlight,
+            width=hl_width, syntax=syntax, from_=from_, after=after,
+            sort=sort_spec, hl_tags=hl_tags,
+        )
         took = int((time.perf_counter() - t0) * 1000)
         hits = []
         for row in table.to_pylist():
@@ -1039,24 +1022,15 @@ class SearchServer:
         agg_stats = params.get("agg_stats")
         if agg_terms or agg_stats:
             aggs = {}
-            tt, st = self._facet_tables(
-                q, agg_terms, agg_stats, syntax=syntax,
-                svc=svc, reader=reader, analyzer=analyzer,
-            )
-            if tt is not None:
-                size = int(params.get("agg_size", "10"))
-                aggs[agg_terms] = {
-                    "buckets": [
-                        {"key": r["value"], "doc_count": r["n_docs"]}
-                        for r in tt.slice(0, size).to_pylist()
-                    ]
-                }
-            if st is not None:
-                r = st.to_pylist()[0]
-                aggs[agg_stats] = {
-                    "count": r["n_docs"], "min": r["min_v"], "max": r["max_v"],
-                    "sum": r["sum_v"], "avg": r["avg_v"],
-                }
+            if agg_terms:
+                aggs[agg_terms] = self._terms_agg(
+                    svc.terms_facet(q, agg_terms, syntax=syntax),
+                    int(params.get("agg_size", "10")),
+                )
+            if agg_stats:
+                aggs[agg_stats] = self._stats_agg(
+                    svc.stats_facet(q, agg_stats, syntax=syntax)
+                )
             out["aggregations"] = aggs
         extra = params.get("aggs_extra")
         if extra:
@@ -1254,9 +1228,9 @@ class SearchServer:
         return self._search(p)
 
     def _matched_ids_local(self, q, syntax: bool, reader, analyzer):
-        """Matched doc ids on the LOCAL backend (match-any, or the
-        full query_string/DSL mask with ``syntax``) — the facet
-        candidate set, shared by terms/stats and the extra aggs."""
+        """Matched doc ids over ``reader`` (match-any, or the full
+        query_string/DSL mask with ``syntax``) — the foreground set
+        ``significant_terms`` scores against."""
         import numpy as np
 
         if syntax:
@@ -1286,81 +1260,69 @@ class SearchServer:
             {"query_string": {"query": q}} if syntax else {"match": {fld: q}}
         )
 
+    @staticmethod
+    def _dsl_count(dsl: dict, svc, analyzer) -> int:
+        """Count of a DSL object, validated BEFORE the fan-out (a
+        malformed filter costs one parse and a clean 400, never an
+        n-shard round trip)."""
+        from .query.dsl import dsl_to_node
+
+        dsl_to_node(dsl, analyzer)
+        return svc.count(dsl, syntax=True)
+
     def _exists_count(self, q, col, syntax, svc, reader, analyzer) -> int:
         """|q ∧ exists(col)| through the backend's one count path —
         shared by ``missing`` and ``value_count``."""
-        from .query.dsl import dsl_to_node
-
-        with_field = {
-            "bool": {
-                "must": [
-                    self._main_dsl(q, syntax, reader),
-                    {"exists": {"field": col}},
-                ]
-            }
-        }
-        dsl_to_node(with_field, analyzer)
-        return int(self._count_impl(with_field, True, svc, reader, analyzer))
-
-    def _values_hist(self, q, col, syntax, svc, reader, analyzer):
-        """The exact value-count histogram ``(key, n_docs)`` sorted by
-        key — the shared distinct-value-scale fan-out behind
-        percentiles / cardinality / extended_stats / percentile_ranks
-        (fleet partial or the same kernel over the memoized local
-        column slice)."""
-        from .query.facets import value_histogram
-
-        if svc is not None:
-            return svc.bucket_facet(q, col, "values", None, syntax=syntax)
-        matched = self._matched_ids_local(q, syntax, reader, analyzer)
-        vals = reader.stored_column(col).take(
-            pa.array(np.asarray(matched, np.int64))
+        main = self._main_dsl(q, syntax, reader)
+        return self._dsl_count(
+            {"bool": {"must": [main, {"exists": {"field": col}}]}},
+            svc, analyzer,
         )
-        h = value_histogram(vals, "values", None)
-        return pa.table({"key": h["key"], "n_docs": h["partial"]}).sort_by("key")
+
+    @staticmethod
+    def _terms_agg(t, size: int) -> dict:
+        return {"buckets": [
+            {"key": r["value"], "doc_count": r["n_docs"]}
+            for r in t.slice(0, size).to_pylist()
+        ]}
+
+    @staticmethod
+    def _stats_agg(t) -> dict:
+        r = t.to_pylist()[0]
+        return {
+            "count": r["n_docs"], "min": r["min_v"], "max": r["max_v"],
+            "sum": r["sum_v"], "avg": r["avg_v"],
+        }
 
     def _extra_agg(self, q, spec: dict, syntax, svc, reader, analyzer) -> dict:
-        """One body-only aggregation (date_histogram / histogram /
-        range / cardinality / percentiles) against an explicit backend
-        snapshot — fleet path: per-shard vectorized value histograms
-        with an exact distinct-key-scale merge
-        (``ShardedQueryService.bucket_facet``); local path: the SAME
-        ``facets.value_histogram`` kernel over the memoized
-        ``reader.stored_column``.  Response shapes follow OpenSearch:
-        date buckets carry epoch-ms ``key`` + ISO ``key_as_string``,
-        range buckets echo from/to, percentiles a ``values`` map."""
+        """One body aggregation against an explicit backend snapshot —
+        every kind is one (or a few) service fan-outs: per-shard
+        partials with exact distinct-key-scale merges
+        (``ShardedQueryService.bucket_facet`` and friends), so the
+        in-process and fleet backends run the same code.  Response
+        shapes follow OpenSearch: date buckets carry epoch-ms ``key``
+        + ISO ``key_as_string``, range buckets echo from/to,
+        percentiles a ``values`` map."""
         import numpy as np
-        import pyarrow as pa
 
-        from .query.facets import interpolate_quantiles, value_histogram
+        from .query.facets import interpolate_quantiles
 
         kind, col, arg = spec["kind"], spec["field"], spec.get("arg")
         if kind == "filters":
             # one bucket per NAMED sub-query, counting docs that match
             # the main query AND the filter — |q ∧ f| = count(bool
             # must=[q, f]), so each bucket reuses the backend's count
-            # path verbatim (fleet or local) with no new distributed
-            # code.  Bucket count = request count: an analytics agg
-            # with a handful of human-named filters.
-            from .query.dsl import dsl_to_node
-
-            buckets = {}
-            for bname, sub in spec["filters"].items():
-                # the SNAPSHOT reader, not self._reader — one backend
-                # per request (see _search's snapshot comment)
-                fld = reader.manifest["field"]
-                main = q if isinstance(q, dict) else (
-                    {"query_string": {"query": q}} if syntax
-                    else {"match": {fld: q}}  # GET q = match-any (OR)
-                )
-                combined = {"bool": {"must": [main, sub]}}
-                # validate before any fleet fan-out (clean 400, no
-                # per-bucket n-shard round trip on a malformed filter)
-                dsl_to_node(combined, analyzer)
-                buckets[bname] = {"doc_count": self._count_impl(
-                    combined, True, svc, reader, analyzer
+            # path verbatim with no new distributed code.  Bucket
+            # count = request count: an analytics agg with a handful
+            # of human-named filters.  The SNAPSHOT reader, not
+            # self._reader — one backend per request.
+            main = self._main_dsl(q, syntax, reader)
+            return {"buckets": {
+                bname: {"doc_count": self._dsl_count(
+                    {"bool": {"must": [main, sub]}}, svc, analyzer
                 )}
-            return {"buckets": buckets}
+                for bname, sub in spec["filters"].items()
+            }}
         if kind == "significant_terms":
             # JLH-significant terms of the query's match set
             # (query/significant.py — a per-partition postings scan,
@@ -1392,68 +1354,24 @@ class SearchServer:
             }
         if kind == "terms":
             # plain terms agg, per NAME (body requests may carry many)
-            t, _ = self._facet_tables(
-                q, col, None, syntax=syntax,
-                svc=svc, reader=reader, analyzer=analyzer,
+            return self._terms_agg(
+                svc.terms_facet(q, col, syntax=syntax), spec["size"]
             )
-            return {"buckets": [
-                {"key": r["value"], "doc_count": r["n_docs"]}
-                for r in t.slice(0, spec["size"]).to_pylist()
-            ]}
         if kind == "stats":
-            _, s = self._facet_tables(
-                q, None, col, syntax=syntax,
-                svc=svc, reader=reader, analyzer=analyzer,
-            )
-            r = s.to_pylist()[0]
-            return {
-                "count": r["n_docs"], "min": r["min_v"], "max": r["max_v"],
-                "sum": r["sum_v"], "avg": r["avg_v"],
-            }
+            return self._stats_agg(svc.stats_facet(q, col, syntax=syntax))
         if kind == "terms_top_hits":
             # terms buckets + per-bucket top-k hits: counts from the
             # ONE terms fan-out, hits from the head-k partial fan-out
-            # (fleet) or the same kernel over the memoized column
-            # slices (local) — both ≤ k rows per bucket end-to-end
-            t, _ = self._facet_tables(
-                q, col, None, syntax=syntax,
-                svc=svc, reader=reader, analyzer=analyzer,
-            )
+            # — ≤ k rows per rendered bucket end-to-end
+            t = svc.terms_facet(q, col, syntax=syntax)
             counts = {
                 r["value"]: r["n_docs"]
                 for r in t.slice(0, spec["size"]).to_pylist()
             }
-            top_keys = list(counts)
-            if svc is not None:
-                th = svc.top_hits_facet(
-                    q, col, spec["sort_col"], spec["k"],
-                    ascending=spec["asc"], syntax=syntax, values=top_keys,
-                )
-            else:
-                import pyarrow.compute as _pc
-
-                from .ops.windows import head_k_per_key
-
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                idx = pa.array(np.asarray(matched, np.int64))
-                ids = pa.array(np.asarray(matched, np.int64), pa.int64())
-                s = (
-                    ids
-                    if spec["sort_col"] in ("_doc", "_id")
-                    else reader.stored_column(spec["sort_col"]).take(idx)
-                )
-                tt = pa.table({
-                    "value": reader.stored_column(col).take(idx).cast(
-                        pa.string()),
-                    "s": s,
-                    "doc_id": ids,
-                })
-                tt = tt.filter(_pc.is_in(tt["value"], value_set=pa.array(
-                    [str(v) for v in top_keys], pa.string()
-                )))
-                th = head_k_per_key(
-                    tt, "value", "s", spec["k"], spec["asc"], with_rank=True
-                ).select(["value", "rank", "doc_id", "s"])
+            th = svc.top_hits_facet(
+                q, col, spec["sort_col"], spec["k"],
+                ascending=spec["asc"], syntax=syntax, values=list(counts),
+            )
             hits_by = {}
             for r in th.to_pylist():
                 sv = r["s"]
@@ -1474,42 +1392,9 @@ class SearchServer:
                 })
             return {"buckets": buckets}
         if kind == "terms_stats":
-            # nested terms→stats: fleet = one partial fan-out + the
-            # shared exact fold; local = the SAME kernel over the
-            # memoized column slices
-            if svc is not None:
-                t = svc.terms_stats_facet(q, col, spec["val"], syntax=syntax)
-            else:
-                from .query.facets import fold_terms_stats
-
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                idx = pa.array(np.asarray(matched, np.int64))
-                part = pa.table({
-                    "value": reader.stored_column(col).take(idx).cast(
-                        pa.string()),
-                    "v": reader.stored_column(spec["val"]).take(idx).cast(
-                        pa.float64()),
-                })
-                if part.num_rows:
-                    agg2 = part.group_by("value").aggregate(
-                        [([], "count_all"), ("v", "min"), ("v", "max"),
-                         ("v", "sum")]
-                    )
-                    part = pa.table({
-                        "value": agg2["value"],
-                        "n": agg2["count_all"].cast(pa.int64()),
-                        "mn": agg2["v_min"], "mx": agg2["v_max"],
-                        "sm": agg2["v_sum"],
-                    })
-                else:
-                    part = pa.table({
-                        "value": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64()),
-                        "mn": pa.array([], pa.float64()),
-                        "mx": pa.array([], pa.float64()),
-                        "sm": pa.array([], pa.float64()),
-                    })
-                t = fold_terms_stats([part])
+            # nested terms→stats: one partial fan-out + the shared
+            # exact fold
+            t = svc.terms_stats_facet(q, col, spec["val"], syntax=syntax)
             metric = spec.get("metric", "stats")
             buckets = []
             for r in t.slice(0, spec["size"]).to_pylist():
@@ -1532,17 +1417,7 @@ class SearchServer:
             # both fold the SAME exact value-count histogram the
             # percentiles path already fans out (distinct-value-scale
             # partials) — zero new distributed code
-            if svc is not None:
-                hist = svc.bucket_facet(q, col, "values", None, syntax=syntax)
-            else:
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                vals = reader.stored_column(col).take(
-                    pa.array(np.asarray(matched, np.int64))
-                )
-                h = value_histogram(vals, "values", None)
-                hist = pa.table(
-                    {"key": h["key"], "n_docs": h["partial"]}
-                ).sort_by("key")
+            hist = svc.bucket_facet(q, col, "values", None, syntax=syntax)
             v = hist["key"].to_numpy(zero_copy_only=False).astype(np.float64)
             c = hist["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
             n = int(c.sum())
@@ -1572,28 +1447,14 @@ class SearchServer:
             }
         if kind == "value_count":
             # docs carrying a value: one count fan-out of q ∧ exists
-            from .query.dsl import dsl_to_node
-
-            fld = reader.manifest["field"]
-            main = q if isinstance(q, dict) else (
-                {"query_string": {"query": q}} if syntax
-                else {"match": {fld: q}}
-            )
-            with_field = {"bool": {"must": [main, {"exists": {"field": col}}]}}
-            dsl_to_node(with_field, analyzer)
             return {
-                "value": int(
-                    self._count_impl(with_field, True, svc, reader, analyzer)
-                )
+                "value": self._exists_count(q, col, syntax, svc, reader, analyzer)
             }
         if kind == "rare_terms":
             # long-tail terms: the SAME one-fan-out terms partial,
             # tail-filtered and re-sorted (count asc, value asc) on the
             # already-key-scale merged table
-            t, _ = self._facet_tables(
-                q, col, None, syntax=syntax,
-                svc=svc, reader=reader, analyzer=analyzer,
-            )
+            t = svc.terms_facet(q, col, syntax=syntax)
             rows = [
                 (r["value"], int(r["n_docs"]))
                 for r in t.to_pylist()
@@ -1606,7 +1467,7 @@ class SearchServer:
         if kind == "composite":
             # key-ordered bucket pages with after_key resumption over
             # ONE terms source — the export-a-big-facet agg.  BOUNDED
-            # per page (round-5): each backend computes only the
+            # per page (round-5): each shard computes only the
             # ``size`` smallest matched keys after the cursor in the
             # COLUMN's native order (a near-unique key column costs
             # O(size) per page, never key-cardinality — the
@@ -1614,23 +1475,7 @@ class SearchServer:
             # page/emit in the column's native type — an int source
             # pages 9 < 10, a string source lexicographically.
             size_ = spec["size"]
-            after = spec["after"]
-            if svc is not None:
-                t = svc.composite_facet(q, col, after, size_, syntax=syntax)
-            else:
-                from .query.facets import composite_page
-
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                page_t = composite_page(
-                    reader.stored_column(col).take(
-                        pa.array(np.asarray(matched, np.int64))
-                    ),
-                    after, size_,
-                )
-                t = pa.table({
-                    "value": page_t["value"],
-                    "n_docs": page_t["partial"],
-                }) if page_t.num_rows else None
+            t = svc.composite_facet(q, col, spec["after"], size_, syntax=syntax)
             if t is None or t.num_rows == 0:
                 return {"buckets": []}
             vals = t["value"].to_pylist()
@@ -1651,13 +1496,7 @@ class SearchServer:
             # intersection (q ∧ fa ∧ fb), zero-count buckets omitted —
             # the filters-agg lowering squared, every leg through the
             # backend's one count path
-            from .query.dsl import dsl_to_node
-
-            fld = reader.manifest["field"]
-            main = q if isinstance(q, dict) else (
-                {"query_string": {"query": q}} if syntax
-                else {"match": {fld: q}}
-            )
+            main = self._main_dsl(q, syntax, reader)
             names = sorted(spec["filters"])
             sep = spec["separator"]
             buckets = []
@@ -1668,51 +1507,29 @@ class SearchServer:
                         spec["filters"][a], spec["filters"][bn]
                     ]
                 for key, fs in legs.items():
-                    combined = {"bool": {"must": [main, *fs]}}
-                    dsl_to_node(combined, analyzer)
-                    n = self._count_impl(
-                        combined, True, svc, reader, analyzer
+                    n = self._dsl_count(
+                        {"bool": {"must": [main, *fs]}}, svc, analyzer
                     )
                     if n > 0:
-                        buckets.append({"key": key, "doc_count": int(n)})
+                        buckets.append({"key": key, "doc_count": n})
             buckets.sort(key=lambda b: b["key"])
             return {"buckets": buckets}
         if kind == "missing":
             # |q| − |q ∧ exists(field)| — both through the backend's
-            # one count path (fleet or local), like the filters agg.
-            # Cost: two count fan-outs per request — the zero-new-
-            # distributed-code lowering, acceptable for an analytics
-            # agg (a dedicated partial would halve it if it ever shows
-            # up in a hot profile)
-            from .query.dsl import dsl_to_node
-
-            fld = reader.manifest["field"]
-            main = q if isinstance(q, dict) else (
-                {"query_string": {"query": q}} if syntax
-                else {"match": {fld: q}}
+            # one count path, like the filters agg.  Cost: two count
+            # fan-outs per request — the zero-new-distributed-code
+            # lowering, acceptable for an analytics agg (a dedicated
+            # partial would halve it if it ever shows up in a hot
+            # profile)
+            have = self._exists_count(q, col, syntax, svc, reader, analyzer)
+            total = self._dsl_count(
+                self._main_dsl(q, syntax, reader), svc, analyzer
             )
-            with_field = {"bool": {"must": [main, {"exists": {"field": col}}]}}
-            dsl_to_node(with_field, analyzer)
-            total = self._count_impl(main, True, svc, reader, analyzer)
-            have = self._count_impl(with_field, True, svc, reader, analyzer)
-            return {"doc_count": int(total - have)}
+            return {"doc_count": total - have}
         if kind == "histogram_metric":
-            from .query.facets import value_bucket_sums
-
-            val = spec["val"]
-            if svc is not None:
-                t = svc.bucket_sums_facet(
-                    q, col, "histogram", arg, val, syntax=syntax
-                )
-            else:
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                idx = pa.array(np.asarray(matched, np.int64))
-                t = value_bucket_sums(
-                    reader.stored_column(col).take(idx),
-                    reader.stored_column(val).take(idx),
-                    "histogram",
-                    arg,
-                ).sort_by("key")
+            t = svc.bucket_sums_facet(
+                q, col, "histogram", arg, spec["val"], syntax=syntax
+            )
             return {"buckets": [
                 {
                     "key": float(k),
@@ -1731,23 +1548,9 @@ class SearchServer:
             # driver pass (OpenSearch's own reduce-side placement)
             import datetime as _dt
 
-            from .query.facets import value_bucket_sums
-
-            val = spec["val"]
-            if svc is not None:
-                t = svc.bucket_sums_facet(
-                    q, col, "date_histogram", arg, val, syntax=syntax
-                )
-            else:
-                matched = self._matched_ids_local(q, syntax, reader, analyzer)
-                idx = pa.array(np.asarray(matched, np.int64))
-                part = value_bucket_sums(
-                    reader.stored_column(col).take(idx),
-                    reader.stored_column(val).take(idx),
-                    "date_histogram",
-                    arg,
-                )
-                t = part.sort_by("key")
+            t = svc.bucket_sums_facet(
+                q, col, "date_histogram", arg, spec["val"], syntax=syntax
+            )
             calendar = not _is_fixed_iv(arg)
             ks = t["key"].to_pylist()
             ns = t["n"].to_pylist()
@@ -1788,17 +1591,7 @@ class SearchServer:
         inner = "values" if kind == "percentiles" else (
             "distinct" if kind == "cardinality" else kind
         )
-        if svc is not None:
-            hist = svc.bucket_facet(q, col, inner, arg, syntax=syntax)
-        else:
-            matched = self._matched_ids_local(q, syntax, reader, analyzer)
-            vals = reader.stored_column(col).take(
-                pa.array(np.asarray(matched, np.int64))
-            )
-            h = value_histogram(vals, inner, arg)
-            hist = pa.table(
-                {"key": h["key"], "n_docs": h["partial"]}
-            ).sort_by("key")
+        hist = svc.bucket_facet(q, col, inner, arg, syntax=syntax)
         if kind == "cardinality":
             return {"value": int(hist.num_rows)}
         if kind == "percentiles":
@@ -1869,86 +1662,10 @@ class SearchServer:
             for k, n in zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
         ]}
 
-    def _facet_tables(
-        self,
-        q: str,
-        agg_terms: str | None,
-        agg_stats: str | None,
-        syntax: bool = False,
-        svc=None,
-        reader=None,
-        analyzer=None,
-    ):
-        """``(terms_table, stats_table)`` for the matched set of ``q``
-        (match-any, or the full query_string mask with ``syntax``) —
-        via the fleet's per-shard facet partials (sharded backend) or
-        one pruned docs-store read (local backend, memoized column
-        slice like the shard actors keep).  ``svc``/``reader``/
-        ``analyzer``: explicit backend snapshot (defaults to the
-        server's current one) — ``_search`` passes its own so one
-        response never mixes two builds."""
-        if svc is None and reader is None:
-            svc, reader, analyzer = self._svc, self._reader, self._analyzer
-        if svc is not None:
-            t = (
-                svc.terms_facet(q, agg_terms, syntax=syntax)
-                if agg_terms
-                else None
-            )
-            s = (
-                svc.stats_facet(q, agg_stats, syntax=syntax)
-                if agg_stats
-                else None
-            )
-            return t, s
-        import numpy as np
-        import pyarrow as pa
-
-        matched = self._matched_ids_local(q, syntax, reader, analyzer)
-        out_t = out_s = None
-        for col, want in ((agg_terms, "terms"), (agg_stats, "stats")):
-            if not col:
-                continue
-            # the reader's memoized doc-ordered slice (row-group-pruned,
-            # read once per reader lifetime) — the same path _extra_agg
-            # and the sort surface use; a second cache here would be one
-            # more thing to invalidate on _reload
-            arr = reader.stored_column(col)
-            vals = arr.take(pa.array(matched.astype(np.int64)))
-            if want == "terms":
-                agg = (
-                    pa.table({"value": vals.cast(pa.string())})
-                    .group_by("value")
-                    .aggregate([([], "count_all")])
-                )
-                out_t = pa.table(
-                    {"value": agg["value"],
-                     "n_docs": agg["count_all"].cast(pa.int64())}
-                ).sort_by([("n_docs", "descending"), ("value", "ascending")])
-            else:
-                v = vals.to_numpy(zero_copy_only=False).astype(np.float64)
-                n = len(v)
-                out_s = pa.table(
-                    {
-                        "n_docs": pa.array([n], pa.int64()),
-                        "min_v": pa.array([float(v.min()) if n else None], pa.float64()),
-                        "max_v": pa.array([float(v.max()) if n else None], pa.float64()),
-                        "sum_v": pa.array([float(v.sum()) if n else None], pa.float64()),
-                        "avg_v": pa.array(
-                            [float(v.sum()) / n if n else None], pa.float64()
-                        ),
-                    }
-                )
-        return out_t, out_s
-
     def _count(self, params) -> dict:
         q = params["q"]
         syntax = params.get("syntax", "0") in ("1", "true")
-        return {
-            "count": self._count_impl(
-                q, syntax, self._svc, self._reader, self._analyzer
-            )
-        }
+        return {"count": self._svc.count(q, syntax=syntax)}
 
     def _count_post(self, params, body: bytes) -> dict:
         """``POST /_count`` with ``{"query": <DSL>}`` (OpenSearch body
@@ -1959,14 +1676,11 @@ class SearchServer:
         if "query" in spec:
             if not isinstance(spec["query"], dict):
                 raise ValueError(f"query must be an object: {spec['query']!r}")
-            # validate HERE, before any fleet fan-out — a malformed DSL
-            # must 400 with the clean DslError message, not an n-shard
-            # round trip surfacing a Ray-wrapped traceback
-            from .query.dsl import dsl_to_node
-
-            dsl_to_node(spec["query"], self._analyzer)
-            return {"count": self._count_impl(
-                spec["query"], True, self._svc, self._reader, self._analyzer
+            # validated before the fan-out (_dsl_count): a malformed
+            # DSL must 400 with the clean DslError message, not an
+            # n-shard round trip surfacing a Ray-wrapped traceback
+            return {"count": self._dsl_count(
+                spec["query"], self._svc, self._analyzer
             )}
         return self._count(params)
 
@@ -1996,26 +1710,6 @@ class SearchServer:
                 tokens.append({"token": tok, "position": pos})
                 pos += 1
         return {"tokens": tokens}
-
-    def _count_impl(self, q: str, syntax: bool, svc, reader, analyzer) -> int:
-        """Count against an explicit backend snapshot — callers that
-        pair the count with other reads (``_search``) pass the same
-        snapshot so one response never mixes two builds."""
-        if svc is not None:
-            return int(svc.count(q, syntax=syntax))
-        if syntax:
-            import numpy as np
-
-            from .query.bm25 import _zero_deleted
-            from .query.qstring import _eval, parse_query_string
-
-            node = parse_query_string(q, analyzer)
-            scores, match = _eval(reader, node)
-            live = _zero_deleted(reader, np.where(match, 1.0, 0.0))
-            return int(np.count_nonzero(live))
-        from .query.facets import match_doc_ids
-
-        return int(len(match_doc_ids(reader, analyzer(q))))
 
     def _analyze(self, params) -> dict:
         toks = self._analyzer(params["text"])
@@ -2075,10 +1769,10 @@ class SearchServer:
 
     def _cluster_health(self, params) -> dict:
         """``GET /_cluster/health`` — green/yellow status for client
-        health checks: green with a live backend, plus the fleet's
-        shard count (1 for the local reader, OpenSearch's
+        health checks: green with a live backend, plus the service's
+        shard count (1 for the local backend, OpenSearch's
         primary-shard accounting)."""
-        n_shards = getattr(self._svc, "n_shards", None) or 1
+        n_shards = self._svc.n_shards
         return {
             "cluster_name": "docs-indexer-ray",
             "status": "green",
@@ -2300,13 +1994,12 @@ class SearchServer:
         """``POST /_rank_eval`` — search-quality evaluation against
         graded judgments (OpenSearch shape): per request a DSL /
         query_string query runs through the REAL serving backend
-        (fleet or local — the same ranking users get), hits score
+        (the same ranking users get), hits score
         against the ratings with the shared exact-int metric kernel
         (``rank_eval.metrics_at_k``: precision@k, MRR, DCG, NDCG),
         and ``metric_score`` is the requested metric's mean.
         Judgments are evaluation-scale by definition — the only
         distributed work is the retrieval itself."""
-        from .query.qstring import query_string_topk
         from .query.rank_eval import metrics_at_k
 
         spec = json.loads(body) if body.strip() else {}
@@ -2324,7 +2017,7 @@ class SearchServer:
         if k < 1:
             raise ValueError(f"metric k must be >= 1: {k}")
         normalize = bool((mopts or {}).get("normalize", False))
-        svc, reader = self._svc, self._reader
+        svc = self._svc
         details = {}
         scores = []
         for req in reqs:
@@ -2338,11 +2031,7 @@ class SearchServer:
                 int(r["_id"]): int(r.get("rating", 0))
                 for r in req["ratings"]
             }
-            hits = (
-                svc.query_string(q, k=k)
-                if svc is not None
-                else query_string_topk(reader, q, k=k)
-            )
+            hits = svc.query_string(q, k=k)
             ids = [int(d) for d, _ in hits]
             p, mrr, dcg, ndcg = metrics_at_k(ids, judged, k)
             score = {
@@ -2682,7 +2371,7 @@ class SearchServer:
     # ---------------------------------------------------------- PIT
 
     def _pit_purge(self, now: float) -> None:
-        for pid, (_r, exp) in list(self._pits.items()):
+        for pid, (*_, exp) in list(self._pits.items()):
             if exp < now:
                 del self._pits[pid]
 
@@ -2692,7 +2381,10 @@ class SearchServer:
         after ``_bulk``/``_delete_by_query`` swap the serving backend
         (OpenSearch's PIT; the recommended deep-pagination pattern is
         pit + ``search_after``).  The id pins the current build's
-        fingerprint; the pinned reader is the one already warm."""
+        fingerprint; the pinned backend is an in-process shard over
+        the reader already warm."""
+        from .query.served import ShardedQueryService
+
         spec = json.loads(body) if body.strip() else {}
         keep = _duration_s(spec.get("keep_alive",
                                     params.get("keep_alive", "5m")))
@@ -2700,11 +2392,12 @@ class SearchServer:
 
         now = _time.monotonic()
         reader = self._reader
+        svc = ShardedQueryService.in_process(reader)
         with self._cache_lock:
             self._pit_purge(now)
             self._pit_seq += 1
             pid = f"pit-{reader.manifest['fingerprint']}-{self._pit_seq}"
-            self._pits[pid] = (reader, now + keep)
+            self._pits[pid] = (svc, reader, now + keep)
         return {"pit_id": pid, "creation_time": int(_time.time() * 1000)}
 
     def _pit_delete(self, params, body: bytes = b"") -> dict:
@@ -2723,11 +2416,12 @@ class SearchServer:
                             is not None})
         return {"pits": out}
 
-    def _pit_reader(self, pid: str, keep_alive=None):
-        """The pinned reader for ``pid`` — refreshes expiry when the
-        search passes ``keep_alive`` (OpenSearch semantics); raises
-        :class:`PitGone` (404) when unknown, expired, or the pinned
-        build was garbage-collected from disk."""
+    def _pit_backend(self, pid: str, keep_alive=None):
+        """The pinned ``(service, reader)`` for ``pid`` — refreshes
+        expiry when the search passes ``keep_alive`` (OpenSearch
+        semantics); raises :class:`PitGone` (404) when unknown,
+        expired, or the pinned build was garbage-collected from
+        disk."""
         import time as _time
 
         now = _time.monotonic()
@@ -2736,25 +2430,24 @@ class SearchServer:
             got = self._pits.get(pid)
             if got is None:
                 raise PitGone(f"no such point-in-time: {pid!r}")
-            reader, exp = got
+            svc, reader, _ = got
             if keep_alive is not None:
-                self._pits[pid] = (reader, now + _duration_s(keep_alive))
+                self._pits[pid] = (svc, reader, now + _duration_s(keep_alive))
         if not os.path.isdir(reader.index_dir):
             with self._cache_lock:
                 self._pits.pop(pid, None)
             raise PitGone(
                 f"point-in-time build was garbage-collected: {pid!r}"
             )
-        return reader
+        return svc, reader
 
     def _reload(self) -> None:
         """Swap the serving backend onto the current published build
         (after a bulk merge or delete) — warm state is per-build.
-        The old fleet is PARKED, not killed: in-flight reads that
+        An old actor fleet is PARKED, not killed: in-flight reads that
         grabbed it before the swap finish against it; it dies at the
         next reload once it is at least ``drain_grace_s`` old."""
         old = self._svc
-        self._svc = None
         self._suggester = None
         self._tv_readers = {}
         self._ensure_backend()
@@ -2777,9 +2470,9 @@ class SearchServer:
     def _retire(self, svc) -> None:
         import time as _time
 
-        prev, self._parked = self._parked, None
-        if svc is not None:
-            self._parked = (svc, _time.monotonic())
+        if not svc.remote:
+            return  # in-process: owns no actors, nothing to drain
+        prev, self._parked = self._parked, (svc, _time.monotonic())
         if prev is not None:
             psvc, t0 = prev
             wait = self.drain_grace_s - (_time.monotonic() - t0)
@@ -2959,13 +2652,12 @@ class SearchServer:
         return self
 
     def stop(self) -> None:
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-            self._httpd = None
-        if self._svc is not None:
-            self._svc.shutdown()
-            self._svc = None
+        if self._httpd is None:
+            return  # never started, or already stopped
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        self._httpd = None
+        self._svc.shutdown()
         if self._parked is not None:
             self._parked[0].shutdown()
             self._parked = None

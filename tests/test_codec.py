@@ -99,6 +99,9 @@ def test_decode_range_correct_and_memoized():
         assert np.array_equal(tfs_r, all_tfs[keep]), (lo, hi)
         again = tp.decode_range(lo, hi)
         assert again[0] is ids_r and again[1] is tfs_r  # memo hit
+    # a range covering the whole list (one in-process shard) shares
+    # decode_all's memo instead of holding a second decoded copy
+    assert tp.decode_range(0, 50_000)[0] is all_ids
 
 
 def test_positions_roundtrip():

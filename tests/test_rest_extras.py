@@ -1296,6 +1296,90 @@ def test_root_banner_health_and_head(root, ray_session):
             raise AssertionError("HEAD /nope must 404")
         except urllib.error.HTTPError as e:
             assert e.code == 404
+        assert h["active_primary_shards"] == 1
+    finally:
+        srv.stop()
+    # a sharded server reports its fleet's shard count
+    srv = SearchServer(root, backend="sharded", n_shards=3).start()
+    try:
+        code, h = _req(srv.port, "/_cluster/health")
+        assert code == 200 and h["status"] == "green"
+        assert h["active_primary_shards"] == h["active_shards"] == 3
+    finally:
+        srv.stop()
+
+
+def test_search_evaluates_query_once_per_shard(root, ray_session, monkeypatch):
+    """POST /_search takes rank AND total from ONE query evaluation on
+    each shard (the local backend is one in-process shard), not one
+    evaluation for the rank and a second for the count."""
+    import docs_indexer_ray.query.qstring as qs
+    from docs_indexer_ray.serve_http import SearchServer
+
+    real = qs._eval_range
+    depth, roots = [0], [0]
+
+    def counted(reader, node):
+        # count top-level evaluations only: _eval_range recurses into
+        # the children of bool nodes
+        roots[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(reader, node)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(qs, "_eval_range", counted)
+    srv = SearchServer(root, backend="local").start()
+    try:
+        for body in (
+            {"query": {"match": {"body": "node pools"}}, "size": 3},
+            {"query": {"bool": {"must": [{"match": {"body": "node"}}],
+                                "must_not": [{"term": {"body": "quota"}}]}},
+             "highlight": {"fields": {"body": {}}}},
+        ):
+            roots[0] = 0
+            code, out = _req(srv.port, "/_search", body=body)
+            assert code == 200, out
+            assert out["hits"]["total"]["value"] > 0
+            assert roots[0] == 1, roots[0]
+    finally:
+        srv.stop()
+
+
+def test_local_reload_never_parks(root, ray_session, tmp_path):
+    """An in-process backend owns no actors: a reload drops it instead
+    of parking it, so back-to-back writes never wait out the fleet's
+    drain grace."""
+    import shutil
+    import time
+
+    from docs_indexer_ray.serve_http import SearchServer
+
+    copy = str(tmp_path / "idx")
+    shutil.copytree(root, copy)
+    srv = SearchServer(copy, backend="local").start()
+    try:
+        t0 = time.perf_counter()
+        for i in range(2):
+            nd = (
+                json.dumps({"index": {}}) + "\n"
+                + json.dumps({
+                    "url": f"https://docs.test/no-park-{i}/",
+                    "text": "node parking page",
+                }) + "\n"
+            )
+            req = urllib.request.Request(
+                f"http://127.0.0.1:{srv.port}/_bulk",
+                data=nd.encode(), method="POST",
+            )
+            with urllib.request.urlopen(req) as r:
+                assert json.loads(r.read())["errors"] is False
+            assert srv._parked is None
+        # two merges + reloads; a parked service would add ≥ 5 s
+        assert time.perf_counter() - t0 < srv.drain_grace_s
+        code, out = _req(srv.port, "/_search", q="parking")
+        assert code == 200 and out["hits"]["total"]["value"] == 2
     finally:
         srv.stop()
 

@@ -265,15 +265,17 @@ def test_did_you_mean_transposition_fallback(ray_session, tmp_path):
 
 
 def test_query_service_matches_local_reader(ray_session, tmp_path):
-    """The actor-pool serving tier returns exactly the local reader's
-    results for every query shape it exposes."""
+    """A one-shard fleet with two replicas, and the in-process one-shard
+    service over the local reader, return exactly the local reader's
+    results for topk, phrase and the assembled search."""
     import ray.data
 
     from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.index.build import build_index
     from docs_indexer_ray.query.bm25 import topk
+    from docs_indexer_ray.query.phrase import match_phrase
     from docs_indexer_ray.query.reader import IndexReader
-    from docs_indexer_ray.query.served import QueryService
+    from docs_indexer_ray.query.served import ShardedQueryService
     from docs_indexer_ray.synth import rich_pages_table
 
     build_index(
@@ -285,7 +287,7 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
         chain="english",
         store_positions=True,
     )
-    svc = QueryService(str(tmp_path / "sidx"), n_actors=2)
+    svc = ShardedQueryService(str(tmp_path / "sidx"), n_shards=1, n_replicas=2)
     try:
         reader = IndexReader(str(tmp_path / "sidx"))
         an = Analyzer("english")
@@ -293,24 +295,32 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
         got = svc.topk_many(queries, k=10)
         for q, hits in zip(queries, got):
             assert hits == topk(reader, an(q), k=10), q
-        # phrase + suggest round-trip through the actors too
-        import ray as _ray
-
-        ph = _ray.get(svc.phrase("node pools", 5))
-        assert ph and all(isinstance(d, int) for d, _ in ph)
-        sug = _ray.get(svc.suggest("noode quta"))
-        assert sug and sug[0][0].startswith("node")
+        # phrase round-trips through both replicas
+        for _ in range(2):
+            ph = svc.match_phrase("node pools")
+            assert ph and ph == match_phrase(reader, an("node pools"))
         # assembled _search response from a replica ≡ the local one
         from docs_indexer_ray.query.search import search_response
 
-        resp = _ray.get(
-            svc.search("node pools", k=5, highlight_field="body", syntax=True)
-        )
+        resp = svc.search("node pools", k=5, highlight_field="body", syntax=True)
         want = search_response(
             reader, "node pools", k=5, highlight_field="body", syntax=True
         )
         assert resp.to_pylist() == want.to_pylist()
         assert "<em>" in resp["snippet"][0].as_py()
+        # the REST local backend: same protocol, one in-process shard
+        local = ShardedQueryService.in_process(reader)
+        assert local.n_shards == 1 and local.revive() == 0
+        for q in queries:
+            got, total = local.search_with_total(
+                q, k=5, highlight_field="body", syntax=True
+            )
+            want, want_total = search_response(
+                reader, q, k=5, highlight_field="body", syntax=True,
+                with_total=True,
+            )
+            assert got.to_pylist() == want.to_pylist(), q
+            assert total == want_total, q
     finally:
         svc.shutdown()
 
