@@ -4,7 +4,10 @@ The reference gets incrementality for free from OpenSearch (segment
 merges happen inside Lucene; the indexer just feeds docs).  Here the
 merge is explicit — the piece that makes **incremental builds** work:
 index yesterday's crawl once, build a small delta index for today's
-pages, merge in O(touched segment rows) instead of rebuilding.
+pages, merge instead of rebuilding.  The merge reads and rewrites
+every base partition: its Parquet I/O is O(base segment bytes), and
+the per-row work on those bytes is vectorized Arrow/numpy (no
+extraction, tokenizing or posting re-encode).
 
 Design — the merge never decodes or re-encodes postings:
 
@@ -25,8 +28,9 @@ Design — the merge never decodes or re-encodes postings:
   so the O(n_docs) driver-side dl map of the naive design disappears;
 * per reduce partition ``k``, a merge task collects each input's home
   rows (including a heavy term's salted runs from their ``(part + r)
-  % P`` files), patches, concatenates, sorts by term and writes the
-  output segment file atomically — one parallel ``ray.remote`` round;
+  % P`` files), patches, concatenates, sorts by (term, first block doc
+  id) and writes the output segment file atomically — one parallel
+  ``ray.remote`` round;
 * the merged index is **unsalted on disk** (a term's runs live as
   multiple rows in its home partition, which the reader stitches),
   so merged manifests need no heavy-term routing;
@@ -53,9 +57,10 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..functions.codec import varint_decode, varint_encode
+from ..functions.codec import varint_encode_with_lengths
 from ..stages.tokenize import term_part
 from . import manifest as mf
 from .segments import SEGMENT_SCHEMA, doclen_path, segment_path
@@ -63,36 +68,21 @@ from .segments import SEGMENT_SCHEMA, doclen_path, segment_path
 __all__ = ["merge_indexes", "merge_many"]
 
 
-def _shift_encoded_ids(
-    enc: bytes, id_offsets: list[int], shift: int
-) -> tuple[bytes, list[int]]:
-    """Add ``shift`` to every encoded doc id by patching each block's
-    first (absolute) varint; all other bytes are reused verbatim."""
-    mv = memoryview(enc)
-    chunks: list[bytes] = []
-    new_off = [0]
-    s = np.uint64(shift)
-    for j in range(len(id_offsets) - 1):
-        block = mv[id_offsets[j] : id_offsets[j + 1]]
-        b = np.frombuffer(block, np.uint8)
-        end = int(np.flatnonzero((b & 0x80) == 0)[0])  # first varint's last byte
-        first = varint_decode(block[: end + 1])[0]
-        chunk = varint_encode(np.array([first + s], np.uint64)) + bytes(block[end + 1 :])
-        chunks.append(chunk)
-        new_off.append(new_off[-1] + len(chunk))
-    return b"".join(chunks), new_off
-
-
 def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
     """One input's segment rows whose home partition is ``k`` — the
     rows in file k plus salted runs of k's heavy terms found in files
     ``(k + r) % P`` (and *minus* other terms' salted runs parked in
-    file k)."""
+    file k).  Only heavy terms ever leave their home file
+    (``stages/tokenize.py``), so rows are routed by heavy-set
+    membership and ``term_part`` runs on the heavy terms alone."""
     num_parts = int(stats["num_parts"])
-    heavy = set(stats.get("heavy_terms", ()))
+    heavy = stats.get("heavy_terms", ())
     n_salt = int(stats.get("n_salt_runs", 1))
+    home = [term_part(x, num_parts) for x in heavy]
+    mine = pa.array([x for x, h in zip(heavy, home) if h == k], pa.string())
+    others = pa.array([x for x, h in zip(heavy, home) if h != k], pa.string())
     candidates = (
-        sorted({k} | {(k + r) % num_parts for r in range(n_salt)}) if heavy else [k]
+        sorted({(k + r) % num_parts for r in range(n_salt)}) if len(mine) else [k]
     )
     tabs = []
     for rp in candidates:
@@ -100,9 +90,10 @@ def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
         if not os.path.exists(path):
             continue
         t = pq.read_table(path)
-        if heavy:
-            keep = [term_part(x, num_parts) == k for x in t["term"].to_pylist()]
-            t = t.filter(pa.array(keep, pa.bool_()))
+        if rp != k:
+            t = t.filter(pc.is_in(t["term"], value_set=mine))
+        elif len(others):
+            t = t.filter(pc.invert(pc.is_in(t["term"], value_set=others)))
         if t.num_rows:
             tabs.append(t)
     if not tabs:
@@ -110,8 +101,33 @@ def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
     return pa.concat_tables(tabs)
 
 
+def _list_parts(col) -> tuple[np.ndarray, np.ndarray]:
+    """A list column's offsets (rebased to 0) and its flat values."""
+    arr = col.combine_chunks()
+    off = arr.offsets.to_numpy().astype(np.int64)
+    return off - off[0], arr.flatten().to_numpy()
+
+
+def _offsets(lens: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sum with the total appended: ``len(lens) + 1``
+    offsets of consecutive ranges of the given lengths."""
+    return np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+
+
+def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Indices ``starts[i] .. starts[i] + lens[i]`` of every range, in
+    order — one gather builds a buffer from many byte ranges."""
+    off = _offsets(lens)
+    return np.repeat(starts - off[:-1], lens) + np.arange(off[-1])
+
+
 def _shift_rows(t: pa.Table, shift: int, k: int) -> pa.Table:
-    """Patch one input's rows to the merged id space (see module doc)."""
+    """Patch one input's rows to the merged id space (see module doc).
+
+    Vectorized over every block of every row: the blocks' first
+    varints are decoded in at most 10 byte-position passes, re-encoded
+    shifted in one ``varint_encode_with_lengths`` call, and gathered
+    with each block's verbatim tail into one output buffer."""
     n = t.num_rows
     t = t.set_column(
         t.schema.get_field_index("rpart"),
@@ -120,30 +136,73 @@ def _shift_rows(t: pa.Table, shift: int, k: int) -> pa.Table:
     )
     if shift == 0:
         return t
-    enc_col = t["doc_ids_enc"].to_pylist()
-    off_col = t["block_id_offsets"].to_pylist()
-    bl_col = t["block_last"].to_pylist()
-    new_enc, new_off, new_bl = [], [], []
-    for enc, offs, bl in zip(enc_col, off_col, bl_col):
-        e2, o2 = _shift_encoded_ids(enc, offs, shift)
-        new_enc.append(e2)
-        new_off.append(o2)
-        new_bl.append([x + shift for x in bl])
-    t = t.set_column(
-        t.schema.get_field_index("doc_ids_enc"),
-        "doc_ids_enc",
-        pa.array(new_enc, pa.binary()),
-    )
-    t = t.set_column(
-        t.schema.get_field_index("block_id_offsets"),
-        "block_id_offsets",
-        pa.array(new_off, pa.list_(pa.uint32())),
-    )
-    t = t.set_column(
-        t.schema.get_field_index("block_last"),
-        "block_last",
-        pa.array(new_bl, pa.list_(pa.uint64())),
-    )
+    enc = t["doc_ids_enc"].combine_chunks()
+    _, row_off, data = enc.buffers()
+    row_off = np.frombuffer(row_off, np.int32)[enc.offset : enc.offset + n + 1]
+    data = np.frombuffer(data or b"", np.uint8)
+    # a row's ``block_id_offsets`` are its blocks' starts plus its end,
+    # so entry j of row i is the start of block j - i (or row i's end)
+    lo, ent = _list_parts(t["block_id_offsets"])
+    ent = ent.astype(np.int64)
+    row_of = np.repeat(np.arange(n), np.diff(lo))
+    blk_lo = lo - np.arange(n + 1)
+    opens = np.ones(len(ent), bool)
+    opens[lo[1:] - 1] = False
+    start = row_off[row_of[opens]] + ent[opens]
+    size = np.diff(ent)[opens[:-1]]
+
+    first = np.zeros(len(start), np.uint64)
+    old_len = np.zeros(len(start), np.int64)
+    live = np.arange(len(start))
+    for pos in range(10):
+        if not len(live):
+            break
+        byte = data[start[live] + pos]
+        first[live] |= (byte & 0x7F).astype(np.uint64) << np.uint64(7 * pos)
+        done = byte < 0x80
+        old_len[live[done]] = pos + 1
+        live = live[~done]
+    new_enc, new_len = varint_encode_with_lengths(first + np.uint64(shift))
+    tail = size - old_len
+
+    # output = per block, its new varint then its tail; both are byte
+    # ranges of ``data + new_enc``
+    src = np.concatenate((data, np.frombuffer(new_enc, np.uint8)))
+    varint_at = len(data) + _offsets(new_len)[:-1]
+    out = src[
+        _concat_ranges(
+            np.column_stack((varint_at, start + old_len)).ravel(),
+            np.column_stack((new_len, tail)).ravel(),
+        )
+    ]
+    cum = _offsets(new_len + tail)
+    new_row_off = cum[blk_lo]
+    new_ent = cum[np.arange(len(ent)) - row_of] - new_row_off[row_of]
+
+    bl_off, bl = _list_parts(t["block_last"])
+    for name, col in (
+        (
+            "doc_ids_enc",
+            pa.Array.from_buffers(
+                pa.binary(),
+                n,
+                [None, pa.py_buffer(new_row_off.astype(np.int32)), pa.py_buffer(out)],
+            ),
+        ),
+        (
+            "block_id_offsets",
+            pa.ListArray.from_arrays(
+                pa.array(lo, pa.int32()), pa.array(new_ent, pa.uint32())
+            ),
+        ),
+        (
+            "block_last",
+            pa.ListArray.from_arrays(
+                pa.array(bl_off, pa.int32()), pa.array(bl + np.uint64(shift))
+            ),
+        ),
+    ):
+        t = t.set_column(t.schema.get_field_index(name), name, col)
     return t
 
 
@@ -162,13 +221,18 @@ def _merge_part(inputs: list[dict], k: int, out_seg_dir: str) -> dict:
                 tabs.append(_shift_rows(t, inp["shift"], k))
         if tabs:
             merged = pa.concat_tables(tabs)
-            terms = np.asarray(merged["term"].to_pylist(), dtype=object)
-            firsts = np.array(
-                [bl[0] if len(bl) else 0 for bl in merged["block_last"].to_pylist()],
-                np.uint64,
+            # (term, first block doc id); UTF-8 byte order is code-point
+            # order, the sort is stable, and a row without blocks sorts
+            # as first id 0
+            bl_off, bl = _list_parts(merged["block_last"])
+            has = np.diff(bl_off) > 0
+            firsts = np.zeros(merged.num_rows, np.uint64)
+            firsts[has] = bl[bl_off[:-1][has]]
+            order = pc.sort_indices(
+                pa.table({"term": merged["term"], "first": firsts}),
+                sort_keys=[("term", "ascending"), ("first", "ascending")],
             )
-            order = np.lexsort((firsts, terms))
-            merged = merged.take(pa.array(order))
+            merged = merged.take(order)
         else:
             merged = SEGMENT_SCHEMA.empty_table()
         tmp = seg_file + f".tmp-{os.getpid()}"

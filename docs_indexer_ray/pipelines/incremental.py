@@ -3,7 +3,8 @@ delta build instead of a full reindex.
 
 The reference cronjob re-crawls and re-indexes EVERYTHING every run
 (``cronjob-docs.yaml``, alias swap at the end).  This pipeline makes
-the nightly run proportional to the NEW data:
+the nightly run's extraction and tokenizing proportional to the NEW
+data:
 
 1. the base build's url set becomes the seen-set — EXACT (broadcast
    sorted array, right while urls × 40 B fit in worker memory) or a
@@ -18,8 +19,10 @@ the nightly run proportional to the NEW data:
 4. ``merge_many`` combines base + delta in one posting-patch pass
    (no re-extraction, no posting re-encode) and publishes.
 
-Cost: O(new docs) extract/tokenize + O(touched partitions) merge —
-never O(corpus).
+Cost: O(new docs) extract/tokenize, plus a merge that reads and
+rewrites every base partition — Parquet I/O O(base segment bytes),
+with vectorized Arrow per-row work and no re-extraction or posting
+re-encode.
 """
 
 from __future__ import annotations

@@ -384,16 +384,20 @@ def collapse_topk(
     only (row-group-pruned ``fetch_docs``, the ``function_score``
     pattern), or from ``fetch_keys(matched_ids) -> (ids, keys)`` for
     an external key source (e.g. a crawl-metadata side table joined by
-    doc id).  The group-then-rank is one vectorized pass: lexsort by
-    (-score, doc), ``np.unique(return_index=True)`` picks each key's
-    first (= best) row — no per-group Python.  Per-query cost floor is
-    dense TAAT; at corpus scale this runs per doc-range shard and the
-    shard top-k lists merge by the same (score, doc) order — collapse
-    keys need not be co-located because each shard returns its own
-    per-key best and the merge re-collapses ≤ shards × k rows.
+    doc id).  The group-then-rank is one vectorized pass
+    (:func:`collapse_rows`): lexsort by (-score, doc),
+    ``np.unique(return_index=True)`` over the keys' dictionary codes
+    picks each key's first (= best) row — no per-group Python.
+    Per-query cost floor is dense TAAT; at corpus scale this runs per
+    doc-range shard and the shard top-k lists merge by the same
+    (score, doc) order — collapse keys need not be co-located because
+    each shard returns its own per-key best and the merge re-collapses
+    ≤ shards × k rows.
 
     Returns ``[(doc_id, score, key)]``, ≤ k rows.
     """
+    import pyarrow as pa
+
     scores = _zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b))
     matched = np.flatnonzero(scores > 0.0)
     if len(matched) == 0:
@@ -401,26 +405,33 @@ def collapse_topk(
     if fetch_keys is None:
         t = reader.fetch_docs(matched.tolist(), ["doc_id", key_field])
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys = np.asarray(t[key_field].to_pylist(), dtype=object)
+        keys = t[key_field]
     else:
         ids, keys = fetch_keys(matched)
         ids = np.asarray(ids, np.int64)
-        keys = np.asarray(keys, dtype=object)
+        keys = pa.array(keys)
     sq = np.round(scores[ids], 9)
-    order = np.lexsort((ids, -sq))
-    # docs missing the collapse field form ONE null group (OpenSearch
-    # field-collapsing semantics); a mixed None/str array would crash
-    # np.unique's sort, so group on a labeled proxy
-    grp = np.array(
-        ["\x00" if x is None else "v" + str(x) for x in keys.tolist()],
-        dtype=object,
-    )
-    _, first = np.unique(grp[order], return_index=True)
-    rows = order[np.sort(first)[:k]]
+    rows = collapse_rows(keys, ids, sq, k)
     return [
-        (int(ids[r]), float(sq[r]), None if keys[r] is None else str(keys[r]))
-        for r in rows
+        (int(ids[r]), float(sq[r]), None if key is None else str(key))
+        for r, key in zip(rows, keys.take(rows).to_pylist())
     ]
+
+
+def collapse_rows(keys, ids: np.ndarray, scores: np.ndarray, cap: int) -> np.ndarray:
+    """The collapse kernel: indices of the best row per distinct key
+    (an Arrow array), ranked (score desc, doc_id asc), truncated to
+    ``cap`` rows.  Rows group by dictionary code; docs missing the key
+    form ONE null group (OpenSearch field-collapsing semantics)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if isinstance(keys, pa.ChunkedArray):
+        keys = keys.combine_chunks()
+    codes = pc.dictionary_encode(keys, null_encoding="encode").indices.to_numpy()
+    order = np.lexsort((ids, -scores))
+    _, first = np.unique(codes[order], return_index=True)
+    return order[np.sort(first)[:cap]]
 
 
 def function_score_topk(

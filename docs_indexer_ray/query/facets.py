@@ -1178,9 +1178,9 @@ def collapse_top(
     Shape at scale: the dense score vector is broadcast ONCE
     (``ray.put`` — 8 bytes/doc, the same budget as the norms the
     scorer already holds); each docs-store batch runs the vectorized
-    collapse kernel (lexsort by score desc / doc asc +
-    ``np.unique(return_index=True)`` first-per-group — the
-    ``bm25.collapse_topk`` kernel, no pandas conversion) and emits
+    collapse kernel (``bm25.collapse_rows``: lexsort by score desc /
+    doc asc + ``np.unique(return_index=True)`` first-per-group over
+    the keys' dictionary codes, no pandas conversion) and emits
     AT MOST ``k`` rows: only the global top-``k`` collapsed rows are
     returned, and a block row outranked by ``k`` same-block group
     winners can never reach the global top-``k`` (any group it could
@@ -1190,20 +1190,9 @@ def collapse_top(
     own range and the merge is the same driver fold."""
     import ray
 
-    scores_ref = ray.put(np.asarray(scores, np.float64))
+    from .bm25 import collapse_rows
 
-    def _collapse(vals: np.ndarray, ids: np.ndarray, s: np.ndarray, cap: int):
-        """Indices of the best row per distinct value, ranked
-        (score desc, doc_id asc), truncated to ``cap`` rows."""
-        order = np.lexsort((ids, -s))
-        # docs missing the collapse field form ONE null group; a mixed
-        # None/str array would crash np.unique's sort → labeled proxy
-        grp = np.array(
-            ["\x00" if x is None else "v" + str(x) for x in vals.tolist()],
-            dtype=object,
-        )
-        _, first = np.unique(grp[order], return_index=True)
-        return order[np.sort(first)[:cap]]
+    scores_ref = ray.put(np.asarray(scores, np.float64))
 
     def partial(t: pa.Table) -> pa.Table:
         sc = ray.get(scores_ref)
@@ -1221,13 +1210,13 @@ def collapse_top(
         )
         if not len(ids):
             return empty
-        vals = np.asarray(t[field].to_pylist(), dtype=object)[keep]
-        rows = _collapse(vals, ids, s[keep], k)
+        vals = t[field].filter(pa.array(keep))
+        rows = collapse_rows(vals, ids, s[keep], k)
+        top = vals.take(rows).to_pylist()
         return pa.table(
             {
                 "value": pa.array(
-                    [None if vals[r] is None else str(vals[r]) for r in rows],
-                    pa.string(),
+                    [None if v is None else str(v) for v in top], pa.string()
                 ),
                 "doc_id": pa.array(ids[rows], pa.int64()),
                 "s": pa.array(s[keep][rows], pa.float64()),
@@ -1248,16 +1237,15 @@ def collapse_top(
             }
         )
     merged = pa.concat_tables(parts, promote_options="default")
-    vals = np.asarray(merged["value"].to_pylist(), dtype=object)
     ids = merged["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     s = merged["s"].to_numpy(zero_copy_only=False)
-    rows = _collapse(vals, ids, s, k)
+    rows = collapse_rows(merged["value"], ids, s, k)
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(rows) + 1, dtype=np.int64)),
             "doc_id": pa.array(ids[rows], pa.int64()),
             "value": pa.array(
-                [str(vals[r]) for r in rows], pa.string()
+                [str(v) for v in merged["value"].take(rows).to_pylist()], pa.string()
             ),
         }
     )

@@ -1311,6 +1311,44 @@ def test_collapse_topk_matches_bruteforce(built):
     assert collapse_topk(reader, ["zzzznotaterm"], k=3, fetch_keys=fetch_keys) == []
 
 
+def _collapse_rows_oracle(vals: np.ndarray, ids, s, cap: int) -> np.ndarray:
+    """Reference collapse: group on a labeled ``"v" + str(x)`` proxy
+    per row, null as its own ``"\\x00"`` group."""
+    order = np.lexsort((ids, -s))
+    grp = np.array(
+        ["\x00" if x is None else "v" + str(x) for x in vals.tolist()],
+        dtype=object,
+    )
+    _, first = np.unique(grp[order], return_index=True)
+    return order[np.sort(first)[:cap]]
+
+
+@pytest.mark.parametrize("kind", ["str", "int", "str_null", "int_null", "all_null"])
+def test_collapse_rows_matches_proxy_kernel(kind):
+    """Dictionary-code grouping picks the same rows as the per-row
+    string-proxy kernel, on string, integer and null-containing keys
+    (score ties broken by doc id), chunked or not."""
+    from docs_indexer_ray.query.bm25 import collapse_rows
+
+    rng = np.random.default_rng(11)
+    n = 500
+    ints = rng.integers(0, 40, n)
+    vals = [f"k{x}" for x in ints] if kind.startswith("str") else ints.tolist()
+    if kind.endswith("null"):
+        vals = [
+            None if (kind == "all_null" or x % 7 == 0) else v
+            for x, v in zip(ints, vals)
+        ]
+    ids = rng.permutation(n).astype(np.int64)
+    s = rng.integers(1, 30, n).astype(np.float64) / 7.0  # many ties
+    keys = pa.array(vals)
+    for cap in (1, 5, 1000):
+        want = _collapse_rows_oracle(np.asarray(vals, dtype=object), ids, s, cap)
+        assert collapse_rows(keys, ids, s, cap).tolist() == want.tolist()
+        chunked = pa.chunked_array([keys.slice(0, 123), keys.slice(123)])
+        assert collapse_rows(chunked, ids, s, cap).tolist() == want.tolist()
+
+
 def test_terms_facet_approx_tracks_exact(built, ray_session):
     import ray.data
 

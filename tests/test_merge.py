@@ -268,3 +268,136 @@ def test_merge_carry_deletes_shifts_tombstones(ray_session, tmp_path):
     for q in QUERIES:
         hits = score_topk(reader, an(q), k=50)
         assert not ({urls[d] for d, _ in hits} & dead)
+
+
+def _shift_encoded_ids(enc: bytes, id_offsets: list[int], shift: int):
+    """Scalar oracle: add ``shift`` to every encoded doc id by patching
+    each block's first (absolute) varint; other bytes are reused."""
+    import numpy as np
+
+    from docs_indexer_ray.functions.codec import varint_decode, varint_encode
+
+    mv = memoryview(enc)
+    chunks: list[bytes] = []
+    new_off = [0]
+    s = np.uint64(shift)
+    for j in range(len(id_offsets) - 1):
+        block = mv[id_offsets[j] : id_offsets[j + 1]]
+        b = np.frombuffer(block, np.uint8)
+        end = int(np.flatnonzero((b & 0x80) == 0)[0])  # first varint's last byte
+        first = varint_decode(block[: end + 1])[0]
+        chunk = varint_encode(np.array([first + s], np.uint64)) + bytes(block[end + 1 :])
+        chunks.append(chunk)
+        new_off.append(new_off[-1] + len(chunk))
+    return b"".join(chunks), new_off
+
+
+def _shift_rows_oracle(t: pa.Table, shift: int, k: int) -> pa.Table:
+    """Row-at-a-time reference for ``merge._shift_rows``."""
+    import numpy as np
+
+    t = t.set_column(
+        t.schema.get_field_index("rpart"),
+        "rpart",
+        pa.array(np.full(t.num_rows, k, np.int32), pa.int32()),
+    )
+    if shift == 0:
+        return t
+    new_enc, new_off, new_bl = [], [], []
+    for enc, offs, bl in zip(
+        t["doc_ids_enc"].to_pylist(),
+        t["block_id_offsets"].to_pylist(),
+        t["block_last"].to_pylist(),
+    ):
+        e2, o2 = _shift_encoded_ids(enc, offs, shift)
+        new_enc.append(e2)
+        new_off.append(o2)
+        new_bl.append([x + shift for x in bl])
+    for name, col in (
+        ("doc_ids_enc", pa.array(new_enc, pa.binary())),
+        ("block_id_offsets", pa.array(new_off, pa.list_(pa.uint32()))),
+        ("block_last", pa.array(new_bl, pa.list_(pa.uint64()))),
+    ):
+        t = t.set_column(t.schema.get_field_index(name), name, col)
+    return t
+
+
+@pytest.fixture(scope="module")
+def salted_build(ray_session, tmp_path_factory):
+    """A salted 8-partition build with 4-posting blocks (many blocks
+    per row), plus the same pages built unsalted."""
+    import ray.data
+
+    from docs_indexer_ray.index import manifest as mf
+
+    pages = rich_pages_table(80, dup_every=0)
+    base = tmp_path_factory.mktemp("salted")
+    out = {}
+    for salt in (True, False):
+        root = str(base / f"salt{int(salt)}")
+        build_index(
+            ray.data.from_arrow(pages), root, fingerprint=f"s{int(salt)}",
+            num_parts=8, salt_heavy=salt, heavy_df_ratio=0.2, n_salt_runs=4,
+            block_size=4,
+        )
+        bdir = mf.current_build(root)
+        out[salt] = (os.path.join(bdir, "segments"), mf.read_manifest(bdir))
+    return out
+
+
+SHIFTS = [0, 1, 127, 128, 16383, 16384, 1 << 21, (1 << 35) + 7]
+
+
+@pytest.mark.parametrize("shift", SHIFTS)
+def test_shift_rows_matches_scalar_oracle(salted_build, shift):
+    """The vectorized block patch equals the per-block scalar patch,
+    for shifts that grow a block's first varint by 0 to 5 bytes, and
+    on multi-chunk inputs (salted rows read from several files)."""
+    from docs_indexer_ray.index.merge import _load_home_rows, _shift_rows
+    from docs_indexer_ray.index.segments import SEGMENT_SCHEMA
+
+    seg_dir, man = salted_build[True]
+    n_blocks = 0
+    for k in range(8):
+        t = _load_home_rows(seg_dir, man, k)
+        n_blocks += sum(len(x) for x in t["block_last"].to_pylist())
+        assert _shift_rows(t, shift, k).equals(_shift_rows_oracle(t, shift, k)), k
+    assert n_blocks > 4 * man["n_docs"]  # rows hold many blocks
+    empty = SEGMENT_SCHEMA.empty_table()
+    assert _shift_rows(empty, shift, 3).equals(_shift_rows_oracle(empty, shift, 3))
+
+
+def test_load_home_rows_routes_salted_runs(salted_build):
+    """Routing by heavy-set membership keeps exactly the rows that
+    hashing every row's term keeps, and a heavy term's run dfs summed
+    over its home partition equal its unsalted df."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    from docs_indexer_ray.index.merge import _load_home_rows
+    from docs_indexer_ray.index.segments import segment_path
+    from docs_indexer_ray.stages.tokenize import term_part
+
+    seg_dir, man = salted_build[True]
+    heavy = man["heavy_terms"]
+    assert heavy and man["n_salt_runs"] == 4
+    files = [pq.read_table(segment_path(seg_dir, rp)) for rp in range(8)]
+    for k in range(8):
+        keep = [
+            t.filter(pa.array([term_part(x, 8) == k for x in t["term"].to_pylist()]))
+            for t in files
+        ]
+        want = pa.concat_tables([t for t in keep if t.num_rows])
+        assert _load_home_rows(seg_dir, man, k).equals(want), k
+
+    plain_dir, _ = salted_build[False]
+    n_runs = 0
+    for h in heavy:
+        home = term_part(h, 8)
+        runs = _load_home_rows(seg_dir, man, home)
+        runs = runs.filter(pc.equal(runs["term"], h))
+        n_runs = max(n_runs, runs.num_rows)
+        plain = pq.read_table(segment_path(plain_dir, home))
+        df = plain.filter(pc.equal(plain["term"], h))["df"].to_pylist()
+        assert df == [sum(runs["df"].to_pylist())], h
+    assert n_runs > 1  # some heavy term really is split into runs
