@@ -4083,12 +4083,11 @@ def q_highlight(sf_dir: str) -> pa.Table:
     from docs_indexer_ray.query.bm25 import topk
     from docs_indexer_ray.query.highlight import best_snippet
     from docs_indexer_ray.query.reader import IndexReader
-    from docs_indexer_ray.functions.analyzer import Analyzer
 
     _, root = ensure_index(sf_dir, chain="english", field="text")
     reader = IndexReader(root)
     q = "table scan merge"
-    hits = topk(reader, Analyzer("english")(q), k=3)
+    hits = topk(reader, reader.analyzer(q), k=3)
     docs = reader.fetch_docs([d for d, _ in hits], columns=["doc_id", "body"])
     bodies = {r["doc_id"]: r["body"] for r in docs.to_pylist()}
     return pa.table(
@@ -4096,7 +4095,7 @@ def q_highlight(sf_dir: str) -> pa.Table:
             "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
             "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
             "snippet": pa.array(
-                [best_snippet(bodies[d], q) for d, _ in hits], pa.string()
+                [best_snippet(bodies[d], q, reader.analyzer) for d, _ in hits], pa.string()
             ),
         }
     )

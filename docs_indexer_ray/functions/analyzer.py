@@ -132,6 +132,30 @@ class Analyzer:
             raise ValueError(f"unknown analyzer chain: {chain!r}")
         self.chain = chain
         self._cache: dict[str, str] = cache if cache is not None else {}
+        # surface token -> normalize() result; a separate dict from the
+        # analysis memo because stopwords differ (None there, a stem here)
+        self._norm: dict[str, str] = {}
+
+    def normalize(self, token: str) -> str:
+        """Map ONE surface token to the analyzer-space form query terms
+        are matched against (the highlighter's per-token step),
+        memoized per instance: each distinct surface form is stemmed
+        once.  Unlike analysis, stopwords are NOT dropped — they map to
+        their stem, so a body ``are`` still lights up for a query
+        ``ar``.  ``trigram``/``edge`` normalize to the lowered unigram:
+        the chains emit it among their terms (edge n-grams include the
+        full token up to length 15)."""
+        r = self._norm.get(token)
+        if r is None:
+            c = self.chain
+            if c == "english":
+                r = porter_stem(strip_possessive(token).lower())
+            elif c == "reverse":
+                r = token.lower()[::-1]
+            else:  # standard / simple / trigram / edge
+                r = token.lower()
+            self._norm[token] = r
+        return r
 
     def __call__(self, text: str) -> list[str]:
         c = self.chain

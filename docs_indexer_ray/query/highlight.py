@@ -8,55 +8,52 @@ OpenSearch can highlight hits.  This engine keeps postings lean
 trade-off: storing positions would grow every posting by ~4× to speed
 up a per-hit operation that touches k ≤ 10 docs per query.
 
-``highlight`` tokenizes the stored text with character offsets (the
-same standard-tokenizer regex the analyzer chain uses), applies the
-chain's normalization per token, and marks tokens whose normalized
-form is in the query's analyzed term set.
+``match_spans`` tokenizes the stored text with character offsets
+(the same tokenizer regex the analyzer chain uses: ``TOKEN_RE`` on the
+raw text, or ``SIMPLE_RE`` on ``text.lower()`` for the ``simple`` and
+``edge`` chains, like ``termvectors.analyze_with_spans``), maps each
+token through :meth:`Analyzer.normalize`, and marks tokens whose
+normalized form is in the query's analyzed term set.
+
+Every entry point takes an :class:`Analyzer`, not a chain name: the
+serving path passes the reader's own ``IndexReader.analyzer``, whose
+normalize memo maps each distinct surface token to its stem once and
+is reused by every later hit and request.  The memo lives and dies with
+its reader — a reload opens a new reader with a cold memo — so its size
+is bounded by the surface vocabulary of one build.
 """
 
 from __future__ import annotations
 
-from ..functions.analyzer import TOKEN_RE as _TOKEN_RE
-from ..functions.analyzer import Analyzer, strip_possessive
-from ..functions.porter import porter_stem
+from ..functions.analyzer import SIMPLE_RE, TOKEN_RE, Analyzer
 
 __all__ = ["match_spans", "highlight", "best_snippet"]
 
 
-def _normalize(token: str, chain: str) -> str:
-    """Map ONE surface token to the analyzer-space form query terms are
-    matched against.  Must agree with :class:`Analyzer`'s per-chain
-    normalization (the tokenizer itself is shared via ``TOKEN_RE``).
-    ``trigram``/``edge`` match on the lowered unigram — the chains
-    emit it among their terms (edge n-grams include the full token up
-    to length 15), so single-word query terms still light up."""
-    if chain == "english":
-        return porter_stem(strip_possessive(token).lower())
-    if chain == "reverse":
-        return token.lower()[::-1]
-    return token.lower()  # standard / simple / trigram / edge
-
-
-def match_spans(text: str, query_terms: set[str], chain: str = "english"):
+def match_spans(text: str, query_terms: set[str], analyzer: Analyzer):
     """``[(start, end)]`` character spans of tokens matching the query."""
-    spans = []
-    for m in _TOKEN_RE.finditer(text):
-        if _normalize(m.group(0), chain) in query_terms:
-            spans.append((m.start(), m.end()))
-    return spans
+    if analyzer.chain in ("simple", "edge"):
+        # these chains tokenize the LOWERED text with [a-z0-9]+ (so
+        # foo_bar holds two terms); offsets refer to text.lower(), the
+        # same convention as the term-vector offsets
+        tokens = SIMPLE_RE.finditer(text.lower())
+    else:
+        tokens = TOKEN_RE.finditer(text)
+    norm = analyzer.normalize
+    return [m.span() for m in tokens if norm(m.group()) in query_terms]
 
 
 def highlight(
     text: str,
     query: str,
-    chain: str = "english",
+    analyzer: Analyzer,
     pre: str = "<em>",
     post: str = "</em>",
 ) -> str:
     """Full text with every query-term occurrence wrapped."""
-    terms = set(Analyzer(chain)(query))
+    terms = set(analyzer(query))
     out, last = [], 0
-    for s, e in match_spans(text, terms, chain):
+    for s, e in match_spans(text, terms, analyzer):
         out.append(text[last:s])
         out.append(pre + text[s:e] + post)
         last = e
@@ -67,7 +64,7 @@ def highlight(
 def best_snippet(
     text: str,
     query: str,
-    chain: str = "english",
+    analyzer: Analyzer,
     width: int = 160,
     pre: str = "<em>",
     post: str = "</em>",
@@ -79,8 +76,8 @@ def best_snippet(
     (the query_string path, where raw query text contains syntax and
     must_not terms that should NOT light up)."""
     if terms is None:
-        terms = set(Analyzer(chain)(query))
-    spans = match_spans(text, terms, chain)
+        terms = set(analyzer(query))
+    spans = match_spans(text, terms, analyzer)
     if not spans:
         return text[:width]
     # densest window: two-pointer over span starts

@@ -30,6 +30,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..functions.analyzer import Analyzer
 from ..functions.codec import varint_decode
 from ..index import manifest as mf
 from ..stages.tokenize import term_part
@@ -102,6 +103,9 @@ class IndexReader:
             stats = extras[chain]
             seg_dirname = f"segments-{chain}"
         self.chain = chain or self.manifest.get("analyzer")
+        # the ONE analyzer of this reader: query analysis and snippet
+        # normalization share its memos for the reader's lifetime
+        self.analyzer = Analyzer(self.chain)
         self.n_docs = int(self.manifest["n_docs"])
         self.avgdl = float(stats["avgdl"])
         self.num_parts = int(self.manifest["num_parts"])
@@ -190,37 +194,128 @@ class IndexReader:
         return None if tp is None else tp.decode_all()
 
     # -- doc store ---------------------------------------------------------
+    def _docs_dataset(self):
+        """The docs-store dataset, memoized: the store is immutable for
+        this reader's lifetime, so every read skips the per-call
+        directory walk and schema inference."""
+        dset = getattr(self, "_docs_dset", None)
+        if dset is None:
+            import pyarrow.dataset as pads
+
+            dset = self._docs_dset = pads.dataset(
+                os.path.join(self.index_dir, "docs"), partitioning="hive"
+            )
+        return dset
+
+    def _docs_row_groups(self) -> list[tuple]:
+        """``[(ParquetFile, row group, first doc_id, n_rows, partition
+        keys, file column names)]`` for every non-empty docs-store row
+        group, in the dataset's fragment order — read once from the
+        footers and memoized.  Raises if a row group's doc ids are not
+        dense."""
+        rgs = getattr(self, "_docs_rgs", None)
+        if rgs is None:
+            import pyarrow.dataset as pads
+
+            rgs = []
+            for frag in self._docs_dataset().get_fragments():
+                pf = pq.ParquetFile(frag.path)
+                md = pf.metadata
+                col = [md.schema.column(j).path for j in range(md.num_columns)].index(
+                    "doc_id"
+                )
+                keys = pads.get_partition_keys(frag.partition_expression)
+                names = frozenset(pf.schema_arrow.names)
+                for i in range(md.num_row_groups):
+                    n = md.row_group(i).num_rows
+                    if n == 0:
+                        continue
+                    st = md.row_group(i).column(col).statistics
+                    if st is None or not st.has_min_max or st.max - st.min + 1 != n:
+                        raise ValueError(
+                            f"docs store file {frag.path} row group {i}: doc "
+                            f"ids are not dense (need max - min + 1 == {n} rows)"
+                        )
+                    rgs.append((pf, i, int(st.min), n, keys, names))
+            self._docs_rgs = rgs
+        return rgs
+
     def fetch_docs(self, doc_ids: list[int], columns: list[str] | None = None):
         """Stored-field lookup (D9): rows from the docs store by id.
         The derivable catch-all ``text`` is synthesized on demand when
-        requested (the store doesn't persist it)."""
+        requested (the store doesn't persist it).
+
+        A positional read: doc ids are dense and ascending within every
+        docs-store row group (each writer assigns ``offset + arange``;
+        merge and compaction shift or re-densify whole files), so a
+        row group covering ``[first, first + n)`` holds doc ``d`` at
+        row ``d - first``.  The row-group map comes from the footers
+        once per reader (:meth:`_docs_row_groups` checks the density
+        from the ``doc_id`` statistics and raises naming the file
+        otherwise); each call then reads only the row groups holding a
+        requested id, only the requested columns, and ``take``s the
+        rows.  Rows come back like a ``doc_id`` filter over the
+        dataset: fragment order, ascending id within a fragment,
+        duplicates once, unknown ids dropped, typed by the dataset
+        schema (hive partition values included)."""
         import pyarrow.dataset as pads
 
-        # the docs store is immutable for this reader's lifetime —
-        # memoize the dataset object so every fetch (search pages,
-        # collapse, highlight) skips the per-call directory walk and
-        # schema inference, like the cached segment file handles
-        dset = getattr(self, "_docs_dset", None)
-        if dset is None:
-            dset = pads.dataset(
-                os.path.join(self.index_dir, "docs"), partitioning="hive"
-            )
-            self._docs_dset = dset
-        expr = pads.field("doc_id").isin([int(d) for d in doc_ids])
-        if (
+        dset = self._docs_dataset()
+        synth = (
             columns is not None
             and "text" in columns
             and "text" not in dset.schema.names
-        ):
-            from ..stages.extract import SYNTHESIS_INPUT_COLUMNS, synthesize_text
+        )
+        read_cols = columns
+        if synth:
+            from ..stages.extract import SYNTHESIS_INPUT_COLUMNS
 
-            need = [c for c in columns if c != "text"]
             read_cols = list(
-                dict.fromkeys(need + list(SYNTHESIS_INPUT_COLUMNS))
+                dict.fromkeys(
+                    [c for c in columns if c != "text"]
+                    + list(SYNTHESIS_INPUT_COLUMNS)
+                )
             )
-            t = dset.to_table(filter=expr, columns=read_cols)
-            return synthesize_text(t).select(columns)
-        return dset.to_table(filter=expr, columns=columns)
+        # arrow's own projection: the schema (and the unknown-column
+        # error) of a dataset scan with these columns
+        schema = pads.Scanner.from_batches(
+            iter(()), schema=dset.schema, columns=read_cols
+        ).projected_schema
+        ids = np.unique(np.asarray([int(d) for d in doc_ids], dtype=np.int64))
+        rgs = self._docs_row_groups() if len(ids) else []
+        pieces = []
+        if rgs:
+            firsts = np.array([r[2] for r in rgs], dtype=np.int64)
+            sizes = np.array([r[3] for r in rgs], dtype=np.int64)
+            by_first = np.argsort(firsts, kind="stable")
+            j = np.searchsorted(firsts[by_first], ids, side="right") - 1
+            owner = by_first[np.maximum(j, 0)]
+            hit = (j >= 0) & (ids < firsts[owner] + sizes[owner])
+            ids, owner = ids[hit], owner[hit]
+            for g in np.unique(owner):  # ascending = fragment order
+                pf, i, first, _, keys, have = rgs[g]
+                pos = pa.array(ids[owner == g] - first)
+                t = pf.read_row_group(
+                    i, columns=[c for c in schema.names if c in have and c not in keys]
+                ).take(pos)
+                # conform to the dataset schema like a scan does: hive
+                # partition values win over the file's column, columns
+                # the file lacks are null
+                pieces.append(pa.table(
+                    [
+                        pa.array([keys[f.name]] * len(pos), f.type) if f.name in keys
+                        else t[f.name].cast(f.type) if f.name in have
+                        else pa.nulls(len(pos), f.type)
+                        for f in schema
+                    ],
+                    schema=schema,
+                ))
+        out = pa.concat_tables(pieces) if pieces else schema.empty_table()
+        if synth:
+            from ..stages.extract import synthesize_text
+
+            return synthesize_text(out).select(columns)
+        return out
 
     def stored_mask(self, col: str, op: str, value) -> np.ndarray:
         """Bool mask over this reader's doc range for a stored-field
@@ -240,14 +335,9 @@ class IndexReader:
             masks = self._stored_masks = {}
         mask = masks.get(key)
         if mask is None:
-            import pyarrow as pa
             import pyarrow.dataset as pads
 
-            dset = getattr(self, "_docs_dset", None)
-            if dset is None:
-                dset = self._docs_dset = pads.dataset(
-                    os.path.join(self.index_dir, "docs"), partitioning="hive"
-                )
+            dset = self._docs_dataset()
             if op == "exists" and col not in dset.schema.names:
                 # OpenSearch `exists` on an unmapped field matches
                 # nothing (every OTHER op on a missing column raises)
@@ -304,11 +394,7 @@ class IndexReader:
         if arr is None:
             import pyarrow.dataset as pads
 
-            dset = getattr(self, "_docs_dset", None)
-            if dset is None:
-                dset = self._docs_dset = pads.dataset(
-                    os.path.join(self.index_dir, "docs"), partitioning="hive"
-                )
+            dset = self._docs_dataset()
             lo, hi = self.doc_lo, self.doc_hi
             t = dset.to_table(
                 filter=(pads.field("doc_id") >= lo)

@@ -10,17 +10,22 @@ purpose).  This module rebuilds the response surface on the engine:
 * :func:`search_response` — the library assembly over one reader:
   rank the query (full ``query_string`` syntax or a plain analyzed
   term query), fetch stored fields for the k hits only
-  (row-group-pruned ``IndexReader.fetch_docs`` — never a corpus
-  read), and highlight the densest snippet per hit from the query's
-  POSITIVE terms (``qstring.positive_terms`` — prohibited terms never
-  light up).  The CLI and in-process callers use it; it is the
-  reference the served path is pinned to.
+  (a positional ``IndexReader.fetch_docs`` read of only the row
+  groups holding them — never a corpus read), and highlight the
+  densest snippet per hit from the query's POSITIVE terms
+  (``qstring.positive_terms`` — prohibited terms never light up).
+  The CLI and in-process callers use it; it is the reference the
+  served path is pinned to.
 * the SERVED path is ``served.ShardedQueryService.search`` — one
   protocol for the REST server's in-process shard and for an actor
   fleet: phase 1 is the exact per-shard top-k merge, phase 2 routes
   each hit's fetch+highlight to the shard OWNING its doc range
   (OpenSearch's fetch phase) — document bodies never leave their
   shard; only k assembled rows travel.
+
+Both paths fetch through ONE kernel, :func:`fetch_rows`, whose
+snippets normalize tokens through the reader's memoized
+``IndexReader.analyzer``.
 
 Output schema: ``rank (int64), doc_id (int64), score (float64),
 *fields, snippet (string, when highlighting)``.
@@ -31,7 +36,46 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from . import highlight
+
 __all__ = ["search_response"]
+
+
+def fetch_rows(
+    reader,
+    doc_ids: list[int],
+    fields: tuple[str, ...],
+    highlight_field: str | None,
+    terms: set[str] | None,
+    width: int,
+    pre: str = "<em>",
+    post: str = "</em>",
+) -> pa.Table:
+    """The fetch-phase kernel over ONE reader: ``doc_id`` (int64) +
+    stored ``fields`` (+ ``snippet``: the densest highlighted
+    ``width``-char window of ``highlight_field`` over the
+    analyzer-space ``terms``) for ``doc_ids``, in ``fetch_docs`` row
+    order.  Snippets normalize through ``reader.analyzer``, whose memo
+    outlives the request.  Shared by :func:`assemble_hits` and the
+    served shards' ``fetch_partial``; an empty ``doc_ids`` still reads
+    zero rows, so the columns keep the STORE's types."""
+    need = list(dict.fromkeys([*fields, *([highlight_field] if highlight_field else [])]))
+    t = reader.fetch_docs(doc_ids, ["doc_id"] + [c for c in need if c != "doc_id"])
+    cols = {"doc_id": t["doc_id"].cast(pa.int64())}
+    for f in fields:
+        cols[f] = t[f].combine_chunks()
+    if highlight_field is not None:
+        snippet = highlight.best_snippet  # looked up per call (tracing wraps it)
+        terms = terms or set()
+        cols["snippet"] = pa.array(
+            [
+                snippet(x or "", "", reader.analyzer, width=width,
+                        pre=pre, post=post, terms=terms)
+                for x in t[highlight_field].to_pylist()
+            ],
+            pa.string(),
+        )
+    return pa.table(cols)
 
 
 def assemble_hits(
@@ -41,7 +85,6 @@ def assemble_hits(
     snippet_terms: set[str] | None,
     highlight_field: str | None,
     width: int,
-    chain: str,
     rank_start: int = 1,
     hl_pre: str = "<em>",
     hl_post: str = "</em>",
@@ -49,6 +92,12 @@ def assemble_hits(
     """hits + stored fields (+ snippet) → the response table, in rank
     order.  Shared by :func:`search_response` and the hybrid query.
     ``rank_start``: first row's rank (``from_ + 1`` on offset pages)."""
+    fetched = fetch_rows(
+        reader, [d for d, _ in hits], fields, highlight_field,
+        snippet_terms, width, hl_pre, hl_post,
+    )
+    row_of = {int(i): r for r, i in enumerate(fetched["doc_id"].to_pylist())}
+    fetched = fetched.take(pa.array([row_of[int(d)] for d, _ in hits], pa.int64()))
     cols: dict[str, pa.Array] = {
         "rank": pa.array(
             np.arange(rank_start, rank_start + len(hits), dtype=np.int64)
@@ -56,40 +105,8 @@ def assemble_hits(
         "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
         "score": pa.array([float(s) for _, s in hits], pa.float64()),
     }
-    need = list(dict.fromkeys(fields + ((highlight_field,) if highlight_field else ())))
-    if not hits:
-        # zero-row fetch so empty responses keep the STORE's column
-        # types (a hardcoded pa.string() would give the empty page a
-        # different schema than non-empty ones for numeric fields)
-        empty = reader.fetch_docs([], need)
-        out = dict(cols)
-        for f in fields:
-            out[f] = empty[f].combine_chunks()
-        if highlight_field is not None:
-            out["snippet"] = pa.array([], pa.string())
-        return pa.table(out)
-    fetched = reader.fetch_docs(
-        [int(d) for d, _ in hits],
-        ["doc_id"] + [c for c in need if c != "doc_id"],
-    )
-    by_id = {int(i): r for i, r in zip(fetched["doc_id"].to_pylist(), range(fetched.num_rows))}
-    order = [by_id[int(d)] for d, _ in hits]
-    fetched = fetched.take(pa.array(order, pa.int64()))
-    for f in fields:
+    for f in [*fields, *(["snippet"] if highlight_field is not None else [])]:
         cols[f] = fetched[f].combine_chunks()
-    if highlight_field is not None:
-        from .highlight import best_snippet
-
-        texts = fetched[highlight_field].to_pylist()
-        cols["snippet"] = pa.array(
-            [
-                best_snippet(t or "", "", chain=chain, width=width,
-                             pre=hl_pre, post=hl_post,
-                             terms=snippet_terms or set())
-                for t in texts
-            ],
-            pa.string(),
-        )
     return pa.table(cols)
 
 
@@ -136,10 +153,9 @@ def search_response(
     if from_ and after is not None:
         raise ValueError("from_ and after are mutually exclusive "
                          "(OpenSearch search_after requires from=0)")
-    from ..functions.analyzer import Analyzer
     from .qstring import parse_query_string, positive_terms, query_string_topk
 
-    analyzer = Analyzer(reader.chain)
+    analyzer = reader.analyzer
     if sort is not None:
         from .sortq import live_mask, sort_rows_range
 
@@ -165,7 +181,7 @@ def search_response(
         )
         out = assemble_hits(
             reader, hits, tuple(fields), terms, highlight_field,
-            width, reader.chain, rank_start=from_ + 1,
+            width, rank_start=from_ + 1,
             hl_pre=hl_tags[0], hl_post=hl_tags[1],
         )
         out = out.append_column("sort_key", rows["key"].combine_chunks())
@@ -217,7 +233,6 @@ def search_response(
         terms if highlight_field else None,
         highlight_field,
         width,
-        reader.chain,
         rank_start=from_ + 1,
         hl_pre=hl_tags[0],
         hl_post=hl_tags[1],

@@ -53,10 +53,8 @@ class ShardQueryActor:
         return self
 
     def _attach(self, reader) -> None:
-        from ..functions.analyzer import Analyzer
-
         self.reader = reader
-        self.analyzer = Analyzer(reader.chain)
+        self.analyzer = reader.analyzer
         self._masks: dict[str, np.ndarray] = {}
         lo, hi = reader.doc_lo, reader.doc_hi
         # soft deletes: each shard holds only ITS range's live mask
@@ -504,20 +502,10 @@ class ShardQueryActor:
         travel.  ``query`` (analyzed with this shard's chain — or with
         ``syntax=True`` parsed as query_string and reduced to its
         POSITIVE terms) drives the snippet term set."""
-        import pyarrow as pa
+        from .search import fetch_rows
 
-        need = list(
-            dict.fromkeys(
-                list(fields) + ([highlight_field] if highlight_field else [])
-            )
-        )
-        t = self.reader.fetch_docs([int(d) for d in doc_ids], ["doc_id"] + need)
-        cols = {"doc_id": t["doc_id"].cast(pa.int64())}
-        for f in fields:
-            cols[f] = t[f].combine_chunks()
+        terms = None
         if highlight_field is not None:
-            from .highlight import best_snippet
-
             if syntax:
                 from .qstring import parse_query_string, positive_terms
 
@@ -526,17 +514,10 @@ class ShardQueryActor:
                 )
             else:
                 terms = set(self.analyzer(query or ""))
-            cols["snippet"] = pa.array(
-                [
-                    best_snippet(
-                        x or "", "", chain=self.reader.chain, width=width,
-                        pre=hl_tags[0], post=hl_tags[1], terms=terms
-                    )
-                    for x in t[highlight_field].to_pylist()
-                ],
-                pa.string(),
-            )
-        return pa.table(cols)
+        return fetch_rows(
+            self.reader, doc_ids, fields, highlight_field, terms, width,
+            *hl_tags,
+        )
 
     def filtered_topk_partial(
         self, query: str, predicate: tuple, k: int = 10
@@ -891,7 +872,7 @@ class ShardedQueryService:
 
         # route hits to owning shards (bounds are sorted, right-open);
         # an empty page still takes a zero-row fetch through shard 0 so
-        # it keeps the STORE's column types (same fix as assemble_hits)
+        # it keeps the STORE's column types (as search.fetch_rows does)
         per_shard: dict[int, list[int]] = {} if hits else {0: []}
         for d, _ in hits:
             s = int(np.searchsorted(self._bounds, d, side="right")) - 1

@@ -264,7 +264,6 @@ class SearchServer:
             raise
 
     def _ensure_backend(self):
-        from .functions.analyzer import Analyzer
         from .query.reader import IndexReader
         from .query.served import ShardedQueryService
 
@@ -281,7 +280,7 @@ class SearchServer:
         )
         # swap all three together: reads snapshot them as one backend
         self._reader, self._analyzer, self._svc = (
-            reader, Analyzer(reader.chain), svc
+            reader, reader.analyzer, svc
         )
 
     def _search_post(self, params, body: bytes) -> dict:
@@ -892,8 +891,7 @@ class SearchServer:
             zip(fused["doc_id"].to_pylist(), fused["rrf"].to_pylist())
         )
         table = assemble_hits(
-            reader, page, fields, None, None, 160, reader.chain,
-            rank_start=from_ + 1,
+            reader, page, fields, None, None, 160, rank_start=from_ + 1,
         )
         took = int((time.perf_counter() - t0) * 1000)
         hits_out = []

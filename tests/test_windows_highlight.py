@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from docs_indexer_ray.functions.analyzer import Analyzer
 from docs_indexer_ray.ops.windows import sessionize, tumbling_window
 from docs_indexer_ray.query.highlight import best_snippet, highlight, match_spans
 
@@ -105,7 +106,7 @@ def test_sessionize_partition_invariance(ray_session):
 
 def test_highlight_marks_stemmed_matches():
     text = "The tables were scanned quickly; scanning tables is fast."
-    out = highlight(text, "table scan", chain="english")
+    out = highlight(text, "table scan", Analyzer("english"))
     assert "<em>tables</em>" in out
     assert "<em>scanned</em>" in out
     assert "<em>scanning</em>" in out
@@ -114,14 +115,14 @@ def test_highlight_marks_stemmed_matches():
 
 def test_best_snippet_window():
     text = ("padding words " * 50) + "the merge table scan cluster" + (" trailing" * 50)
-    snip = best_snippet(text, "table scan merge", width=60)
+    snip = best_snippet(text, "table scan merge", Analyzer("english"), width=60)
     assert "<em>merge</em>" in snip and "<em>table</em>" in snip and "<em>scan</em>" in snip
     assert len(snip) <= 60 + 2 + len("<em></em>") * 6  # width + ellipses + markup
     assert snip.startswith("…") and snip.endswith("…")
 
 
 def test_match_spans_simple_chain():
-    spans = match_spans("Alpha beta ALPHA", {"alpha"}, chain="simple")
+    spans = match_spans("Alpha beta ALPHA", {"alpha"}, Analyzer("simple"))
     assert spans == [(0, 5), (11, 16)]
 
 
@@ -129,19 +130,119 @@ def test_best_snippet_match_longer_than_width():
     """A single matching token wider than the snippet window still gets
     (partial) markup — the old centering math skipped it entirely."""
     text = "start " + "a" * 200 + " end"
-    snip = best_snippet(text, "a" * 200, chain="standard", width=50)
+    snip = best_snippet(text, "a" * 200, Analyzer("standard"), width=50)
     assert "<em>" in snip and "</em>" in snip
 
 
 def test_match_spans_reverse_chain():
     """Reverse-chain query terms are reversed by the analyzer; text
     tokens must be reversed too or nothing ever matches."""
-    from docs_indexer_ray.functions.analyzer import Analyzer
-
     terms = set(Analyzer("reverse")("alpha"))
     assert terms == {"ahpla"}
-    spans = match_spans("Alpha beta", terms, chain="reverse")
+    spans = match_spans("Alpha beta", terms, Analyzer("reverse"))
     assert spans == [(0, 5)]
+
+
+def _oracle_spans(text, terms, chain):
+    """The highlighter's per-token step before the reader memo: every
+    token occurrence re-normalized from scratch, tokenized with
+    TOKEN_RE for every chain."""
+    from docs_indexer_ray.functions.analyzer import TOKEN_RE, strip_possessive
+    from docs_indexer_ray.functions.porter import porter_stem
+
+    def norm(token):
+        if chain == "english":
+            return porter_stem(strip_possessive(token).lower())
+        if chain == "reverse":
+            return token.lower()[::-1]
+        return token.lower()
+
+    return [(m.start(), m.end()) for m in TOKEN_RE.finditer(text)
+            if norm(m.group(0)) in terms]
+
+
+EDGE_TEXTS = [
+    ("The cluster’s nodes and the cluster's pods", "cluster pods"),
+    ("start " + "y" * 300 + " end", "y" * 300),  # a match wider than width
+    ("yyyy " * 80 + "tail", "yyyy"),
+    ("are we there yet", "ar"),  # stopword body vs stem query
+    ("Are ARE are", "are ar"),
+    ("", "anything"),
+    ("don't stop u.s.a 3.14 café’s", "café don't u.s.a"),
+]
+
+
+@pytest.mark.parametrize("chain", ["english", "standard", "reverse", "trigram"])
+def test_best_snippet_matches_per_token_oracle(chain, monkeypatch):
+    """The memoized highlighter is byte-identical to re-normalizing
+    every token: corpus bodies and edge tokens, two widths, on ONE
+    analyzer whose memo warms as it goes."""
+    import docs_indexer_ray.query.highlight as hl
+    from docs_indexer_ray.synth import rich_pages_table
+
+    bodies = rich_pages_table(40, dup_every=0)["text"].to_pylist()
+    queries = ["node pools quota", "the cluster", "helm upgrade changelog",
+               " ".join(bodies[3].split()[2:6])]
+    cases = [(b, q) for b in bodies for q in queries] + EDGE_TEXTS
+    an = Analyzer(chain)
+    got = [
+        best_snippet(b, q, an, width=w) for b, q in cases for w in (40, 160)
+    ]
+    monkeypatch.setattr(
+        hl, "match_spans", lambda text, terms, _an: _oracle_spans(text, terms, chain)
+    )
+    want = [
+        hl.best_snippet(b, q, Analyzer(chain), width=w)
+        for b, q in cases for w in (40, 160)
+    ]
+    assert got == want
+    assert any("<em>" in x for x in got)
+
+
+def test_highlight_stems_each_surface_token_once(monkeypatch):
+    """A second highlight of the same text on the same analyzer stems
+    nothing; the first stems each distinct surface token once."""
+    import docs_indexer_ray.functions.analyzer as an_mod
+    from docs_indexer_ray.synth import rich_pages_table
+
+    text = " ".join(rich_pages_table(10, dup_every=0)["text"].to_pylist())
+    real, calls = an_mod.porter_stem, []
+    monkeypatch.setattr(an_mod, "porter_stem", lambda t: calls.append(t) or real(t))
+    an = Analyzer("english")
+    terms = set(an("node pools"))
+    calls.clear()
+    first = best_snippet(text, "", an, terms=terms)
+    assert len(calls) == len(set(an_mod.TOKEN_RE.findall(text)))
+    calls.clear()
+    assert best_snippet(text, "node pools", an) == first
+    assert calls == []
+
+
+def test_highlight_memo_is_per_chain():
+    """Each analyzer keeps its own normalize memo: a warm english memo
+    never answers for standard (and vice versa), and the analysis memo
+    (stopwords -> dropped) never answers for normalize (stopwords ->
+    their stem)."""
+    en, std = Analyzer("english"), Analyzer("standard")
+    text = "Running are runs"
+    assert match_spans(text, {"run"}, en) == [(0, 7), (12, 16)]
+    assert match_spans(text, {"run"}, std) == []
+    assert match_spans(text, {"running"}, std) == [(0, 7)]
+    assert match_spans(text, {"running"}, en) == []
+    assert en("are running") == ["run"]  # analysis drops the stopword
+    assert match_spans(text, {"ar"}, en) == [(8, 11)]
+
+
+@pytest.mark.parametrize("chain", ["simple", "edge"])
+def test_simple_and_edge_chains_highlight_joined_tokens(chain):
+    """These chains split on [a-z0-9]+, so ``foo_bar`` and ``x.foo``
+    each index ``foo``; the snippet must mark both occurrences."""
+    an = Analyzer(chain)
+    text = "see foo_bar and x.foo"
+    assert "foo" in an(text)
+    assert best_snippet(text, "foo", an) == (
+        "see <em>foo</em>_bar and x.<em>foo</em>"
+    )
 
 
 def test_suggest_unicode_and_never_echoes_input():
