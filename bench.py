@@ -171,26 +171,29 @@ def run_bench() -> dict:
                     "query_p99_sharded_ms": round(slat[int(len(slat) * 0.99)] * 1000, 2),
                     "n_shards": n_shards,
                 }
-                # fleet aggregation walls: one fan-out each, partials
-                # are distinct-key-scale (terms), key-scale count+sum
-                # (pipeline parent) and ≤k-per-bucket (top_hits) —
-                # should stay near-flat in corpus size
+                # fleet aggregation walls: one scatter fan-out each,
+                # partials are distinct-key-scale (terms), key-scale
+                # count+sum (pipeline parent) and ≤k-per-bucket
+                # (top_hits) — should stay near-flat in corpus size
                 try:
                     q0 = FLAGSHIP_QUERIES[0]
                     ta = time.time()
-                    svc.terms_facet(q0, "lang")
+                    svc.aggregate(q0, False, [("terms", "lang")])
                     shard_stats["fleet_facet_terms_s"] = round(
                         time.time() - ta, 3
                     )
                     ta = time.time()
-                    svc.bucket_sums_facet(
-                        q0, "warc_ts", "date_histogram", 3600, "doc_id"
-                    )
+                    svc.aggregate(q0, False, [(
+                        "bucket_sums", "warc_ts", "date_histogram", 3600,
+                        "doc_id",
+                    )])
                     shard_stats["fleet_bucket_sums_s"] = round(
                         time.time() - ta, 3
                     )
                     ta = time.time()
-                    svc.top_hits_facet(q0, "lang", "warc_ts", 3)
+                    svc.aggregate(q0, False, [
+                        ("top_hits", "lang", "warc_ts", 3, False, None)
+                    ])
                     shard_stats["fleet_top_hits_s"] = round(
                         time.time() - ta, 3
                     )

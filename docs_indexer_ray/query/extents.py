@@ -44,10 +44,10 @@ rules — see :func:`_kernel_prefilter`) narrows the candidate set, and
 for several rule shapes fully DECIDES it (exact prefilter → zero
 per-doc work); undecided candidates run the SEGMENTED all-docs-at-
 once evaluator (`_seg_eval` — every rule shape, including unordered
-combines of any sub count via the merge-path replay).  The scalar
-per-doc enumeration (`_doc_intervals`) is the randomized-test ORACLE
-and an unreachable safety valve in `eval_intervals` — production
-queries never pay a per-doc Python loop.
+combines of any sub count via the merge-path replay).  No query pays
+a per-doc Python loop; the scalar per-doc enumeration lives in the
+test suite (``tests/extents_oracle.py``) as the randomized-test
+ORACLE.
 The common plain rules never reach this module at all — they lower
 straight onto the same kernels.  Per-doc locality means doc-range
 shards compose exactly, like every other positional leaf.
@@ -121,155 +121,6 @@ def collect_terms(rule) -> set:
         return out
     if isinstance(rule, ExtFilter):
         return collect_terms(rule.source) | collect_terms(rule.filter)
-    raise TypeError(f"unknown extent rule {rule!r}")
-
-
-def _minimal(iv: np.ndarray) -> np.ndarray:
-    """Prune to minimal intervals: drop duplicates and any interval
-    properly containing another.  Result sorted by start (ends then
-    strictly increase — the property the combiners rely on)."""
-    if len(iv) == 0:
-        return iv.reshape(0, 2)
-    iv = np.unique(iv, axis=0)  # sorts by (start, end), dedupes
-    # within equal starts keep only the smallest end
-    first = np.ones(len(iv), bool)
-    first[1:] = iv[1:, 0] != iv[:-1, 0]
-    iv = iv[first]
-    # starts strictly increase; an interval is non-minimal iff some
-    # LATER interval has end <= its end → suffix-min of ends
-    ends = iv[:, 1]
-    suffix_min = np.minimum.accumulate(ends[::-1])[::-1]
-    keep = np.ones(len(iv), bool)
-    keep[:-1] = ends[:-1] < suffix_min[1:]
-    return iv[keep]
-
-
-def _ordered_combine(sub_ivs: list, max_gaps: int) -> np.ndarray:
-    """One interval per sub, in order, non-overlapping, greedy-minimal
-    per start; gap sum filtered against ``max_gaps``."""
-    if any(len(s) == 0 for s in sub_ivs):
-        return np.empty((0, 2), np.int64)
-    out = []
-    for s0, e0 in sub_ivs[0]:
-        cur_end = e0
-        gaps = 0
-        ok = True
-        for nxt in sub_ivs[1:]:
-            # minimal lists have strictly increasing starts AND ends →
-            # the first interval starting after cur_end is the greedy-
-            # optimal choice
-            j = int(np.searchsorted(nxt[:, 0], cur_end + 1))
-            if j >= len(nxt):
-                ok = False
-                break
-            gaps += int(nxt[j, 0]) - cur_end - 1
-            cur_end = int(nxt[j, 1])
-        if ok and (max_gaps < 0 or gaps <= max_gaps):
-            out.append((int(s0), cur_end))
-    return _minimal(np.asarray(out, np.int64).reshape(-1, 2))
-
-
-def _unordered_combine(sub_ivs: list, max_gaps: int) -> np.ndarray:
-    """One interval per sub, any order (overlaps allowed): the classic
-    min-window sweep — at each step the window is (min start, max end)
-    over the current pointer combo; advance the pointer holding the
-    minimal start."""
-    m = len(sub_ivs)
-    if any(len(s) == 0 for s in sub_ivs):
-        return np.empty((0, 2), np.int64)
-    ptr = [0] * m
-    out = []
-    while True:
-        starts = np.array([sub_ivs[i][ptr[i], 0] for i in range(m)])
-        ends = np.array([sub_ivs[i][ptr[i], 1] for i in range(m)])
-        w_s, w_e = int(starts.min()), int(ends.max())
-        if max_gaps < 0:
-            out.append((w_s, w_e))
-        else:
-            # uncovered positions inside the window
-            covered = np.zeros(w_e - w_s + 1, bool)
-            for i in range(m):
-                covered[sub_ivs[i][ptr[i], 0] - w_s:
-                        sub_ivs[i][ptr[i], 1] - w_s + 1] = True
-            if int((~covered).sum()) <= max_gaps:
-                out.append((w_s, w_e))
-        adv = int(starts.argmin())
-        ptr[adv] += 1
-        if ptr[adv] >= len(sub_ivs[adv]):
-            break
-    return _minimal(np.asarray(out, np.int64).reshape(-1, 2))
-
-
-def _apply_filter(src: np.ndarray, rel: str, flt: np.ndarray) -> np.ndarray:
-    if len(src) == 0:
-        return src
-    if rel in ("containing", "not_containing"):
-        hit = np.array([
-            bool(len(flt)) and bool(
-                ((flt[:, 0] >= s) & (flt[:, 1] <= e)).any()
-            )
-            for s, e in src
-        ])
-        return src[hit] if rel == "containing" else src[~hit]
-    if rel in ("contained_by", "not_contained_by"):
-        hit = np.array([
-            bool(len(flt)) and bool(
-                ((flt[:, 0] <= s) & (flt[:, 1] >= e)).any()
-            )
-            for s, e in src
-        ])
-        return src[hit] if rel == "contained_by" else src[~hit]
-    if rel in ("overlapping", "not_overlapping"):
-        hit = np.array([
-            bool(len(flt)) and bool(
-                ((flt[:, 0] <= e) & (flt[:, 1] >= s)).any()
-            )
-            for s, e in src
-        ])
-        return src[hit] if rel == "overlapping" else src[~hit]
-    if rel == "before":
-        hit = np.array([
-            bool(len(flt)) and bool((flt[:, 0] > e).any()) for _, e in src
-        ])
-        return src[hit]
-    if rel == "after":
-        hit = np.array([
-            bool(len(flt)) and bool((flt[:, 1] < s).any()) for s, _ in src
-        ])
-        return src[hit]
-    raise ValueError(f"unknown interval filter relation {rel!r}")
-
-
-def _doc_intervals(rule, pos: dict) -> np.ndarray:
-    """Minimal intervals of ``rule`` on one doc, given that doc's
-    per-term sorted position arrays (missing term → empty)."""
-    if isinstance(rule, ExtTerm):
-        p = pos.get(rule.term)
-        if p is None or len(p) == 0:
-            return np.empty((0, 2), np.int64)
-        return np.stack([p, p], axis=1).astype(np.int64)
-    if isinstance(rule, ExtMatch):
-        subs = [_doc_intervals(ExtTerm(t), pos) for t in rule.terms]
-        if len(subs) == 1:
-            return subs[0]
-        comb = _ordered_combine if rule.ordered else _unordered_combine
-        return comb(subs, rule.max_gaps)
-    if isinstance(rule, ExtAnyOf):
-        parts = [_doc_intervals(s, pos) for s in rule.subs]
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return np.empty((0, 2), np.int64)
-        return _minimal(np.concatenate(parts, axis=0))
-    if isinstance(rule, ExtAllOf):
-        subs = [_doc_intervals(s, pos) for s in rule.subs]
-        comb = _ordered_combine if rule.ordered else _unordered_combine
-        return comb(subs, rule.max_gaps)
-    if isinstance(rule, ExtFilter):
-        src = _doc_intervals(rule.source, pos)
-        if len(src) == 0:
-            return src
-        flt = _doc_intervals(rule.filter, pos)
-        return _apply_filter(src, rule.relation, flt)
     raise TypeError(f"unknown extent rule {rule!r}")
 
 
@@ -367,21 +218,6 @@ def _kernel_prefilter(reader, rule, full: bool) -> tuple:
 
 
 _SHIFT = np.int64(34)  # (doc_rank << 34) | position — phrase.py's packing
-
-
-def _segmentable(rule) -> bool:
-    """True when the rule tree can run the SEGMENTED (all-docs-at-once)
-    evaluator.  Since the unordered pointer sweep gained its merge-path
-    replay for ANY sub count (:func:`_seg_unordered`), every rule shape
-    is segmentable — this predicate (and the scalar per-doc fallback it
-    guards) is retained as a safety valve and for the test oracle."""
-    if isinstance(rule, (ExtTerm, ExtMatch)):
-        return True
-    if isinstance(rule, (ExtAnyOf, ExtAllOf)):
-        return all(_segmentable(s) for s in rule.subs)
-    if isinstance(rule, ExtFilter):
-        return _segmentable(rule.source) and _segmentable(rule.filter)
-    raise TypeError(f"unknown extent rule {rule!r}")
 
 
 def _seg_minimal(rank, s, e):
@@ -580,8 +416,8 @@ def eval_intervals(reader, rule, lo: Optional[int] = None,
 
     Two phases: a VECTORIZED kernel prefilter narrows (and for several
     rule shapes fully decides — see :func:`_kernel_prefilter`) the
-    candidate set; only undecided candidates pay the per-doc extent
-    enumeration."""
+    candidate set; the undecided candidates run the segmented
+    evaluator (:func:`_seg_eval`) all at once."""
     full = lo is None and hi is None
     if lo is None:
         lo = 0
@@ -611,52 +447,32 @@ def eval_intervals(reader, rule, lo: Optional[int] = None,
             decoded[t] = (np.asarray(ids, np.int64),
                           np.asarray(flat, np.int64),
                           np.asarray(offs, np.int64))
-        if _segmentable(rule):
-            # ALL candidate docs at once: per-term (rank, position)
-            # segment arrays → the segmented combiners — no per-doc
-            # Python (same key-packing budget as the phrase walk)
-            if len(cand) >= (1 << 29):
-                raise ValueError(
-                    f"{len(cand)} candidate docs in one intervals "
-                    "evaluation — shard the query before the "
-                    "2^29-doc key limit"
-                )
-            from .phrase import _gather_segments
+        # ALL candidate docs at once: per-term (rank, position)
+        # segment arrays → the segmented combiners — no per-doc
+        # Python (same key-packing budget as the phrase walk)
+        if len(cand) >= (1 << 29):
+            raise ValueError(
+                f"{len(cand)} candidate docs in one intervals "
+                "evaluation — shard the query before the "
+                "2^29-doc key limit"
+            )
+        from .phrase import _gather_segments
 
-            term_ivs = {}
-            for t in terms:
-                ids, flat, offs = decoded[t]
-                if len(ids) == 0:
-                    term_ivs[t] = (np.empty(0, np.int64),
-                                   np.empty(0, np.int64))
-                    continue
-                j = np.searchsorted(ids, cand)
-                jj = np.minimum(j, len(ids) - 1)
-                present = ids[jj] == cand
-                vals, row = _gather_segments(flat, offs, jj[present])
-                ranks = np.flatnonzero(present).astype(np.int64)[row]
-                term_ivs[t] = (ranks, vals.astype(np.int64))
-            rks, _, _ = _seg_eval(rule, term_ivs)
-            out = cand[np.unique(rks)]
-        else:
-            # UNREACHABLE safety valve: _segmentable() is True for
-            # every well-formed rule since the merge-path replay
-            # generalized to any sub count — kept as defense in depth
-            # (the scalar semantics it runs are the randomized-test
-            # oracle, so the path stays correct if ever re-enabled)
-            matched = []
-            for doc in cand.tolist():
-                pos = {}
-                for t in terms:
-                    ids, flat, offs = decoded[t]
-                    j = int(np.searchsorted(ids, doc))
-                    if j < len(ids) and ids[j] == doc:
-                        pos[t] = flat[offs[j]:offs[j + 1]]
-                if len(_doc_intervals(rule, pos)):
-                    matched.append(doc)
-            if not matched:
-                return np.empty(0, np.int64)
-            out = np.asarray(matched, np.int64)
+        term_ivs = {}
+        for t in terms:
+            ids, flat, offs = decoded[t]
+            if len(ids) == 0:
+                term_ivs[t] = (np.empty(0, np.int64),
+                               np.empty(0, np.int64))
+                continue
+            j = np.searchsorted(ids, cand)
+            jj = np.minimum(j, len(ids) - 1)
+            present = ids[jj] == cand
+            vals, row = _gather_segments(flat, offs, jj[present])
+            ranks = np.flatnonzero(present).astype(np.int64)[row]
+            term_ivs[t] = (ranks, vals.astype(np.int64))
+        rks, _, _ = _seg_eval(rule, term_ivs)
+        out = cand[np.unique(rks)]
     if reader.has_deletes:
         dels = reader.deleted_ids()
         j = np.searchsorted(dels, out)

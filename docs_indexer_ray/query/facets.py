@@ -796,7 +796,7 @@ def interpolate_quantiles(
 def value_histogram(vals, kind: str, arg=None) -> pa.Table:
     """``(key, partial)`` bucket-count histogram of one value array —
     the SHARD primitive behind the serving tier's bucket aggregations
-    (``served.ShardQueryActor.facet_values_partial``): bucketing is
+    (the ``hist`` op of ``served.ShardQueryActor.scatter``): bucketing is
     vectorized here, per-shard histograms are distinct-key-scale, and
     disjoint-range partials SUM exactly on the driver.
 
@@ -1260,8 +1260,8 @@ def _neg_key(vals: np.ndarray) -> np.ndarray:
 
 def composite_page(keys, after, size: int) -> pa.Table:
     """ONE composite-agg page over a matched key array — the shared
-    kernel behind the REST composite (the shard partial
-    `served.ShardQueryActor.facet_composite_partial`): drop null keys
+    kernel behind the REST composite (the ``composite`` op of
+    ``served.ShardQueryActor.scatter``): drop null keys
     (OpenSearch ``missing_bucket: false``), cast the request cursor to
     the COLUMN's type (an unrepresentable cursor is a 400 — validated
     even on an empty match set so no shard can diverge),

@@ -9,14 +9,20 @@ stages applied to the read path (SURVEY §7 step 7).
 
 * :class:`ShardQueryActor` — one shard over ``[lo, hi)``: its norms
   slice + range-limited posting decode (``IndexReader(doc_range=…)``
-  + ``bm25.score_topk_range``).  Every query surface is a ``*_partial``
-  method over that range.
+  + ``bm25.score_topk_range``).  Every search surface is a
+  ``*_partial`` method over that range; every aggregation is an op of
+  ONE method, :meth:`ShardQueryActor.scatter`, which evaluates the
+  query once and computes all of a request's aggregation partials
+  over that one match set (OpenSearch collects aggregations in the
+  query phase the same way).
 * :class:`ShardedQueryService` — the coordinator: fans each partial
   out to one replica per shard and merges.  BM25 scores are globally
   comparable because N/avgdl/df are global statistics, so every
   cross-shard merge is **exact** (tested ≡ the unsharded library
   functions).  Each shard pays O(n_docs / n_shards) and shards score
-  in parallel.
+  in parallel.  :meth:`ShardedQueryService.aggregate` is the one
+  aggregation entry point (and ``_count``): one ``scatter`` fan-out,
+  then :func:`merge_partials` per op.
 
 The same service runs two ways: ``ShardedQueryService(root,
 n_shards=…)`` spawns Ray actors, and
@@ -195,205 +201,165 @@ class ShardQueryActor:
             matched = matched[self._live[matched]]
         return matched
 
-    def _col_slice(self, col: str):
-        """This shard's doc-range slice of stored column ``col`` —
-        the memoized ``reader.stored_column`` (position ``i`` = doc
-        ``lo + i``; one row-group-pruned docs-store scan per column
-        per actor lifetime).  Corpus-wide column state lives sharded
-        with the fleet."""
-        return self.reader.stored_column(col)
+    def scatter(self, query, syntax: bool, ops: list) -> tuple[int, list]:
+        """OpenSearch's query-phase aggregation collection, shard-local:
+        ONE evaluation of the query's live match set, each stored
+        column's shard slice (the memoized ``reader.stored_column`` —
+        one docs-store scan per column per actor lifetime; corpus-wide
+        column state lives sharded with the fleet) ``take``n once over
+        it, and every op's partial computed from those shared pieces
+        → ``(n_matched, [partial per op])``.
+        Every partial is distinct-key-scale (never doc-scale, except
+        ``ids``) and merges exactly across disjoint doc ranges
+        (:func:`merge_partials`).  The ops:
 
-    def facet_terms_partial(self, query: str, col: str, syntax: bool = False):
-        """Per-key matched-doc counts within this shard →
-        ``(value:string, partial:int64)``; counts over disjoint doc
-        ranges SUM exactly, so the service-side merge reproduces
-        ``facets.terms_facet`` bit-for-bit."""
+        * ``("terms", col)`` → ``(value: string, partial)`` counts.
+        * ``("stats", col)`` → ``(n, min, max, sum)``.
+        * ``("hist", col, kind, arg)`` → ``(key, partial)`` from
+          ``facets.value_histogram`` (date_histogram / histogram /
+          range / date_range / ``values`` / ``distinct``).
+        * ``("bucket_sums", col, kind, arg, val_col)`` → ``(key, n,
+          sm)`` from ``facets.value_bucket_sums``.
+        * ``("composite", col, after, size)`` → this shard's ``size``
+          smallest matched keys after the cursor with their counts
+          (``facets.composite_page``): a key cut from this window has
+          ≥ size smaller keys in this shard alone, so it cannot be on
+          the global page, and every key on the global page lies in
+          every holding shard's window — its count sums exactly.
+        * ``("terms_stats", key_col, val_col)`` → ``(value, n, mn, mx,
+          sm)`` per bucket.
+        * ``("top_hits", group_col, sort_col, k, ascending, values)``
+          → ≤ k ``(value, s, doc_id)`` rows per bucket
+          (``ops/windows.head_k_per_key``; ``sort_col`` ``_doc``/``_id``
+          sorts by doc id; ``values``, when set, keeps only those
+          buckets).
+        * ``("count", legs)`` → ``|match ∧ leg₁ ∧ …|`` for a tuple of
+          DSL objects (a leg that analyzes away constrains nothing);
+          each distinct leg is evaluated once per call.
+        * ``("ids",)`` → the matched GLOBAL doc ids."""
         import pyarrow as pa
 
         matched = self._matched_local(query, syntax=syntax)
-        if not len(matched):
-            return pa.table(
-                {"value": pa.array([], pa.string()),
-                 "partial": pa.array([], pa.int64())}
+        idx = pa.array(matched)
+        taken: dict = {}
+        legs: dict = {}
+
+        def col(name):
+            if name not in taken:
+                taken[name] = self.reader.stored_column(name).take(idx)
+            return taken[name]
+
+        def leg(dsl):
+            key = repr(dsl)
+            if key not in legs:
+                from .dsl import dsl_to_node
+                from .qstring import _eval_range
+
+                node = dsl_to_node(dsl, self.analyzer)
+                legs[key] = (
+                    None if node is None else _eval_range(self.reader, node)[1]
+                )
+            return legs[key]
+
+        return len(matched), [
+            self._partial(op, matched, col, leg) for op in ops
+        ]
+
+    def _partial(self, op, matched: np.ndarray, col, leg):
+        """One :meth:`scatter` op over the shared match set."""
+        import pyarrow as pa
+
+        kind = op[0]
+        # terms and stats never read their column for an empty match
+        if kind == "terms":
+            if not len(matched):
+                return pa.table(
+                    {"value": pa.array([], pa.string()),
+                     "partial": pa.array([], pa.int64())}
+                )
+            agg = pa.table({"value": col(op[1])}).group_by("value").aggregate(
+                [([], "count_all")]
             )
-        keys = self._col_slice(col).take(pa.array(matched))
-        agg = pa.table({"value": keys}).group_by("value").aggregate([([], "count_all")])
-        return pa.table(
-            {
-                "value": agg["value"].cast(pa.string()),
-                "partial": agg["count_all"].cast(pa.int64()),
-            }
-        )
-
-    def facet_values_partial(
-        self, query: str, col: str, kind: str, arg=None, syntax: bool = False
-    ):
-        """Generic bucket-aggregation partial (``facets.value_histogram``
-        over this shard's matched values): ``(key, partial)`` rows —
-        distinct-key-scale, never doc-scale — that SUM exactly across
-        disjoint doc ranges.  One method serves date_histogram /
-        histogram / range / exact-cardinality / exact-percentiles."""
-        import pyarrow as pa
-
-        from .facets import value_histogram
-
-        matched = self._matched_local(query, syntax=syntax)
-        vals = self._col_slice(col).take(pa.array(matched))
-        return value_histogram(vals, kind, arg)
-
-    def facet_bucket_sums_partial(
-        self, query: str, col: str, kind: str, arg, val_col: str,
-        syntax: bool = False,
-    ):
-        """Bucket count + metric-sum partial for pipeline aggregations
-        (``facets.value_bucket_sums`` over this shard's matched key /
-        metric slices): ``(key, n, sm)`` rows — distinct-key-scale —
-        whose columns SUM exactly across disjoint doc ranges."""
-        import pyarrow as pa
-
-        from .facets import value_bucket_sums
-
-        matched = self._matched_local(query, syntax=syntax)
-        idx = pa.array(matched)
-        return value_bucket_sums(
-            self._col_slice(col).take(idx),
-            self._col_slice(val_col).take(idx),
-            kind,
-            arg,
-        )
-
-    def facet_composite_partial(
-        self, query: str, col: str, after, size: int, syntax: bool = False
-    ):
-        """Composite-agg page partial: this shard's ``size`` SMALLEST
-        distinct matched keys strictly after ``after`` (native column
-        order; null keys dropped — OpenSearch ``missing_bucket:
-        false``) with their shard-local counts → ``(value: native
-        type, partial)``.
-
-        Why ≤ size rows is enough: a key cut from this shard's window
-        has ≥ size smaller keys IN THIS SHARD alone, so it cannot be
-        in the global first-``size`` page; conversely any key on the
-        global page lies within EVERY holding shard's window, so its
-        count sums exactly from the returned partials (the
-        ``facets.composite_facet`` argument).  The page cursor is what
-        bounds per-shard work — a near-unique key column ships
-        O(size) rows per page, never key-cardinality."""
-        import pyarrow as pa
-
-        from .facets import composite_page
-
-        matched = self._matched_local(query, syntax=syntax)
-        # the shared kernel validates the cursor even on an empty
-        # match (so an out-of-type cursor 400s identically on both
-        # backends regardless of the match set)
-        keys = (
-            self._col_slice(col).take(pa.array(matched))
-            if len(matched)
-            else self._col_slice(col).slice(0, 0)
-        )
-        return composite_page(keys, after, size)
-
-    def facet_top_hits_partial(
-        self, query: str, group_col: str, sort_col: str, k: int,
-        ascending: bool = False, syntax: bool = False,
-        values: list | None = None,
-    ):
-        """``top_hits`` sub-agg partial: this shard's top-``k`` matched
-        docs PER BUCKET of ``group_col`` by ``sort_col`` (doc id
-        tie-break in the sort direction) → ``(value, doc_id, s)``
-        rows, ≤ k per bucket — re-applying the same kernel to the
-        concatenated shard partials is the exact global answer
-        (``ops/windows.head_k_per_key`` idempotence).
-
-        ``sort_col`` ``"_doc"``/``"_id"`` sorts by doc id (the
-        OpenSearch default-sort pseudo-fields — not stored columns).
-        ``values`` restricts to the rendered bucket keys so a
-        high-cardinality group column ships ≤ |values|·k rows per
-        shard, not cardinality·k."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        from ..ops.windows import head_k_per_key
-
-        matched = self._matched_local(query, syntax=syntax)
-        idx = pa.array(matched)
-        ids = pa.array(matched + np.int64(self.reader.doc_lo), pa.int64())
-        s = (
-            ids
-            if sort_col in ("_doc", "_id")
-            else self._col_slice(sort_col).take(idx)
-        )
-        t = pa.table(
-            {
-                "value": self._col_slice(group_col).take(idx).cast(pa.string()),
-                "s": s,
-                "doc_id": ids,
-            }
-        )
-        if values is not None:
-            t = t.filter(pc.is_in(t["value"], value_set=pa.array(
-                [str(v) for v in values], pa.string()
-            )))
-        return head_k_per_key(t, "value", "s", k, ascending)
-
-    def facet_terms_stats_partial(
-        self, query: str, key_col: str, val_col: str, syntax: bool = False
-    ):
-        """terms + stats SUB-aggregation partial: per in-shard bucket
-        of ``key_col``, (count, min, max, sum) of ``val_col`` over the
-        matched docs — one Arrow groupby over the memoized column
-        slices, ≤ distinct-keys rows out, distributive combiners so
-        the fleet fold (``facets.fold_terms_stats``) is exact."""
-        import pyarrow as pa
-
-        matched = self._matched_local(query, syntax=syntax)
-        idx = pa.array(matched)
-        t = pa.table(
-            {
-                "value": self._col_slice(key_col).take(idx).cast(pa.string()),
-                "v": self._col_slice(val_col).take(idx).cast(pa.float64()),
-            }
-        )
-        if t.num_rows == 0:
             return pa.table(
                 {
-                    "value": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "mn": pa.array([], pa.float64()),
-                    "mx": pa.array([], pa.float64()),
-                    "sm": pa.array([], pa.float64()),
+                    "value": agg["value"].cast(pa.string()),
+                    "partial": agg["count_all"].cast(pa.int64()),
                 }
             )
-        agg = t.group_by("value").aggregate(
-            [([], "count_all"), ("v", "min"), ("v", "max"), ("v", "sum")]
-        )
-        return pa.table(
-            {
-                "value": agg["value"],
-                "n": agg["count_all"].cast(pa.int64()),
-                "mn": agg["v_min"],
-                "mx": agg["v_max"],
-                "sm": agg["v_sum"],
-            }
-        )
+        if kind == "stats":
+            if not len(matched):
+                return (0, None, None, None)
+            v = col(op[1]).to_numpy(zero_copy_only=False).astype(np.float64)
+            return (len(v), float(v.min()), float(v.max()), float(v.sum()))
+        if kind == "hist":
+            from .facets import value_histogram
 
-    def facet_stats_partial(self, query: str, col: str, syntax: bool = False) -> tuple:
-        """``(n, min, max, sum)`` of numeric column ``col`` over this
-        shard's matches — one constant-size tuple per shard; count/sum
-        add and min/max fold exactly across disjoint ranges."""
-        matched = self._matched_local(query, syntax=syntax)
-        if not len(matched):
-            return (0, None, None, None)
-        import pyarrow as pa
+            return value_histogram(col(op[1]), op[2], op[3])
+        if kind == "bucket_sums":
+            from .facets import value_bucket_sums
 
-        v = (
-            self._col_slice(col)
-            .take(pa.array(matched))
-            .to_numpy(zero_copy_only=False)
-            .astype(np.float64)
-        )
-        return (len(v), float(v.min()), float(v.max()), float(v.sum()))
+            return value_bucket_sums(col(op[1]), col(op[4]), op[2], op[3])
+        if kind == "composite":
+            from .facets import composite_page
+
+            # validates the cursor even on an empty match, so an
+            # out-of-type cursor fails identically on every shard
+            return composite_page(col(op[1]), op[2], op[3])
+        if kind == "terms_stats":
+            t = pa.table(
+                {
+                    "value": col(op[1]).cast(pa.string()),
+                    "v": col(op[2]).cast(pa.float64()),
+                }
+            )
+            if t.num_rows == 0:
+                return pa.table(
+                    {
+                        "value": pa.array([], pa.string()),
+                        "n": pa.array([], pa.int64()),
+                        "mn": pa.array([], pa.float64()),
+                        "mx": pa.array([], pa.float64()),
+                        "sm": pa.array([], pa.float64()),
+                    }
+                )
+            agg = t.group_by("value").aggregate(
+                [([], "count_all"), ("v", "min"), ("v", "max"), ("v", "sum")]
+            )
+            return pa.table(
+                {
+                    "value": agg["value"],
+                    "n": agg["count_all"].cast(pa.int64()),
+                    "mn": agg["v_min"],
+                    "mx": agg["v_max"],
+                    "sm": agg["v_sum"],
+                }
+            )
+        if kind == "top_hits":
+            import pyarrow.compute as pc
+
+            from ..ops.windows import head_k_per_key
+
+            _, group_col, sort_col, k, ascending, values = op
+            ids = pa.array(matched + np.int64(self.reader.doc_lo), pa.int64())
+            s = ids if sort_col in ("_doc", "_id") else col(sort_col)
+            t = pa.table(
+                {"value": col(group_col).cast(pa.string()), "s": s, "doc_id": ids}
+            )
+            if values is not None:
+                t = t.filter(pc.is_in(t["value"], value_set=pa.array(
+                    [str(v) for v in values], pa.string()
+                )))
+            return head_k_per_key(t, "value", "s", k, ascending)
+        if kind == "count":
+            sel = np.ones(len(matched), bool)
+            for dsl in op[1]:
+                mask = leg(dsl)
+                if mask is not None:
+                    sel &= mask[matched]
+            return int(np.count_nonzero(sel))
+        if kind == "ids":
+            return matched + np.int64(self.reader.doc_lo)
+        raise ValueError(f"unknown aggregation op {op!r}")
 
     def query_string_partial(
         self,
@@ -424,12 +390,6 @@ class ShardQueryActor:
 
         return span_near_range(self.reader, terms, slop=slop)
 
-    def count_partial(self, query: str, syntax: bool = False) -> int:
-        """Live matched-doc count within this shard — match-any over
-        the analyzed terms, or the full query_string match mask with
-        ``syntax=True`` (bool/phrase/fuzzy/wildcard semantics)."""
-        return int(len(self._matched_local(query, syntax=syntax)))
-
     def rank_count_partial(
         self,
         query: str,
@@ -441,13 +401,17 @@ class ShardQueryActor:
         """Phase-1 top-k AND the live match count in ONE round trip —
         a ``_search`` response needs both, and two fan-outs double the
         fleet latency for no reason (the values are exactly
-        ``topk_partial``/``query_string_partial`` + ``count_partial``,
-        so the merged results stay pinned to the two-call path).
-        With ``syntax`` one query_string evaluation serves both.
-        ``after`` pages the rank phase; the count stays the FULL match
-        count (OpenSearch ``hits.total`` is cursor-independent)."""
+        ``topk_partial``/``query_string_partial`` + the match count of
+        :meth:`scatter`, so the merged results stay pinned to the
+        two-call path).  With ``syntax`` one query_string evaluation
+        serves both.  ``after`` pages the rank phase; the count stays
+        the FULL match count (OpenSearch ``hits.total`` is
+        cursor-independent)."""
         if not syntax:
-            return self.topk_partial(query, k, after=after), self.count_partial(query)
+            return (
+                self.topk_partial(query, k, after=after),
+                len(self._matched_local(query)),
+            )
         from .qstring import query_string_topk_range
 
         return query_string_topk_range(
@@ -909,238 +873,21 @@ class ShardedQueryService:
         parts = self._fan("span_near_partial", list(terms), slop)
         return [hit for part in parts for hit in part]
 
-    def count(self, query: str, syntax: bool = False) -> int:
-        """OpenSearch ``_count``: live docs matching ANY query term
-        (or the full query_string semantics with ``syntax=True``) —
-        per-shard counts over disjoint ranges sum exactly."""
-        return sum(self._fan("count_partial", query, syntax))
-
-    def terms_facet(
-        self, query: str, col: str, size: int | None = None, syntax: bool = False
-    ):
-        """OpenSearch-style ``terms`` aggregation over the matched set,
-        computed PER SHARD and merged exactly (counts over disjoint doc
-        ranges sum) → ``(value, n_docs)``, count desc / value asc —
-        bit-identical to ``facets.terms_facet`` on a local reader, at
-        1/n_shards of the per-actor work and with the docs-store column
-        slice cached in each shard after the first facet query."""
-        import pyarrow as pa
-
-        parts = self._fan("facet_terms_partial", query, col, syntax)
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return pa.table(
-                {"value": pa.array([], pa.string()),
-                 "n_docs": pa.array([], pa.int64())}
-            )
-        t = pa.concat_tables(parts, promote_options="default")
-        agg = t.group_by("value").aggregate([("partial", "sum")])
-        out = pa.table(
-            {"value": agg["value"], "n_docs": agg["partial_sum"].cast(pa.int64())}
-        ).sort_by([("n_docs", "descending"), ("value", "ascending")])
-        return out.slice(0, size) if size is not None else out
-
-    def composite_facet(
-        self, query: str, col: str, after, size: int, syntax: bool = False
-    ):
-        """One composite-agg PAGE over the fleet: each shard returns
-        its ``size`` smallest matched keys after the cursor (NATIVE
-        column type — see ``facet_composite_partial`` for why that
-        window suffices and why counts sum exactly), the merge is a
-        ≤ shards×size-row groupby + key-ascending head — per-page
-        driver work is page-scale regardless of key cardinality."""
-        import pyarrow as pa
-
-        parts = self._fan("facet_composite_partial", query, col, after, size, syntax)
-        parts = [p for p in parts if p.num_rows]
-        if not parts:
-            return None  # caller renders an empty page
-        t = pa.concat_tables(parts, promote_options="default")
-        agg = t.group_by("value").aggregate([("partial", "sum")])
-        out = pa.table(
-            {"value": agg["value"], "n_docs": agg["partial_sum"].cast(pa.int64())}
-        ).sort_by("value")
-        return out.slice(0, size)
-
-    def stats_facet(self, query: str, col: str, syntax: bool = False):
-        """``stats`` aggregation over the matched set — per-shard
-        constant-size ``(n, min, max, sum)`` partials folded on the
-        caller → one row ``(n_docs, min_v, max_v, sum_v, avg_v)``,
-        the schema of ``facets.stats_facet``."""
-        import pyarrow as pa
-
-        parts = self._fan("facet_stats_partial", query, col, syntax)
-        parts = [p for p in parts if p[0]]
-        n = sum(p[0] for p in parts)
-        if n == 0:
-            return pa.table(
-                {
-                    "n_docs": pa.array([0], pa.int64()),
-                    "min_v": pa.array([None], pa.float64()),
-                    "max_v": pa.array([None], pa.float64()),
-                    "sum_v": pa.array([None], pa.float64()),
-                    "avg_v": pa.array([None], pa.float64()),
-                }
-            )
-        sm = float(sum(p[3] for p in parts))
-        return pa.table(
-            {
-                "n_docs": pa.array([n], pa.int64()),
-                "min_v": pa.array([min(p[1] for p in parts)], pa.float64()),
-                "max_v": pa.array([max(p[2] for p in parts)], pa.float64()),
-                "sum_v": pa.array([sm], pa.float64()),
-                "avg_v": pa.array([sm / n], pa.float64()),
-            }
-        )
-
-    def bucket_facet(
-        self, query: str, col: str, kind: str, arg=None, syntax: bool = False
-    ):
-        """Generic bucket aggregation on the fleet: ONE
-        ``facet_values_partial`` fan-out (each shard buckets its
-        matched values vectorized — ``facets.value_histogram``), then
-        an exact distinct-key-scale sum merge → ``(key, n_docs)``
-        sorted by key.  Serves date_histogram / histogram / range /
-        the exact value histograms behind cardinality + percentiles."""
-        import pyarrow as pa
-
-        parts = self._fan("facet_values_partial", query, col, kind, arg, syntax)
-        live = [p for p in parts if p.num_rows]
-        if not live:
-            return pa.table(
-                {"key": parts[0]["key"], "n_docs": pa.array([], pa.int64())}
-            )
-        t = pa.concat_tables(live, promote_options="default")
-        agg = t.group_by("key").aggregate([("partial", "sum")]).sort_by("key")
-        return pa.table(
-            {"key": agg["key"], "n_docs": agg["partial_sum"].cast(pa.int64())}
-        )
-
-    def top_hits_facet(
-        self, query: str, group_col: str, sort_col: str, k: int,
-        ascending: bool = False, syntax: bool = False,
-        values: list | None = None,
-    ):
-        """``top_hits`` on the fleet: one partial fan-out (≤ k rows per
-        (shard, bucket) — per RENDERED bucket when ``values`` lists
-        the terms facet's top keys), then the SAME head-k kernel over
-        the concatenated partials — exact by idempotence.  Returns
-        ``(value, rank, doc_id, s)``, buckets ascending."""
-        import pyarrow as pa
-
-        from ..ops.windows import head_k_per_key
-
-        parts = self._fan(
-            "facet_top_hits_partial", query, group_col, sort_col, k, ascending,
-            syntax, values,
-        )
-        live = [p for p in parts if p.num_rows]
-        if not live:
-            return pa.table(
-                {
-                    "value": pa.array([], pa.string()),
-                    "rank": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "s": parts[0]["s"],
-                }
-            )
-        t = pa.concat_tables(live, promote_options="default")
-        out = head_k_per_key(t, "value", "s", k, ascending, with_rank=True)
-        return out.select(["value", "rank", "doc_id", "s"])
-
-    def bucket_sums_facet(
-        self, query: str, col: str, kind: str, arg, val_col: str,
-        syntax: bool = False,
-    ):
-        """Pipeline-agg parent on the fleet: ONE
-        ``facet_bucket_sums_partial`` fan-out, exact
-        distinct-key-scale (count, sum) merge → ``(key, n, sm)``
-        sorted by key — the histogram-with-metric every pipeline
-        function reduces over."""
-        import pyarrow as pa
-
-        parts = self._fan(
-            "facet_bucket_sums_partial", query, col, kind, arg, val_col, syntax
-        )
-        live = [p for p in parts if p.num_rows]
-        if not live:
-            return pa.table(
-                {
-                    "key": parts[0]["key"],
-                    "n": pa.array([], pa.int64()),
-                    "sm": pa.array([], pa.int64()),
-                }
-            )
-        t = pa.concat_tables(live, promote_options="default")
-        agg = t.group_by("key").aggregate([("n", "sum"), ("sm", "sum")]).sort_by("key")
-        return pa.table(
-            {
-                "key": agg["key"],
-                "n": agg["n_sum"].cast(pa.int64()),
-                "sm": agg["sm_sum"].cast(pa.int64()),
-            }
-        )
-
-    def percentiles_facet(
-        self,
-        query: str,
-        col: str,
-        qs: list[float] = (25.0, 50.0, 75.0, 95.0, 99.0),
-        syntax: bool = False,
-    ):
-        """EXACT percentiles over the matched set: the per-shard
-        value-count histograms merge (distinct-value-scale — the
-        Dataset facet's own partial shape, never doc-scale) and the
-        shared ``quantile_cont`` interpolation runs once on the
-        driver — bit-identical to ``facets.percentiles(approx=False)``
-        and its SQL oracle.  For unbounded-cardinality doubles use the
-        t-digest variant (``facets.percentiles(approx=True)``)."""
-        import numpy as np
-        import pyarrow as pa
-
-        from .facets import interpolate_quantiles
-
-        hist = self.bucket_facet(query, col, "values", syntax=syntax)
-        if hist.num_rows == 0:
-            return pa.table(
-                {
-                    "pct": pa.array([float(q) for q in qs], pa.float64()),
-                    "value": pa.array([None] * len(qs), pa.float64()),
-                }
-            )
-        v = hist["key"].to_numpy(zero_copy_only=False)
-        c = hist["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        out = interpolate_quantiles(v, c, list(qs))
-        return pa.table(
-            {
-                "pct": pa.array([float(q) for q in qs], pa.float64()),
-                "value": pa.array(out, pa.float64()),
-            }
-        )
-
-    def terms_stats_facet(
-        self, query: str, key_col: str, val_col: str, syntax: bool = False
-    ):
-        """terms bucket + stats sub-aggregation on the fleet — ONE
-        partial fan-out, the shared exact fold
-        (``facets.fold_terms_stats``), identical output schema to the
-        Dataset facet: ``(value, n_docs, min_v, max_v, sum_v, avg_v)``
-        ordered count desc / key asc."""
-        from .facets import fold_terms_stats
-
-        parts = self._fan("facet_terms_stats_partial", query, key_col, val_col, syntax)
-        return fold_terms_stats(parts)
-
-    def cardinality_facet(
-        self, query: str, col: str, syntax: bool = False
-    ) -> int:
-        """EXACT distinct count of ``col`` over the matched set — the
-        merged value histogram's row count (distinct-scale through the
-        merge; the HLL sketch variant in ``ops/sketch.py`` is the
-        unbounded-domain alternative)."""
-        return int(
-            self.bucket_facet(query, col, "distinct", syntax=syntax).num_rows
-        )
+    def aggregate(self, query, syntax: bool = False, ops=()) -> tuple[int, list]:
+        """Every aggregation of a request in ONE fan-out: each shard
+        evaluates the query once and computes all ``ops`` over that
+        match set (:meth:`ShardQueryActor.scatter`, which lists the op
+        forms); the partials merge exactly per op
+        (:func:`merge_partials`).  Returns ``(live match count,
+        [merged result per op])`` — with no ops, OpenSearch
+        ``_count``: match-any over the analyzed terms, or the full
+        query_string/DSL semantics with ``syntax=True``."""
+        ops = list(ops)
+        parts = self._fan("scatter", query, syntax, ops)
+        return int(sum(n for n, _ in parts)), [
+            merge_partials(op, [p[i] for _, p in parts])
+            for i, op in enumerate(ops)
+        ]
 
     def filtered_topk(
         self, query: str, predicate: tuple, k: int = 10
@@ -1179,3 +926,120 @@ class ShardedQueryService:
             for a in group:
                 ray.kill(a)
         self._groups = []
+
+
+def _sum_by(parts: list, key: str, cols: list[str]):
+    """Concatenate the non-empty shard partials and SUM ``cols`` per
+    ``key`` — the one exact merge every additive partial shares
+    (counts and sums over disjoint doc ranges add).  ``None`` when no
+    shard returned a row."""
+    import pyarrow as pa
+
+    live = [p for p in parts if p.num_rows]
+    if not live:
+        return None
+    t = pa.concat_tables(live, promote_options="default")
+    return t.group_by(key).aggregate([(c, "sum") for c in cols])
+
+
+def merge_partials(op, parts: list):
+    """The exact cross-shard merge of one :meth:`ShardQueryActor.scatter`
+    op's partials (shard order) — the same tables the Dataset facets
+    return:
+
+    * ``terms`` → ``(value, n_docs)``, count desc / value asc.
+    * ``stats`` → one row ``(n_docs, min_v, max_v, sum_v, avg_v)``.
+    * ``hist`` → ``(key, n_docs)`` by key.
+    * ``bucket_sums`` → ``(key, n, sm)`` by key.
+    * ``composite`` → the page ``(value, n_docs)`` by value, or
+      ``None`` when no shard matched.
+    * ``terms_stats`` → ``facets.fold_terms_stats``.
+    * ``top_hits`` → ``(value, rank, doc_id, s)``, buckets ascending —
+      the shards' head-k re-applied (exact by idempotence).
+    * ``count`` → the summed count; ``ids`` → the sorted doc ids."""
+    import pyarrow as pa
+
+    kind = op[0]
+    if kind == "count":
+        return int(sum(parts))
+    if kind == "ids":
+        return np.concatenate(parts)
+    if kind == "stats":
+        parts = [p for p in parts if p[0]]
+        n = sum(p[0] for p in parts)
+        if n == 0:
+            return pa.table(
+                {
+                    "n_docs": pa.array([0], pa.int64()),
+                    "min_v": pa.array([None], pa.float64()),
+                    "max_v": pa.array([None], pa.float64()),
+                    "sum_v": pa.array([None], pa.float64()),
+                    "avg_v": pa.array([None], pa.float64()),
+                }
+            )
+        sm = float(sum(p[3] for p in parts))
+        return pa.table(
+            {
+                "n_docs": pa.array([n], pa.int64()),
+                "min_v": pa.array([min(p[1] for p in parts)], pa.float64()),
+                "max_v": pa.array([max(p[2] for p in parts)], pa.float64()),
+                "sum_v": pa.array([sm], pa.float64()),
+                "avg_v": pa.array([sm / n], pa.float64()),
+            }
+        )
+    if kind == "terms_stats":
+        from .facets import fold_terms_stats
+
+        return fold_terms_stats(parts)
+    if kind == "top_hits":
+        from ..ops.windows import head_k_per_key
+
+        live = [p for p in parts if p.num_rows]
+        if not live:
+            return pa.table(
+                {
+                    "value": pa.array([], pa.string()),
+                    "rank": pa.array([], pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "s": parts[0]["s"],
+                }
+            )
+        t = pa.concat_tables(live, promote_options="default")
+        out = head_k_per_key(t, "value", "s", op[3], op[4], with_rank=True)
+        return out.select(["value", "rank", "doc_id", "s"])
+    if kind == "bucket_sums":
+        agg = _sum_by(parts, "key", ["n", "sm"])
+        if agg is None:
+            return pa.table(
+                {
+                    "key": parts[0]["key"],
+                    "n": pa.array([], pa.int64()),
+                    "sm": pa.array([], pa.int64()),
+                }
+            )
+        agg = agg.sort_by("key")
+        return pa.table(
+            {
+                "key": agg["key"],
+                "n": agg["n_sum"].cast(pa.int64()),
+                "sm": agg["sm_sum"].cast(pa.int64()),
+            }
+        )
+    # terms / hist / composite: (key, partial) counts
+    key = "key" if kind == "hist" else "value"
+    agg = _sum_by(parts, key, ["partial"])
+    if agg is None:
+        if kind == "composite":
+            return None
+        return pa.table(
+            {
+                key: parts[0][key] if kind == "hist" else pa.array([], pa.string()),
+                "n_docs": pa.array([], pa.int64()),
+            }
+        )
+    out = pa.table({key: agg[key], "n_docs": agg["partial_sum"].cast(pa.int64())})
+    if kind == "terms":
+        return out.sort_by([("n_docs", "descending"), ("value", "ascending")])
+    if kind == "hist":
+        return out.sort_by("key")
+    return out.sort_by("value").slice(0, op[3])  # composite page

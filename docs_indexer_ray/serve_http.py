@@ -65,8 +65,10 @@ Backends: every read goes through ONE shard protocol, a
 in-process shard over the server's warm :class:`IndexReader`
 (single-node serving — the reference's one-shard index);
 ``backend="sharded"`` serves it from a Ray actor fleet — every
-search/count fans out per doc-range shard, so one HTTP front door
-scales reads with the fleet (OpenSearch's coordinating-node role).
+search/count fans out per doc-range shard, and all of a request's
+aggregations share ONE ``scatter`` fan-out (each shard evaluates the
+query once for them), so one HTTP front door scales reads with the
+fleet (OpenSearch's coordinating-node role).
 Errors map to ``{"error": {"type", "reason"}}`` with
 400 (bad query syntax / params) or 500, mirroring OpenSearch's error
 envelope.
@@ -173,6 +175,50 @@ def _is_deleted(reader, doc_id: int) -> bool:
     return pos < len(d) and int(d[pos]) == doc_id
 
 __all__ = ["SearchServer"]
+
+
+def _date_bucket_key(k, arg, calendar: bool) -> dict:
+    """A date bucket's OpenSearch ``key`` (epoch millis) and ISO
+    ``key_as_string``: a fixed-interval key is the bucket ordinal, a
+    calendar key is already the civil bucket start in epoch-us."""
+    import datetime as _dt
+
+    epoch_s = int(k) // 1_000_000 if calendar else int(k) * int(arg)
+    return {
+        "key": epoch_s * 1000,
+        "key_as_string": _dt.datetime.utcfromtimestamp(epoch_s).isoformat(),
+    }
+
+
+def _extended_stats(n: int, mn: float, mx: float, s: float, ss: float) -> dict:
+    """OpenSearch ``extended_stats`` from count/min/max/sum/sum of
+    squares, with the POPULATION variance/std (OpenSearch's
+    definition)."""
+    mean = s / n
+    # ss/n - mean^2 can land slightly NEGATIVE from float
+    # cancellation; clamp so variance and std agree
+    var = max(ss / n - mean * mean, 0.0)
+    return {
+        "count": n, "min": mn, "max": mx, "sum": s, "avg": mean,
+        "sum_of_squares": ss, "variance": var,
+        "std_deviation": var ** 0.5 if var > 0 else 0.0,
+    }
+
+
+def _adjacency_legs(spec: dict) -> list:
+    """An adjacency_matrix agg's ``(bucket key, [filter DSL, …])`` legs:
+    each named filter, then its intersection with every later name
+    (names sorted)."""
+    names = sorted(spec["filters"])
+    legs = []
+    for i, a in enumerate(names):
+        legs.append((a, [spec["filters"][a]]))
+        for b in names[i + 1:]:
+            legs.append((
+                f"{a}{spec['separator']}{b}",
+                [spec["filters"][a], spec["filters"][b]],
+            ))
+    return legs
 
 
 class SearchServer:
@@ -606,15 +652,15 @@ class SearchServer:
                     })
                 p.setdefault("aggs_extra", []).append(entry)
             elif "missing" in agg:
-                # count of matched docs with NO value in the field —
-                # lowers onto TWO existing count paths (query, and
-                # query AND exists) with zero new distributed code
+                # matched docs with NO value in the field: the
+                # request's match count minus the |q ∧ exists| count
+                # leg of the same scatter
                 p.setdefault("aggs_extra", []).append({
                     "name": name, "kind": "missing",
                     "field": agg["missing"]["field"],
                 })
             elif "value_count" in agg:
-                # docs with a value = |q ∧ exists| — one count path
+                # docs with a value: the |q ∧ exists| count leg
                 p.setdefault("aggs_extra", []).append({
                     "name": name, "kind": "value_count",
                     "field": agg["value_count"]["field"],
@@ -637,7 +683,7 @@ class SearchServer:
                 if len(named) > 8:
                     raise ValueError(
                         "adjacency_matrix supports at most 8 filters "
-                        "(the intersection fan-out is quadratic)"
+                        "(the intersection legs grow quadratically)"
                     )
                 for sub in named.values():
                     if not isinstance(sub, dict):
@@ -739,6 +785,8 @@ class SearchServer:
                     "field": agg["cardinality"]["field"],
                 })
             elif "filters" in agg:
+                # one |q ∧ filter| count leg per named sub-query, all
+                # in the request's one scatter
                 flt = agg["filters"]
                 named = flt.get("filters") if isinstance(flt, dict) else None
                 if not isinstance(named, dict) or not named:
@@ -974,6 +1022,9 @@ class SearchServer:
             svc, reader = self._pit_backend(
                 params["pit_id"], params.get("pit_keep_alive")
             )
+        # the aggregation plan comes first: a malformed count leg must
+        # fail before any shard call
+        specs, ops, idx = self._agg_plan(params, reader, analyzer)
         # rank + true match count in ONE fan-out (a separate count()
         # call doubles the round trips on the hottest path)
         table, total = svc.search_with_total(
@@ -1016,36 +1067,115 @@ class SearchServer:
             if from_:
                 raise ValueError("scroll and from are mutually exclusive")
             out["_scroll_id"] = self._scroll_state(params, table, k, sort_spec)
-        agg_terms = params.get("agg_terms")
-        agg_stats = params.get("agg_stats")
-        if agg_terms or agg_stats:
-            aggs = {}
-            if agg_terms:
-                aggs[agg_terms] = self._terms_agg(
-                    svc.terms_facet(q, agg_terms, syntax=syntax),
-                    int(params.get("agg_size", "10")),
-                )
-            if agg_stats:
-                aggs[agg_stats] = self._stats_agg(
-                    svc.stats_facet(q, agg_stats, syntax=syntax)
-                )
-            out["aggregations"] = aggs
-        extra = params.get("aggs_extra")
-        if extra:
-            aggs = out.setdefault("aggregations", {})
+        if specs:
+            aggs = out["aggregations"] = {}
+            # ONE aggregation fan-out: each shard evaluates the query
+            # once for every agg of the request
+            n_matched, res = svc.aggregate(q, syntax, ops) if ops else (0, [])
+            # terms→top_hits needs the merged bucket keys before its
+            # head-k partials: the one second round, shared by every
+            # such agg of the request
+            top_ops = [
+                ("top_hits", spec["field"], spec["sort_col"], spec["k"],
+                 spec["asc"], res[i[0]].slice(0, spec["size"])["value"].to_pylist())
+                for spec, i in zip(specs, idx) if spec["kind"] == "terms_top_hits"
+            ]
+            top_hits = iter(svc.aggregate(q, syntax, top_ops)[1] if top_ops else [])
             # siblings resolve against their parent's rendered buckets
-            # — process every non-sibling first, independent of body
+            # — render every non-sibling first, independent of body
             # ordering (OpenSearch allows the sibling to appear first)
-            siblings = [s for s in extra if s["kind"] == "sibling_bucket"]
-            for spec in extra:
+            for spec, i in zip(specs, idx):
+                if spec["kind"] != "sibling_bucket":
+                    got = [res[j] for j in i]
+                    if spec["kind"] == "terms_top_hits":
+                        got.append(next(top_hits))
+                    aggs[spec["name"]] = self._extra_agg(
+                        spec, got, n_matched, reader
+                    )
+            for spec in specs:
                 if spec["kind"] == "sibling_bucket":
-                    continue
-                aggs[spec["name"]] = self._extra_agg(
-                    q, spec, syntax, svc, reader, analyzer
-                )
-            for spec in siblings:
-                aggs[spec["name"]] = self._sibling_bucket(spec, aggs)
+                    aggs[spec["name"]] = self._sibling_bucket(spec, aggs)
         return out
+
+    def _agg_plan(self, params, reader, analyzer) -> tuple[list, list, list]:
+        """A request's aggregations as ONE list of distinct shard ops
+        (``ShardQueryActor.scatter``) → ``(specs, ops, idx)``: the GET
+        shorthand's ``agg_terms``/``agg_stats`` slots plus the body's
+        ``aggs_extra`` specs, in response order; ``idx[i]`` are the
+        positions in ``ops`` of the results ``specs[i]`` renders from.
+        Identical ops are computed once (percentiles and
+        extended_stats share one value histogram; terms and
+        rare_terms one terms count)."""
+        specs = []
+        if params.get("agg_terms"):
+            col = params["agg_terms"]
+            specs.append({"name": col, "kind": "terms", "field": col,
+                          "size": int(params.get("agg_size", "10"))})
+        if params.get("agg_stats"):
+            col = params["agg_stats"]
+            specs.append({"name": col, "kind": "stats", "field": col})
+        specs += params.get("aggs_extra") or []
+        ops, seen, idx = [], {}, []
+        for spec in specs:
+            mine = []
+            for op in self._agg_ops(spec, reader, analyzer):
+                key = repr(op)
+                if key not in seen:
+                    seen[key] = len(ops)
+                    ops.append(op)
+                mine.append(seen[key])
+            idx.append(mine)
+        return specs, ops, idx
+
+    @staticmethod
+    def _agg_ops(spec: dict, reader, analyzer) -> list:
+        """The shard ops one aggregation renders from, in the order
+        :meth:`_extra_agg` reads them.  Count legs (filters,
+        adjacency_matrix, missing, value_count) are DSL objects,
+        validated HERE — a malformed leg costs one parse and a clean
+        400, never a shard round trip."""
+        kind, col, arg = spec["kind"], spec["field"], spec.get("arg")
+        if kind in ("terms", "rare_terms", "terms_top_hits"):
+            return [("terms", col)]
+        if kind == "stats":
+            return [("stats", col)]
+        if kind == "terms_stats":
+            return [("terms_stats", col, spec["val"])]
+        if kind in ("percentiles", "extended_stats", "percentile_ranks"):
+            return [("hist", col, "values", None)]
+        if kind == "cardinality":
+            return [("hist", col, "distinct", None)]
+        if kind in ("histogram_metric", "date_histogram_metric"):
+            return [("bucket_sums", col, kind.removesuffix("_metric"), arg,
+                     spec["val"])]
+        if kind == "composite":
+            return [("composite", col, spec["after"], spec["size"])]
+        if kind == "sibling_bucket":
+            return []
+        if kind == "significant_terms":
+            # significance runs over the chain's postings, so the field
+            # must be the build's indexed source field
+            idx_field = reader.manifest["field"]
+            if col and col != idx_field:
+                raise ValueError(
+                    f"significant_terms runs over the indexed field "
+                    f"{idx_field!r}, not {col!r}"
+                )
+            return [("ids",)]
+        if kind in ("missing", "value_count"):
+            legs = [[{"exists": {"field": col}}]]
+        elif kind == "filters":
+            legs = [[sub] for sub in spec["filters"].values()]
+        elif kind == "adjacency_matrix":
+            legs = [fs for _, fs in _adjacency_legs(spec)]
+        else:  # date_histogram / histogram / range / date_range
+            return [("hist", col, kind, arg)]
+        from .query.dsl import dsl_to_node
+
+        for fs in legs:
+            for dsl in fs:
+                dsl_to_node(dsl, analyzer)
+        return [("count", tuple(fs)) for fs in legs]
 
     @staticmethod
     def _sibling_bucket(spec: dict, aggs: dict) -> dict:
@@ -1107,20 +1237,10 @@ class SearchServer:
             out = interpolate_quantiles(uq, cnt.astype(_np.int64), qs)
             return {"values": {f"{q}": o for q, o in zip(qs, out)}}
         if op == "extended_stats_bucket":
-            # population variance/std (OpenSearch's definition)
-            n = len(vals)
-            s = float(sum(vals))
-            ss = float(sum(x * x for x in vals))
-            mean = s / n
-            # ss/n - mean^2 can land slightly NEGATIVE from float
-            # cancellation; clamp so variance and std agree
-            var = max(ss / n - mean * mean, 0.0)
-            return {
-                "count": n, "min": float(min(vals)),
-                "max": float(max(vals)), "sum": s, "avg": mean,
-                "sum_of_squares": ss, "variance": var,
-                "std_deviation": var ** 0.5 if var > 0 else 0.0,
-            }
+            return _extended_stats(
+                len(vals), float(min(vals)), float(max(vals)),
+                float(sum(vals)), float(sum(x * x for x in vals)),
+            )
         # stats_bucket
         return {
             "count": len(vals),
@@ -1225,58 +1345,6 @@ class SearchServer:
                 p[hk] = state[hk]
         return self._search(p)
 
-    def _matched_ids_local(self, q, syntax: bool, reader, analyzer):
-        """Matched doc ids over ``reader`` (match-any, or the full
-        query_string/DSL mask with ``syntax``) — the foreground set
-        ``significant_terms`` scores against."""
-        import numpy as np
-
-        if syntax:
-            from .query.bm25 import _zero_deleted
-            from .query.qstring import _eval, parse_query_string
-
-            node = parse_query_string(q, analyzer)
-            _, match = _eval(reader, node)
-            return np.flatnonzero(
-                _zero_deleted(reader, np.where(match, 1.0, 0.0)) > 0
-            )
-        from .query.facets import match_doc_ids
-
-        return match_doc_ids(reader, analyzer(q))
-
-    @staticmethod
-    def _main_dsl(q, syntax, reader) -> dict:
-        """The request's main query as a DSL object — ONE lowering for
-        every agg branch that must AND extra clauses onto it (filters,
-        missing, value_count, adjacency_matrix): a dict body passes
-        through; a GET string is a query_string (``syntax``) or a
-        match-any over the indexed field."""
-        if isinstance(q, dict):
-            return q
-        fld = reader.manifest["field"]
-        return (
-            {"query_string": {"query": q}} if syntax else {"match": {fld: q}}
-        )
-
-    @staticmethod
-    def _dsl_count(dsl: dict, svc, analyzer) -> int:
-        """Count of a DSL object, validated BEFORE the fan-out (a
-        malformed filter costs one parse and a clean 400, never an
-        n-shard round trip)."""
-        from .query.dsl import dsl_to_node
-
-        dsl_to_node(dsl, analyzer)
-        return svc.count(dsl, syntax=True)
-
-    def _exists_count(self, q, col, syntax, svc, reader, analyzer) -> int:
-        """|q ∧ exists(col)| through the backend's one count path —
-        shared by ``missing`` and ``value_count``."""
-        main = self._main_dsl(q, syntax, reader)
-        return self._dsl_count(
-            {"bool": {"must": [main, {"exists": {"field": col}}]}},
-            svc, analyzer,
-        )
-
     @staticmethod
     def _terms_agg(t, size: int) -> dict:
         return {"buckets": [
@@ -1292,52 +1360,36 @@ class SearchServer:
             "sum": r["sum_v"], "avg": r["avg_v"],
         }
 
-    def _extra_agg(self, q, spec: dict, syntax, svc, reader, analyzer) -> dict:
-        """One body aggregation against an explicit backend snapshot —
-        every kind is one (or a few) service fan-outs: per-shard
-        partials with exact distinct-key-scale merges
-        (``ShardedQueryService.bucket_facet`` and friends), so the
-        in-process and fleet backends run the same code.  Response
-        shapes follow OpenSearch: date buckets carry epoch-ms ``key``
-        + ISO ``key_as_string``, range buckets echo from/to,
-        percentiles a ``values`` map."""
+    def _extra_agg(self, spec: dict, got: list, n_matched: int, reader) -> dict:
+        """One aggregation's OpenSearch rendering from the merged shard
+        results it planned (``got``, in :meth:`_agg_ops` order, plus
+        the second-round top hits of a terms→top_hits agg; ``n_matched``
+        is the request's live match count).  No shard call happens here:
+        the whole request's aggregations came from one ``scatter``
+        fan-out, so the in-process and fleet backends run the same
+        code.  Response shapes follow OpenSearch: date buckets carry
+        epoch-ms ``key`` + ISO ``key_as_string``, range buckets echo
+        from/to, percentiles a ``values`` map."""
         import numpy as np
 
         from .query.facets import interpolate_quantiles
 
-        kind, col, arg = spec["kind"], spec["field"], spec.get("arg")
+        kind, arg = spec["kind"], spec.get("arg")
         if kind == "filters":
-            # one bucket per NAMED sub-query, counting docs that match
-            # the main query AND the filter — |q ∧ f| = count(bool
-            # must=[q, f]), so each bucket reuses the backend's count
-            # path verbatim with no new distributed code.  Bucket
-            # count = request count: an analytics agg with a handful
-            # of human-named filters.  The SNAPSHOT reader, not
-            # self._reader — one backend per request.
-            main = self._main_dsl(q, syntax, reader)
+            # one bucket per NAMED sub-query: |q ∧ f|
             return {"buckets": {
-                bname: {"doc_count": self._dsl_count(
-                    {"bool": {"must": [main, sub]}}, svc, analyzer
-                )}
-                for bname, sub in spec["filters"].items()
+                bname: {"doc_count": n}
+                for bname, n in zip(spec["filters"], got)
             }}
         if kind == "significant_terms":
             # JLH-significant terms of the query's match set
             # (query/significant.py — a per-partition postings scan,
             # one Ray task per segment partition: an ANALYTICS agg,
-            # never a hot search path).  Significance runs over the
-            # chain's postings, so the field must be the build's
-            # indexed source field; the foreground mask comes from the
-            # same evaluator that serves the query.
+            # never a hot search path) over the snapshot reader; the
+            # foreground set is the shards' match ids
             from .query.significant import significant_terms
 
-            idx_field = reader.manifest["field"]
-            if col and col != idx_field:
-                raise ValueError(
-                    f"significant_terms runs over the indexed field "
-                    f"{idx_field!r}, not {col!r}"
-                )
-            matched = self._matched_ids_local(q, syntax, reader, analyzer)
+            matched = got[0]
             t = significant_terms(
                 reader, matched, k=spec["size"],
                 min_doc_count=spec["min_doc_count"],
@@ -1352,24 +1404,17 @@ class SearchServer:
             }
         if kind == "terms":
             # plain terms agg, per NAME (body requests may carry many)
-            return self._terms_agg(
-                svc.terms_facet(q, col, syntax=syntax), spec["size"]
-            )
+            return self._terms_agg(got[0], spec["size"])
         if kind == "stats":
-            return self._stats_agg(svc.stats_facet(q, col, syntax=syntax))
+            return self._stats_agg(got[0])
         if kind == "terms_top_hits":
-            # terms buckets + per-bucket top-k hits: counts from the
-            # ONE terms fan-out, hits from the head-k partial fan-out
-            # — ≤ k rows per rendered bucket end-to-end
-            t = svc.terms_facet(q, col, syntax=syntax)
+            # terms buckets + per-bucket top-k hits: ≤ k rows per
+            # rendered bucket end-to-end
+            t, th = got
             counts = {
                 r["value"]: r["n_docs"]
                 for r in t.slice(0, spec["size"]).to_pylist()
             }
-            th = svc.top_hits_facet(
-                q, col, spec["sort_col"], spec["k"],
-                ascending=spec["asc"], syntax=syntax, values=list(counts),
-            )
             hits_by = {}
             for r in th.to_pylist():
                 sv = r["s"]
@@ -1390,12 +1435,10 @@ class SearchServer:
                 })
             return {"buckets": buckets}
         if kind == "terms_stats":
-            # nested terms→stats: one partial fan-out + the shared
-            # exact fold
-            t = svc.terms_stats_facet(q, col, spec["val"], syntax=syntax)
+            # nested terms→stats: the shared exact fold
             metric = spec.get("metric", "stats")
             buckets = []
-            for r in t.slice(0, spec["size"]).to_pylist():
+            for r in got[0].slice(0, spec["size"]).to_pylist():
                 full = {
                     "count": r["n_docs"], "min": r["min_v"],
                     "max": r["max_v"], "sum": r["sum_v"],
@@ -1413,9 +1456,8 @@ class SearchServer:
             return {"buckets": buckets}
         if kind in ("extended_stats", "percentile_ranks"):
             # both fold the SAME exact value-count histogram the
-            # percentiles path already fans out (distinct-value-scale
-            # partials) — zero new distributed code
-            hist = svc.bucket_facet(q, col, "values", None, syntax=syntax)
+            # percentiles agg reads (one op per request)
+            hist = got[0]
             v = hist["key"].to_numpy(zero_copy_only=False).astype(np.float64)
             c = hist["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
             n = int(c.sum())
@@ -1431,31 +1473,22 @@ class SearchServer:
                 return {"values": out}
             if n == 0:
                 return {"count": 0}
-            s = float((v * c).sum())
-            ss = float((v * v * c).sum())
-            mean = s / n
-            # ss/n - mean^2 can land slightly NEGATIVE from float
-            # cancellation; clamp so variance and std agree
-            var = max(ss / n - mean * mean, 0.0)
-            return {
-                "count": n, "min": float(v.min()), "max": float(v.max()),
-                "sum": s, "avg": mean, "sum_of_squares": ss,
-                "variance": var,
-                "std_deviation": var ** 0.5 if var > 0 else 0.0,
-            }
+            return _extended_stats(
+                n, float(v.min()), float(v.max()),
+                float((v * c).sum()), float((v * v * c).sum()),
+            )
         if kind == "value_count":
-            # docs carrying a value: one count fan-out of q ∧ exists
-            return {
-                "value": self._exists_count(q, col, syntax, svc, reader, analyzer)
-            }
+            # docs carrying a value: |q ∧ exists|
+            return {"value": got[0]}
+        if kind == "missing":
+            # |q| − |q ∧ exists(field)|
+            return {"doc_count": n_matched - got[0]}
         if kind == "rare_terms":
-            # long-tail terms: the SAME one-fan-out terms partial,
-            # tail-filtered and re-sorted (count asc, value asc) on the
-            # already-key-scale merged table
-            t = svc.terms_facet(q, col, syntax=syntax)
+            # long-tail terms: the terms count, tail-filtered and
+            # re-sorted (count asc, value asc) on the key-scale table
             rows = [
                 (r["value"], int(r["n_docs"]))
-                for r in t.to_pylist()
+                for r in got[0].to_pylist()
                 if int(r["n_docs"]) <= spec["max_doc_count"]
             ]
             rows.sort(key=lambda kv: (kv[1], kv[0]))
@@ -1465,15 +1498,13 @@ class SearchServer:
         if kind == "composite":
             # key-ordered bucket pages with after_key resumption over
             # ONE terms source — the export-a-big-facet agg.  BOUNDED
-            # per page (round-5): each shard computes only the
-            # ``size`` smallest matched keys after the cursor in the
-            # COLUMN's native order (a near-unique key column costs
-            # O(size) per page, never key-cardinality — the
-            # ``facets.composite_facet`` window argument), and keys
-            # page/emit in the column's native type — an int source
-            # pages 9 < 10, a string source lexicographically.
-            size_ = spec["size"]
-            t = svc.composite_facet(q, col, spec["after"], size_, syntax=syntax)
+            # per page: each shard computes only the ``size`` smallest
+            # matched keys after the cursor in the COLUMN's native
+            # order (a near-unique key column costs O(size) per page,
+            # never key-cardinality), and keys page/emit in the
+            # column's native type — an int source pages 9 < 10, a
+            # string source lexicographically.
+            size_, t = spec["size"], got[0]
             if t is None or t.num_rows == 0:
                 return {"buckets": []}
             vals = t["value"].to_pylist()
@@ -1491,43 +1522,16 @@ class SearchServer:
             return out
         if kind == "adjacency_matrix":
             # one count per named filter + one per pairwise
-            # intersection (q ∧ fa ∧ fb), zero-count buckets omitted —
-            # the filters-agg lowering squared, every leg through the
-            # backend's one count path
-            main = self._main_dsl(q, syntax, reader)
-            names = sorted(spec["filters"])
-            sep = spec["separator"]
-            buckets = []
-            for i, a in enumerate(names):
-                legs = {a: [spec["filters"][a]]}
-                for bn in names[i + 1:]:
-                    legs[f"{a}{sep}{bn}"] = [
-                        spec["filters"][a], spec["filters"][bn]
-                    ]
-                for key, fs in legs.items():
-                    n = self._dsl_count(
-                        {"bool": {"must": [main, *fs]}}, svc, analyzer
-                    )
-                    if n > 0:
-                        buckets.append({"key": key, "doc_count": n})
+            # intersection (q ∧ fa ∧ fb), zero-count buckets omitted
+            buckets = [
+                {"key": key, "doc_count": n}
+                for (key, _), n in zip(_adjacency_legs(spec), got)
+                if n > 0
+            ]
             buckets.sort(key=lambda b: b["key"])
             return {"buckets": buckets}
-        if kind == "missing":
-            # |q| − |q ∧ exists(field)| — both through the backend's
-            # one count path, like the filters agg.  Cost: two count
-            # fan-outs per request — the zero-new-distributed-code
-            # lowering, acceptable for an analytics agg (a dedicated
-            # partial would halve it if it ever shows up in a hot
-            # profile)
-            have = self._exists_count(q, col, syntax, svc, reader, analyzer)
-            total = self._dsl_count(
-                self._main_dsl(q, syntax, reader), svc, analyzer
-            )
-            return {"doc_count": total - have}
         if kind == "histogram_metric":
-            t = svc.bucket_sums_facet(
-                q, col, "histogram", arg, spec["val"], syntax=syntax
-            )
+            t = got[0]
             return {"buckets": [
                 {
                     "key": float(k),
@@ -1540,15 +1544,10 @@ class SearchServer:
                 )
             ]}
         if kind == "date_histogram_metric":
-            # histogram parent + sum metric + parent pipelines: the
-            # distributed phase is ONE (key, count, sum) partial per
-            # shard; every pipeline function is an O(n_buckets)
-            # driver pass (OpenSearch's own reduce-side placement)
-            import datetime as _dt
-
-            t = svc.bucket_sums_facet(
-                q, col, "date_histogram", arg, spec["val"], syntax=syntax
-            )
+            # histogram parent + sum metric + parent pipelines: every
+            # pipeline function is an O(n_buckets) coordinator pass
+            # (OpenSearch's own reduce-side placement)
+            t = got[0]
             calendar = not _is_fixed_iv(arg)
             ks = t["key"].to_pylist()
             ns = t["n"].to_pylist()
@@ -1556,12 +1555,8 @@ class SearchServer:
             cums = np.cumsum(sums)
             buckets = []
             for i, (k, n, s) in enumerate(zip(ks, ns, sums)):
-                epoch_s = int(k) // 1_000_000 if calendar else int(k) * int(arg)
                 b = {
-                    "key": epoch_s * 1000,
-                    "key_as_string": _dt.datetime.utcfromtimestamp(
-                        epoch_s
-                    ).isoformat(),
+                    **_date_bucket_key(k, arg, calendar),
                     "doc_count": int(n),
                     spec["sub"]: {"value": s},
                 }
@@ -1586,10 +1581,7 @@ class SearchServer:
                             b[pp["name"]] = {"value": sums[i] - sums[i - lag]}
                 buckets.append(b)
             return {"buckets": buckets}
-        inner = "values" if kind == "percentiles" else (
-            "distinct" if kind == "cardinality" else kind
-        )
-        hist = svc.bucket_facet(q, col, inner, arg, syntax=syntax)
+        hist = got[0]
         if kind == "cardinality":
             return {"value": int(hist.num_rows)}
         if kind == "percentiles":
@@ -1638,22 +1630,11 @@ class SearchServer:
                 buckets.append(b)
             return {"buckets": buckets}
         if kind == "date_histogram":
-            import datetime as _dt
-
             calendar = not _is_fixed_iv(arg)
-            buckets = []
-            for k, n in zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist()):
-                # fixed width: key is the bucket ordinal; calendar:
-                # key is already the civil bucket-start in epoch-us
-                epoch_s = int(k) // 1_000_000 if calendar else int(k) * int(arg)
-                buckets.append({
-                    "key": epoch_s * 1000,  # OpenSearch: epoch millis
-                    "key_as_string": _dt.datetime.utcfromtimestamp(
-                        epoch_s
-                    ).isoformat(),
-                    "doc_count": int(n),
-                })
-            return {"buckets": buckets}
+            return {"buckets": [
+                {**_date_bucket_key(k, arg, calendar), "doc_count": int(n)}
+                for k, n in zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
+            ]}
         # histogram: lower-edge keys
         return {"buckets": [
             {"key": float(k), "doc_count": int(n)}
@@ -1663,23 +1644,24 @@ class SearchServer:
     def _count(self, params) -> dict:
         q = params["q"]
         syntax = params.get("syntax", "0") in ("1", "true")
-        return {"count": self._svc.count(q, syntax=syntax)}
+        return {"count": self._svc.aggregate(q, syntax)[0]}
 
     def _count_post(self, params, body: bytes) -> dict:
         """``POST /_count`` with ``{"query": <DSL>}`` (OpenSearch body
         form); URL params remain the GET fallback."""
+        from .query.dsl import dsl_to_node
+
         spec = json.loads(body) if body.strip() else {}
         if not isinstance(spec, dict):
             raise ValueError("body must be a JSON object")
         if "query" in spec:
             if not isinstance(spec["query"], dict):
                 raise ValueError(f"query must be an object: {spec['query']!r}")
-            # validated before the fan-out (_dsl_count): a malformed
-            # DSL must 400 with the clean DslError message, not an
-            # n-shard round trip surfacing a Ray-wrapped traceback
-            return {"count": self._dsl_count(
-                spec["query"], self._svc, self._analyzer
-            )}
+            # validated before the fan-out: a malformed DSL must 400
+            # with the clean DslError message, not an n-shard round
+            # trip surfacing a Ray-wrapped traceback
+            dsl_to_node(spec["query"], self._analyzer)
+            return {"count": self._svc.aggregate(spec["query"], True)[0]}
         return self._count(params)
 
     def _analyze_post(self, params, body: bytes) -> dict:

@@ -14,8 +14,8 @@ from docs_indexer_ray.query.extents import (
     ExtFilter,
     ExtMatch,
     ExtTerm,
-    _doc_intervals,
 )
+from extents_oracle import _doc_intervals
 
 # crafted token sequences — positions are the word index
 _BODIES = [
@@ -320,15 +320,11 @@ def test_intervals_extended_lowering_and_refusals(built):
 
 def test_segmented_evaluator_equals_per_doc():
     """The vectorized segmented evaluator must agree with the scalar
-    per-doc `_doc_intervals` on every segmentable rule shape, over
+    per-doc `_doc_intervals` oracle on every rule shape, over
     randomized corpora (seeded)."""
     import numpy as np
 
-    from docs_indexer_ray.query.extents import (
-        _doc_intervals,
-        _seg_eval,
-        _segmentable,
-    )
+    from docs_indexer_ray.query.extents import _seg_eval
 
     rng = np.random.RandomState(11)
     vocab = ["a", "b", "c", "d"]
@@ -386,7 +382,9 @@ def test_segmented_evaluator_equals_per_doc():
                            ordered=False, max_gaps=2),
                   "containing", ExtTerm("c")),
     ]
-    assert all(_segmentable(r) for r in rules)
+    # an unknown rule type is refused by the segmented evaluator
+    with pytest.raises(TypeError):
+        _seg_eval(object(), {})
 
     for trial in range(10):
         docs = [

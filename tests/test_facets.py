@@ -1538,10 +1538,11 @@ def test_sharded_facets_match_local(built, ray_session):
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        got = svc.terms_facet(query, col)
+        _, (got,) = svc.aggregate(query, False, [("terms", col)])
         assert got.to_pylist() == want.to_pylist()
         # memoized column slice: a second call returns the same thing
-        assert svc.terms_facet(query, col, size=2).to_pylist() == want.to_pylist()[:2]
+        again = svc.aggregate(query, False, [("terms", col)])[1][0]
+        assert again.slice(0, 2).to_pylist() == want.to_pylist()[:2]
         # brute-force independent check
         t = pads.dataset(docs_dir, partitioning="hive").to_table(
             columns=["doc_id", col]
@@ -1562,7 +1563,7 @@ def test_sharded_facets_match_local(built, ray_session):
             zip(ts["doc_id"].to_pylist(), ts["warc_ts"].cast(pa.int64()).to_pylist())
         )
         vals = np.array([ts_of[d] for d in matched.tolist()], np.float64)
-        st = svc.stats_facet(query, "warc_ts")
+        _, (st,) = svc.aggregate(query, False, [("stats", "warc_ts")])
         assert st["n_docs"][0].as_py() == len(vals)
         assert st["min_v"][0].as_py() == pytest.approx(vals.min())
         assert st["max_v"][0].as_py() == pytest.approx(vals.max())
@@ -1570,13 +1571,14 @@ def test_sharded_facets_match_local(built, ray_session):
         assert st["avg_v"][0].as_py() == pytest.approx(vals.mean())
 
         # _count on the fleet: per-shard counts sum to the match set
-        assert svc.count(query) == len(matched)
-        assert svc.count("zzzunseen") == 0
+        assert svc.aggregate(query)[0] == len(matched)
+        n0, (empty, st0) = svc.aggregate(
+            "zzzunseen", False, [("terms", col), ("stats", "warc_ts")]
+        )
+        assert n0 == 0
 
         # no-hit query → empty terms facet / null stats, right schemas
-        empty = svc.terms_facet("zzzunseen", col)
         assert empty.num_rows == 0 and empty.column_names == ["value", "n_docs"]
-        st0 = svc.stats_facet("zzzunseen", "warc_ts")
         assert st0["n_docs"][0].as_py() == 0 and st0["avg_v"][0].as_py() is None
     finally:
         svc.shutdown()

@@ -155,7 +155,7 @@ def test_sharded_pagination_matches_local(built, ray_session):
                 syntax=syntax, after=cursor,
             )
             assert t.equals(want)
-            assert total == svc.count("node pools quota", syntax=syntax)
+            assert total == svc.aggregate("node pools quota", syntax)[0]
 
         with pytest.raises(ValueError):
             svc.search("node", k=3, from_=3, after=(1.0, 0))

@@ -1347,6 +1347,237 @@ def test_search_evaluates_query_once_per_shard(root, ray_session, monkeypatch):
         srv.stop()
 
 
+_AGG_BODY = {
+    "query": {"match": {"body": "node"}},
+    "size": 2,
+    "aggs": {
+        "langs": {"terms": {"field": "lang"}},
+        "ids": {"stats": {"field": "doc_id"}},
+        "pct": {"percentiles": {"field": "doc_id"}},
+        "es": {"extended_stats": {"field": "doc_id"}},
+        "n_urls": {"cardinality": {"field": "url"}},
+        "legs": {"filters": {"filters": {
+            "pools": {"match": {"body": "pools"}},
+            "quota": {"match": {"body": "quota"}},
+        }}},
+        "no_lang": {"missing": {"field": "lang"}},
+    },
+}
+
+
+def _count_shard_work(monkeypatch):
+    """Record every fan-out of any ShardedQueryService as ``(method,
+    args)``, plus the work of in-process shards: ``_matched_local``
+    calls per shard and top-level ``qstring._eval_range`` evaluations
+    per query node (``_eval_range`` recurses into bool children)."""
+    import collections
+
+    import docs_indexer_ray.query.qstring as qs
+    from docs_indexer_ray.query.served import (
+        ShardedQueryService,
+        ShardQueryActor,
+    )
+
+    fans, matched, roots = [], collections.Counter(), collections.Counter()
+    real_gather = ShardedQueryService._gather
+    real_matched = ShardQueryActor._matched_local
+    real_eval = qs._eval_range
+    depth = [0]
+
+    def gather(self, calls):
+        fans.append((calls[0][1], calls[0][2]))
+        return real_gather(self, calls)
+
+    def matched_local(self, query, syntax=False):
+        matched[id(self)] += 1
+        return real_matched(self, query, syntax)
+
+    def eval_range(reader, node):
+        if depth[0] == 0:
+            roots[repr(node)] += 1
+        depth[0] += 1
+        try:
+            return real_eval(reader, node)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(ShardedQueryService, "_gather", gather)
+    monkeypatch.setattr(ShardQueryActor, "_matched_local", matched_local)
+    monkeypatch.setattr(qs, "_eval_range", eval_range)
+    return fans, matched, roots
+
+
+def _in_process_fleet(root, n_shards):
+    """An ``n_shards`` doc-range service whose shards are in-process
+    objects, so a test can count their work (a Ray actor's cannot be
+    patched from the calling process)."""
+    import numpy as np
+
+    from docs_indexer_ray.index import manifest as mf
+    from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.query.served import (
+        ShardedQueryService,
+        ShardQueryActor,
+    )
+
+    bdir = mf.current_build(root) or root
+    svc = ShardedQueryService.in_process(IndexReader(bdir))
+    bounds = np.linspace(0, svc._bounds[-1], n_shards + 1).astype(np.int64)
+    svc._bounds = bounds
+    svc._groups = [
+        [ShardQueryActor(bdir, int(bounds[i]), int(bounds[i + 1]))]
+        for i in range(n_shards)
+    ]
+    return svc
+
+
+def test_aggregations_take_one_scatter_round(root, ray_session, monkeypatch):
+    """All of a request's aggregations — terms, stats, percentiles,
+    extended_stats, cardinality, a 2-leg filters and missing — take
+    ONE fan-out, and each shard evaluates the query once for all of
+    them; terms→top_hits adds exactly one round; a search without
+    aggs never scatters.  Local backend, a 3-shard in-process fleet
+    (work counted per shard) and the 3-shard Ray fleet (fan-outs
+    counted) answer identically."""
+    from docs_indexer_ray.functions.analyzer import Analyzer
+    from docs_indexer_ray.query.dsl import dsl_to_node
+    from docs_indexer_ray.serve_http import SearchServer
+
+    fans, matched, roots = _count_shard_work(monkeypatch)
+    main = repr(dsl_to_node(_AGG_BODY["query"], Analyzer("simple")))
+    top_body = dict(_AGG_BODY, aggs=dict(_AGG_BODY["aggs"], by_lang={
+        "terms": {"field": "lang", "size": 3},
+        "aggs": {"first": {"top_hits": {"size": 1}}},
+    }))
+    plain = {"query": _AGG_BODY["query"], "size": 2}
+
+    def run(srv, body):
+        fans.clear()
+        matched.clear()
+        roots.clear()
+        code, out = _req(srv.port, "/_search", body=body)
+        assert code == 200, out
+        return out.get("aggregations")
+
+    got = {}
+    for name, n in (("local", 1), ("in_process_3", 3), ("sharded_3", 3)):
+        kw = {"backend": "sharded", "n_shards": 3} if name == "sharded_3" else {}
+        srv = SearchServer(root, **kw).start()
+        try:
+            if name == "in_process_3":
+                srv._svc = _in_process_fleet(root, 3)
+            counted = name != "sharded_3"
+
+            got[name] = run(srv, _AGG_BODY)
+            ops = [m for m, _ in fans]
+            assert ops == ["rank_count_partial", "fetch_partial", "scatter"], ops
+            # percentiles and extended_stats share one value histogram:
+            # 7 aggs, 7 distinct shard ops (terms, stats, two
+            # histograms, three count legs)
+            assert len(fans[-1][1][2]) == 7, fans[-1][1][2]
+            if counted:
+                assert len(matched) == n and set(matched.values()) == {1}
+                # once for the rank phase, once for every agg
+                assert roots[main] == 2 * n, roots
+
+            got[name + "_top"] = run(srv, top_body)
+            ops = [m for m, _ in fans]
+            assert ops == [
+                "rank_count_partial", "fetch_partial", "scatter", "scatter",
+            ], ops
+            if counted:
+                assert set(matched.values()) == {2}
+
+            assert run(srv, plain) is None
+            assert "scatter" not in [m for m, _ in fans]
+            if counted:
+                assert not matched
+        finally:
+            srv.stop()
+    assert got["local"] == got["in_process_3"] == got["sharded_3"]
+    assert got["local_top"] == got["in_process_3_top"] == got["sharded_3_top"]
+    aggs = got["local"]
+    assert aggs["no_lang"]["doc_count"] == 0
+    assert aggs["es"]["count"] == aggs["ids"]["count"] > 0
+    assert set(aggs["legs"]["buckets"]) == {"pools", "quota"}
+
+
+def test_bad_agg_leg_fails_before_any_shard_call(root, ray_session, monkeypatch):
+    """A filters or adjacency_matrix leg with an unknown DSL clause is
+    a 400 carrying the DSL error, raised before ANY shard call (the
+    query phase included), on both backends; the 8-filter
+    adjacency_matrix cap stays."""
+    from docs_indexer_ray.functions.analyzer import Analyzer
+    from docs_indexer_ray.query.dsl import DslError, dsl_to_node
+    from docs_indexer_ray.serve_http import SearchServer
+
+    bad = {"no_such_clause": {"body": "node"}}
+    with pytest.raises(DslError) as exc:
+        dsl_to_node(bad, Analyzer("simple"))
+    legs = {"ok": {"match": {"body": "pools"}}, "bad": bad}
+    bodies = [
+        {"query": {"match": {"body": "node"}}, "aggs": {
+            "langs": {"terms": {"field": "lang"}},
+            "f": {"filters": {"filters": legs}},
+        }},
+        {"query": {"match": {"body": "node"}}, "aggs": {
+            "langs": {"terms": {"field": "lang"}},
+            "am": {"adjacency_matrix": {"filters": legs}},
+        }},
+    ]
+    nine = {f"f{i}": {"match": {"body": "node"}} for i in range(9)}
+    fans, _, _ = _count_shard_work(monkeypatch)
+    for kw in ({}, {"backend": "sharded", "n_shards": 3}):
+        srv = SearchServer(root, **kw).start()
+        try:
+            for body in bodies:
+                fans.clear()
+                code, out = _req(srv.port, "/_search", body=body)
+                assert code == 400, out
+                assert out["error"] == {
+                    "type": "DslError", "reason": str(exc.value),
+                }
+                assert fans == []
+            code, out = _req(srv.port, "/_search", body={
+                "query": {"match": {"body": "node"}},
+                "aggs": {"am": {"adjacency_matrix": {"filters": nine}}},
+            })
+            assert code == 400 and "at most 8" in out["error"]["reason"]
+        finally:
+            srv.stop()
+
+
+def test_count_legs_stay_within_the_match_set(root, ray_session):
+    """Count-leg aggs (filters, adjacency_matrix, missing,
+    value_count) count inside the request's match set even when the
+    query string analyzes to no terms: it matches nothing, so every
+    leg is 0 — never the leg's corpus-wide count, never a 400."""
+    from docs_indexer_ray.serve_http import SearchServer
+
+    body = {"size": 0, "aggs": {
+        "f": {"filters": {"filters": {"p": {"match": {"body": "page"}}}}},
+        "am": {"adjacency_matrix": {"filters": {
+            "a": {"match": {"body": "page"}}, "b": {"match": {"body": "node"}},
+        }}},
+        "miss": {"missing": {"field": "lang"}},
+        "vc": {"value_count": {"field": "lang"}},
+    }}
+    for kw in ({}, {"backend": "sharded", "n_shards": 3}):
+        srv = SearchServer(root, **kw).start()
+        try:
+            code, out = _req(srv.port, "/_search", body=body, q="!!!")
+            assert code == 200, out
+            assert out["hits"]["total"]["value"] == 0
+            assert out["aggregations"] == {
+                "f": {"buckets": {"p": {"doc_count": 0}}},
+                "am": {"buckets": []},
+                "miss": {"doc_count": 0},
+                "vc": {"value": 0},
+            }
+        finally:
+            srv.stop()
+
+
 def test_local_reload_never_parks(root, ray_session, tmp_path):
     """An in-process backend owns no actors: a reload drops it instead
     of parking it, so back-to-back writes never wait out the fleet's

@@ -318,7 +318,7 @@ def test_rest_composite_sharded_bounded_pages(root, ray_session):
     """The round-5 BOUNDED composite path on the shard fleet: pages
     over a numeric near-unique source (doc_id) and a string source
     (lang) must equal the local backend's pages — each shard ships
-    only O(size) rows per page (facet_composite_partial)."""
+    only O(size) rows per page (the scatter's composite op)."""
     from docs_indexer_ray.serve_http import SearchServer
 
     def walk(srv, field, size):

@@ -635,7 +635,7 @@ def test_search_with_total_pins_to_two_call_path(built, ray_session):
             )
             want = svc.search(q, k=5, fields=("url",), syntax=syntax)
             assert t.to_pylist() == want.to_pylist()
-            assert total == svc.count(q, syntax=syntax)
+            assert total == svc.aggregate(q, syntax)[0]
     finally:
         svc.shutdown()
 

@@ -649,7 +649,7 @@ def test_replicated_sharded_service_matches_local(ray_session, tmp_path):
         # several calls rotate replicas; all must agree
         for _ in range(4):
             assert svc.topk("node pools", k=10) == want
-        assert svc.match_phrase("node pools") and svc.count("node") > 0
+        assert svc.match_phrase("node pools") and svc.aggregate("node")[0] > 0
         resp = svc.search("node pools", k=3, highlight_field="body")
         assert resp.num_rows == 3 and "<em>" in resp["snippet"][0].as_py()
     finally:
