@@ -3038,7 +3038,7 @@ def q_search_sort_sharded(sf_dir: str) -> pa.Table:
 
 def q_facet_terms_served(sf_dir: str) -> pa.Table:
     """The ``terms`` aggregation served by the SHARD FLEET
-    (``ShardedQueryService.aggregate`` with one ``terms`` op: per-shard
+    (``ShardedQueryService.query_phase`` with one ``terms`` op: per-shard
     matched counts over memoized docs-column slices, exact sum merge) — same SQL
     replay as the Ray-Data ``facet_terms`` path, so the driver gate
     checks both implementations against one oracle."""
@@ -3048,7 +3048,9 @@ def q_facet_terms_served(sf_dir: str) -> pa.Table:
     _, root = ensure_index(sf_dir, chain="simple", field="body")
     svc = ShardedQueryService(root, n_shards=4)
     try:
-        return svc.aggregate(" ".join(_BM25_TERMS), False, [("terms", "lang")])[1][0]
+        return svc.query_phase(
+            " ".join(_BM25_TERMS), ops=[("terms", "lang")]
+        )[2][0]
     finally:
         svc.shutdown()
 

@@ -171,19 +171,19 @@ def run_bench() -> dict:
                     "query_p99_sharded_ms": round(slat[int(len(slat) * 0.99)] * 1000, 2),
                     "n_shards": n_shards,
                 }
-                # fleet aggregation walls: one scatter fan-out each,
+                # fleet aggregation walls: one query-phase fan-out each,
                 # partials are distinct-key-scale (terms), key-scale
                 # count+sum (pipeline parent) and ≤k-per-bucket
                 # (top_hits) — should stay near-flat in corpus size
                 try:
                     q0 = FLAGSHIP_QUERIES[0]
                     ta = time.time()
-                    svc.aggregate(q0, False, [("terms", "lang")])
+                    svc.query_phase(q0, ops=[("terms", "lang")])
                     shard_stats["fleet_facet_terms_s"] = round(
                         time.time() - ta, 3
                     )
                     ta = time.time()
-                    svc.aggregate(q0, False, [(
+                    svc.query_phase(q0, ops=[(
                         "bucket_sums", "warc_ts", "date_histogram", 3600,
                         "doc_id",
                     )])
@@ -191,7 +191,7 @@ def run_bench() -> dict:
                         time.time() - ta, 3
                     )
                     ta = time.time()
-                    svc.aggregate(q0, False, [
+                    svc.query_phase(q0, ops=[
                         ("top_hits", "lang", "warc_ts", 3, False, None)
                     ])
                     shard_stats["fleet_top_hits_s"] = round(

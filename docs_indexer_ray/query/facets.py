@@ -796,9 +796,10 @@ def interpolate_quantiles(
 def value_histogram(vals, kind: str, arg=None) -> pa.Table:
     """``(key, partial)`` bucket-count histogram of one value array —
     the SHARD primitive behind the serving tier's bucket aggregations
-    (the ``hist`` op of ``served.ShardQueryActor.scatter``): bucketing is
-    vectorized here, per-shard histograms are distinct-key-scale, and
-    disjoint-range partials SUM exactly on the driver.
+    (the ``hist`` op of ``served.ShardQueryActor.query_phase``):
+    bucketing is vectorized here, per-shard histograms are
+    distinct-key-scale, and disjoint-range partials SUM exactly on the
+    driver.
 
     ``kind``:
 
@@ -1261,7 +1262,7 @@ def _neg_key(vals: np.ndarray) -> np.ndarray:
 def composite_page(keys, after, size: int) -> pa.Table:
     """ONE composite-agg page over a matched key array — the shared
     kernel behind the REST composite (the ``composite`` op of
-    ``served.ShardQueryActor.scatter``): drop null keys
+    ``served.ShardQueryActor.query_phase``): drop null keys
     (OpenSearch ``missing_bucket: false``), cast the request cursor to
     the COLUMN's type (an unrepresentable cursor is a 400 — validated
     even on an empty match set so no shard can diverge),

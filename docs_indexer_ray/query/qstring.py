@@ -1256,45 +1256,6 @@ def explain_node(reader, node, doc_id: int, occur: str = "query") -> dict:
     return out
 
 
-def query_string_topk_range(
-    reader,
-    qs: str,
-    k: int = 10,
-    default_operator: str = "or",
-    analyzer=None,
-    live_mask: np.ndarray | None = None,
-    after: tuple[float, int] | None = None,
-    with_total: bool = False,
-):
-    """:func:`query_string_topk` over a doc-range shard reader —
-    returns GLOBAL doc ids with quantized scores; per-shard results
-    over disjoint ranges merge exactly (global statistics) via
-    ``bm25.merge_shard_topk``.  ``live_mask`` (bool, shard-local) is
-    the shard's tombstone mask; ``after`` is a global ``(score,
-    doc_id)`` ``search_after`` cursor (every shard applies the same
-    cursor, so the merged page is exact).  ``with_total=True`` returns
-    ``(hits, live match count)`` from the same evaluation — the
-    shard-range :func:`query_string_topk_with_total`."""
-    if analyzer is None:
-        from ..functions.analyzer import Analyzer
-
-        analyzer = Analyzer(reader.chain)
-    node = parse_query_string(qs, analyzer, default_operator)
-    scores, match = _eval_range(reader, node)
-    if live_mask is not None:
-        match = match & live_mask
-    scores = np.where(match, scores, 0.0)
-    from .bm25 import rank_top_quantized
-
-    lo = reader.doc_lo
-    matched = np.flatnonzero(scores > 0.0)
-    hits = [
-        (d + lo, s)
-        for d, s in rank_top_quantized(scores, matched, k, after=after, id_offset=lo)
-    ]
-    return (hits, int(np.count_nonzero(match))) if with_total else hits
-
-
 def query_string_topk(
     reader,
     qs: str,

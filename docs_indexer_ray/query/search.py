@@ -129,7 +129,7 @@ def search_response(
 
     ``with_total=True`` returns ``(table, total)`` where ``total`` is
     the TRUE live match count from the SAME evaluation (sort path: the
-    kernel already counts it; syntax path: one dense eval serves both
+    size of the one match set it sorts; syntax path: one dense eval serves both
     — a separate count call would re-evaluate the query; match-any
     path: ``facets.match_doc_ids``, the /_count semantics).
 
@@ -157,20 +157,17 @@ def search_response(
 
     analyzer = reader.analyzer
     if sort is not None:
+        from .served import live_matches
         from .sortq import live_mask, sort_rows_range
 
         col, order = sort
-        rows, n_matched = sort_rows_range(
-            reader, query, col,
-            desc=(order == "desc"),
-            n=from_ + k,
-            syntax=syntax,
-            default_operator=default_operator,
-            after=after,
-            live=live_mask(reader),
-            analyzer=analyzer,
+        _, matched = live_matches(
+            reader, query, syntax, default_operator, live_mask(reader)
         )
-        rows = rows.slice(from_)
+        rows = sort_rows_range(
+            reader, matched, col,
+            desc=(order == "desc"), n=from_ + k, after=after,
+        ).slice(from_)
         hits = [(int(d), 0.0) for d in rows["doc_id"].to_pylist()]
         terms = (
             positive_terms(parse_query_string(query, analyzer, default_operator))
@@ -185,7 +182,7 @@ def search_response(
             hl_pre=hl_tags[0], hl_post=hl_tags[1],
         )
         out = out.append_column("sort_key", rows["key"].combine_chunks())
-        return (out, n_matched) if with_total else out
+        return (out, len(matched)) if with_total else out
     total = None
     if syntax:
         if with_total:

@@ -9,20 +9,22 @@ stages applied to the read path (SURVEY §7 step 7).
 
 * :class:`ShardQueryActor` — one shard over ``[lo, hi)``: its norms
   slice + range-limited posting decode (``IndexReader(doc_range=…)``
-  + ``bm25.score_topk_range``).  Every search surface is a
-  ``*_partial`` method over that range; every aggregation is an op of
-  ONE method, :meth:`ShardQueryActor.scatter`, which evaluates the
-  query once and computes all of a request's aggregation partials
-  over that one match set (OpenSearch collects aggregations in the
-  query phase the same way).
-* :class:`ShardedQueryService` — the coordinator: fans each partial
-  out to one replica per shard and merges.  BM25 scores are globally
+  + ``bm25.score_topk_range``).  A ``_search`` is OpenSearch's
+  query-then-fetch: :meth:`ShardQueryActor.query_phase` evaluates the
+  query's live match set ONCE (:func:`live_matches`) and returns this
+  shard's ranked page, its match count and every aggregation partial
+  of the request from it; ``fetch_partial`` then reads the stored
+  fields of the hits the shard owns.
+* :class:`ShardedQueryService` — the coordinator: fans each call out
+  to one replica per shard and merges.  BM25 scores are globally
   comparable because N/avgdl/df are global statistics, so every
   cross-shard merge is **exact** (tested ≡ the unsharded library
   functions).  Each shard pays O(n_docs / n_shards) and shards score
-  in parallel.  :meth:`ShardedQueryService.aggregate` is the one
-  aggregation entry point (and ``_count``): one ``scatter`` fan-out,
-  then :func:`merge_partials` per op.
+  in parallel.  :meth:`ShardedQueryService.query_phase` is one
+  fan-out (page merge, count sum, :func:`merge_partials` per op) and
+  :meth:`ShardedQueryService.fetch_phase` routes each hit to its
+  owning shard; ``_search``, ``_count`` and :meth:`search` are built
+  from those two.
 
 The same service runs two ways: ``ShardedQueryService(root,
 n_shards=…)`` spawns Ray actors, and
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ShardQueryActor", "ShardedQueryService"]
+__all__ = ["ShardQueryActor", "ShardedQueryService", "live_matches", "page_rank"]
 
 
 class ShardQueryActor:
@@ -59,20 +61,13 @@ class ShardQueryActor:
         return self
 
     def _attach(self, reader) -> None:
+        from .sortq import live_mask
+
         self.reader = reader
         self.analyzer = reader.analyzer
-        self._masks: dict[str, np.ndarray] = {}
-        lo, hi = reader.doc_lo, reader.doc_hi
         # soft deletes: each shard holds only ITS range's live mask
-        # (None when the build has no tombstones — the common case)
-        dels = reader.deleted_ids()
-        in_range = dels[(dels >= lo) & (dels < hi)]
-        if len(in_range):
-            live = np.ones(max(0, hi - lo), dtype=bool)
-            live[in_range - lo] = False
-            self._live: np.ndarray | None = live
-        else:
-            self._live = None
+        # (None when no tombstone falls in it — the common case)
+        self._live = live_mask(reader)
 
     def ping(self) -> tuple[int, int]:
         """Liveness probe (``ShardedQueryService.revive``): this
@@ -131,85 +126,38 @@ class ShardQueryActor:
 
         return match_phrase_range(self.reader, self.analyzer(query))
 
-    def _allowed_mask(self, predicate: tuple) -> np.ndarray:
-        """Shard-local allowed bitmap for a stored-field predicate
-        ``(column, op, value)`` — built ONCE per predicate from this
-        shard's slice of the docs store (parquet row-group stats prune
-        the scan to the shard's doc range; doc ids are written sorted)
-        and memoized for the actor's lifetime.  The corpus-wide filter
-        state lives sharded with the fleet — never on the driver."""
-        key = repr(predicate)
-        mask = self._masks.get(key)
-        if mask is None:
-            import pyarrow.dataset as pads
+    def query_phase(
+        self,
+        query,
+        syntax: bool = False,
+        default_operator: str = "or",
+        rank: tuple | None = None,
+        ops: list = (),
+    ) -> tuple:
+        """OpenSearch's query phase, shard-local: ONE evaluation of the
+        query's live match set (:func:`live_matches`) serves this
+        shard's ranked page, its match count and every aggregation
+        partial of the request → ``(page, n_matched, [partial per
+        op])``.  ``n_matched`` is the FULL live match count whatever
+        the page cursor (OpenSearch ``hits.total``).
 
-            col, op, val = predicate
-            lo, hi = self.reader.doc_lo, self.reader.doc_hi
-            f = pads.field(col)
-            expr = {
-                ">=": f >= val,
-                ">": f > val,
-                "<=": f <= val,
-                "<": f < val,
-                "==": f == val,
-                "!=": f != val,
-            }[op]
-            import os
+        ``rank`` — the page, or ``None`` for count and aggregations
+        only:
 
-            dset = pads.dataset(
-                os.path.join(self.reader.index_dir, "docs"), partitioning="hive"
-            )
-            t = dset.to_table(
-                filter=(pads.field("doc_id") >= lo)
-                & (pads.field("doc_id") < hi)
-                & expr,
-                columns=["doc_id"],
-            )
-            mask = np.zeros(max(0, hi - lo), dtype=bool)
-            mask[t["doc_id"].to_numpy().astype(np.int64) - lo] = True
-            self._masks[key] = mask
-        return mask
+        * ``("score", k, after)`` → this shard's top-k ``(doc_id,
+          score)`` under a ``(score, doc_id)`` cursor.  With
+          ``syntax`` the quantized ranking of the match set's own
+          scores; plain text keeps the WAND/TAAT planner of
+          :meth:`topk_partial`.
+        * ``("field", col, desc, n, after)`` → the top-``n``
+          ``(doc_id, key)`` table in field order
+          (``sortq.sort_rows_range`` over the matched offsets).
 
-    def _matched_local(self, query: str, syntax: bool = False) -> np.ndarray:
-        """Matched doc offsets WITHIN this shard, live only — the facet
-        candidate set.  Match-any (OR) over analyzed terms by default
-        (mirroring ``facets.match_doc_ids``, decoding only the posting
-        blocks overlapping the range); ``syntax=True`` uses the full
-        query_string match mask instead (bool/phrase/fuzzy/wildcard),
-        so aggregations can follow the REAL query semantics."""
-        lo, hi = self.reader.doc_lo, self.reader.doc_hi
-        if syntax:
-            from .qstring import _eval_range, parse_query_string
-
-            node = parse_query_string(query, self.analyzer)
-            _, match = _eval_range(self.reader, node)
-            if self._live is not None:
-                match = match & self._live
-            return np.flatnonzero(match)
-        parts = []
-        for term in set(self.analyzer(query)):
-            tp = self.reader.postings(term)
-            if tp is None:
-                continue
-            ids, _ = tp.decode_range(lo, hi)
-            if len(ids):
-                parts.append(ids.astype(np.int64) - lo)
-        if not parts:
-            return np.empty(0, np.int64)
-        matched = np.unique(np.concatenate(parts))
-        if self._live is not None:
-            matched = matched[self._live[matched]]
-        return matched
-
-    def scatter(self, query, syntax: bool, ops: list) -> tuple[int, list]:
-        """OpenSearch's query-phase aggregation collection, shard-local:
-        ONE evaluation of the query's live match set, each stored
-        column's shard slice (the memoized ``reader.stored_column`` —
-        one docs-store scan per column per actor lifetime; corpus-wide
-        column state lives sharded with the fleet) ``take``n once over
-        it, and every op's partial computed from those shared pieces
-        → ``(n_matched, [partial per op])``.
-        Every partial is distinct-key-scale (never doc-scale, except
+        Every op's partial is computed from shared pieces: each
+        stored column's shard slice (the memoized
+        ``reader.stored_column`` — one docs-store scan per column per
+        actor lifetime) is ``take``n once over the match set.  Every
+        partial is distinct-key-scale (never doc-scale, except
         ``ids``) and merges exactly across disjoint doc ranges
         (:func:`merge_partials`).  The ops:
 
@@ -239,14 +187,40 @@ class ShardQueryActor:
         * ``("ids",)`` → the matched GLOBAL doc ids."""
         import pyarrow as pa
 
-        matched = self._matched_local(query, syntax=syntax)
-        idx = pa.array(matched)
+        scores, matched = live_matches(
+            self.reader, query, syntax, default_operator, self._live
+        )
+        if rank is None:
+            page = None
+        elif rank[0] == "field":
+            from .sortq import sort_rows_range
+
+            _, col_name, desc, n, after = rank
+            page = sort_rows_range(
+                self.reader, matched, col_name, desc=desc, n=n, after=after
+            )
+        elif not syntax:
+            page = self.topk_partial(query, rank[1], rank[2])
+        else:
+            from .bm25 import rank_top_quantized
+
+            _, k, after = rank
+            lo = self.reader.doc_lo
+            page = [
+                (d + lo, s)
+                for d, s in rank_top_quantized(
+                    scores, matched[scores[matched] > 0.0], k,
+                    after=after, id_offset=lo,
+                )
+            ]
         taken: dict = {}
         legs: dict = {}
 
         def col(name):
             if name not in taken:
-                taken[name] = self.reader.stored_column(name).take(idx)
+                taken[name] = self.reader.stored_column(name).take(
+                    pa.array(matched)
+                )
             return taken[name]
 
         def leg(dsl):
@@ -261,12 +235,13 @@ class ShardQueryActor:
                 )
             return legs[key]
 
-        return len(matched), [
+        return page, len(matched), [
             self._partial(op, matched, col, leg) for op in ops
         ]
 
     def _partial(self, op, matched: np.ndarray, col, leg):
-        """One :meth:`scatter` op over the shared match set."""
+        """One :meth:`query_phase` aggregation op over the shared
+        match set."""
         import pyarrow as pa
 
         kind = op[0]
@@ -361,94 +336,12 @@ class ShardQueryActor:
             return matched + np.int64(self.reader.doc_lo)
         raise ValueError(f"unknown aggregation op {op!r}")
 
-    def query_string_partial(
-        self,
-        qs: str,
-        k: int = 10,
-        default_operator: str = "or",
-        after: tuple[float, int] | None = None,
-    ) -> list[tuple[int, float]]:
-        """This shard's quantized query_string top-k — every leaf
-        decodes only its overlapping posting blocks; global statistics
-        make the cross-shard merge exact."""
-        from .qstring import query_string_topk_range
-
-        return query_string_topk_range(
-            self.reader,
-            qs,
-            k=k,
-            default_operator=default_operator,
-            analyzer=self.analyzer,
-            live_mask=self._live,
-            after=after,
-        )
-
     def span_near_partial(self, terms: list[str], slop: int) -> list[tuple[int, int]]:
         """This shard's unordered span matches ``(doc_id, min_window)``
         — block-pruned positional decode, same division as phrases."""
         from .phrase import span_near_range
 
         return span_near_range(self.reader, terms, slop=slop)
-
-    def rank_count_partial(
-        self,
-        query: str,
-        k: int = 10,
-        syntax: bool = False,
-        default_operator: str = "or",
-        after: tuple[float, int] | None = None,
-    ) -> tuple[list[tuple[int, float]], int]:
-        """Phase-1 top-k AND the live match count in ONE round trip —
-        a ``_search`` response needs both, and two fan-outs double the
-        fleet latency for no reason (the values are exactly
-        ``topk_partial``/``query_string_partial`` + the match count of
-        :meth:`scatter`, so the merged results stay pinned to the
-        two-call path).  With ``syntax`` one query_string evaluation
-        serves both.  ``after`` pages the rank phase; the count stays
-        the FULL match count (OpenSearch ``hits.total`` is
-        cursor-independent)."""
-        if not syntax:
-            return (
-                self.topk_partial(query, k, after=after),
-                len(self._matched_local(query)),
-            )
-        from .qstring import query_string_topk_range
-
-        return query_string_topk_range(
-            self.reader,
-            query,
-            k=k,
-            default_operator=default_operator,
-            analyzer=self.analyzer,
-            live_mask=self._live,
-            after=after,
-            with_total=True,
-        )
-
-    def sort_partial(
-        self,
-        query: str,
-        col: str,
-        desc: bool,
-        n: int,
-        syntax: bool = False,
-        default_operator: str = "or",
-        after: tuple | None = None,
-    ):
-        """Field-``sort`` phase 1, shard-local (``query/sortq.py``):
-        this shard's top-``n`` ``(doc_id, key)`` in field order over
-        the query's match set, plus its TRUE match count — the sort
-        column slice is the memoized ``reader.stored_column``, the
-        comparator per-doc-local, so the service's page-scale re-sort
-        merge is exact."""
-        from .sortq import sort_rows_range
-
-        return sort_rows_range(
-            self.reader, query, col,
-            desc=desc, n=n, syntax=syntax,
-            default_operator=default_operator,
-            after=after, live=self._live, analyzer=self.analyzer,
-        )
 
     def fetch_partial(
         self,
@@ -488,7 +381,7 @@ class ShardQueryActor:
     ) -> list[tuple[int, float]]:
         from .bm25 import score_topk_range
 
-        mask = self._allowed_mask(predicate)
+        mask = self.reader.stored_mask(*predicate)
         if self._live is not None:
             mask = mask & self._live
         return score_topk_range(
@@ -680,10 +573,49 @@ class ShardedQueryService:
         lists merge exactly, the same division the plain BM25 tier
         gets.  Pinned identical to the local
         ``query_string_topk``."""
-        from .bm25 import merge_shard_topk
+        return self.query_phase(
+            qs, True, default_operator, ("score", k, after)
+        )[0]
 
-        parts = self._fan("query_string_partial", qs, k, default_operator, after)
-        return merge_shard_topk(parts, k)
+    def query_phase(
+        self,
+        query,
+        syntax: bool = False,
+        default_operator: str = "or",
+        rank: tuple | None = None,
+        ops=(),
+    ) -> tuple:
+        """OpenSearch's query phase on the fleet in ONE fan-out: each
+        shard evaluates the query once and returns its page, its live
+        match count and every op's partial
+        (:meth:`ShardQueryActor.query_phase`, which lists the ``rank``
+        and op forms) → ``(page, n_matched, [merged result per op])``.
+        The page merges exactly (``("score", k, after)``: score desc,
+        doc asc → ``[(doc_id, score)]``; ``("field", col, desc, n,
+        after)``: the re-sort of :func:`sortq.merge_sorted_pages` →
+        a ``(doc_id, key)`` table); ``None`` without ``rank``.  With
+        no rank and no ops this is OpenSearch ``_count``: match-any
+        over the analyzed terms, or the full query_string/DSL
+        semantics with ``syntax=True``."""
+        ops = list(ops)
+        parts = self._fan(
+            "query_phase", query, syntax, default_operator, rank, ops
+        )
+        pages = [p[0] for p in parts]
+        if rank is None:
+            page = None
+        elif rank[0] == "score":
+            from .bm25 import merge_shard_topk
+
+            page = merge_shard_topk(pages, rank[1])
+        else:
+            from .sortq import merge_sorted_pages
+
+            page = merge_sorted_pages(pages, rank[3], rank[2])
+        return page, int(sum(p[1] for p in parts)), [
+            merge_partials(op, [p[2][i] for p in parts])
+            for i, op in enumerate(ops)
+        ]
 
     def search(
         self,
@@ -695,136 +627,31 @@ class ShardedQueryService:
         syntax: bool = False,
         default_operator: str = "or",
         from_: int = 0,
-        after: tuple[float, int] | None = None,
+        after: tuple | None = None,
         sort: tuple[str, str] | None = None,
         hl_tags: tuple = ("<em>", "</em>"),
     ):
-        """OpenSearch two-phase QUERY-THEN-FETCH on the fleet: phase 1
-        is the exact cross-shard top-k merge (plain match, or the full
-        ``query_string`` language with ``syntax=True``); phase 2
-        routes each hit's stored-field fetch + snippet highlight to
-        the shard that OWNS its doc range — fetch work (and the
-        memoized docs-slice reads behind it) stays sharded with the
-        fleet, and the shards serve their hits concurrently.  Returns
-        the assembled response table ``(rank, doc_id, score,
-        *fields[, snippet])`` — pinned identical to the local
-        :func:`query.search.search_response` in both modes.
-
-        Pagination: ``from_`` is offset paging (each shard ranks
-        ``from_ + k``, the merge slices — cost grows with the offset,
-        OpenSearch ``from``/``size``); ``after`` is the stateless
-        ``search_after`` cursor (each shard applies the cursor and
-        ranks only ``k`` — constant cost per page, the deep-pagination
-        path).  Mutually exclusive, like OpenSearch."""
-        if from_ and after is not None:
-            raise ValueError("from_ and after are mutually exclusive "
-                             "(OpenSearch search_after requires from=0)")
-        if sort is not None:
-            return self._sorted_search(
-                query, k, fields, highlight_field, width, syntax,
-                default_operator, from_, after, sort, hl_tags,
-            )[0]
-        hits = (
-            self.query_string(query, from_ + k, default_operator, after=after)
-            if syntax
-            else self.topk(query, from_ + k, after=after)
-        )[from_:]
-        return self._fetch_phase(
-            hits, query, fields, highlight_field, width, syntax,
+        """OpenSearch two-phase QUERY-THEN-FETCH on the fleet:
+        :meth:`query_phase` ranks the page (plain match, the full
+        ``query_string`` language with ``syntax=True``, or a field
+        ``sort``), then :meth:`fetch_phase` reads each hit from the
+        shard that OWNS its doc range.  Returns the assembled response
+        table ``(rank, doc_id, score, *fields[, snippet][,
+        sort_key])`` — pinned identical to the local
+        :func:`query.search.search_response` in every mode.  Paging
+        follows :func:`page_rank`."""
+        page = self.query_phase(
+            query, syntax, default_operator, page_rank(k, from_, after, sort)
+        )[0]
+        return self.fetch_phase(
+            page[from_:], query, fields, highlight_field, width, syntax,
             rank_start=from_ + 1, hl_tags=hl_tags,
         )
 
-    def _sorted_search(
+    def fetch_phase(
         self,
-        query: str,
-        k: int,
-        fields: tuple[str, ...],
-        highlight_field: str | None,
-        width: int,
-        syntax: bool,
-        default_operator: str,
-        from_: int,
-        after: tuple | None,
-        sort: tuple[str, str],
-        hl_tags: tuple = ("<em>", "</em>"),
-    ):
-        """Field-``sort`` search on the fleet (``query/sortq.py``):
-        phase 1 fans ONE ``sort_partial`` to every shard (each ranks
-        its top ``from_ + k`` ``(doc_id, key)`` over its memoized sort
-        column slice and reports its true match count), the page-scale
-        re-sort merge is exact, and phase 2 is the shared fetch phase.
-        Returns ``(table, total)`` — the table carries the ordering
-        key as a ``sort_key`` column (per-hit ``sort`` values for the
-        ``search_after`` cursor); hits score 0.0 (OpenSearch reports
-        ``_score: null`` when sorting by field)."""
-        from .sortq import merge_sorted_pages
-
-        col, order = sort
-        parts = self._fan(
-            "sort_partial", query, col, order == "desc", from_ + k, syntax,
-            default_operator, after,
-        )
-        rows = merge_sorted_pages(
-            [p[0] for p in parts], from_ + k, order == "desc"
-        ).slice(from_)
-        total = int(sum(p[1] for p in parts))
-        hits = [(int(d), 0.0) for d in rows["doc_id"].to_pylist()]
-        t = self._fetch_phase(
-            hits, query, fields, highlight_field, width, syntax,
-            rank_start=from_ + 1, hl_tags=hl_tags,
-        )
-        return t.append_column("sort_key", rows["key"].combine_chunks()), total
-
-    def search_with_total(
-        self,
-        query: str,
-        k: int = 10,
-        fields: tuple[str, ...] = ("url", "title"),
-        highlight_field: str | None = None,
-        width: int = 160,
-        syntax: bool = False,
-        default_operator: str = "or",
-        from_: int = 0,
-        after: tuple[float, int] | None = None,
-        sort: tuple[str, str] | None = None,
-        hl_tags: tuple = ("<em>", "</em>"),
-    ):
-        """:meth:`search` plus the TRUE match count, with phase 1
-        collecting rank AND count from each shard in ONE fan-out
-        (``rank_count_partial``) — a ``_search`` response needs
-        ``hits.total`` anyway, and a separate ``count()`` call both
-        doubles the fleet round trips and can observe a different
-        build across a concurrent reload.  Returns ``(table, total)``,
-        the table identical to :meth:`search` (same ``from_``/``after``
-        pagination; ``total`` is always the FULL match count)."""
-        from .bm25 import merge_shard_topk
-
-        if from_ and after is not None:
-            raise ValueError("from_ and after are mutually exclusive "
-                             "(OpenSearch search_after requires from=0)")
-        if sort is not None:
-            # the sort fan-out already reports per-shard match counts
-            return self._sorted_search(
-                query, k, fields, highlight_field, width, syntax,
-                default_operator, from_, after, sort, hl_tags,
-            )
-        parts = self._fan(
-            "rank_count_partial", query, from_ + k, syntax, default_operator, after
-        )
-        hits = merge_shard_topk([p[0] for p in parts], from_ + k)[from_:]
-        total = int(sum(p[1] for p in parts))
-        return (
-            self._fetch_phase(
-                hits, query, fields, highlight_field, width, syntax,
-                rank_start=from_ + 1, hl_tags=hl_tags,
-            ),
-            total,
-        )
-
-    def _fetch_phase(
-        self,
-        hits: list[tuple[int, float]],
-        query: str,
+        page,
+        query,
         fields: tuple[str, ...],
         highlight_field: str | None,
         width: int,
@@ -832,13 +659,26 @@ class ShardedQueryService:
         rank_start: int = 1,
         hl_tags: tuple = ("<em>", "</em>"),
     ):
+        """OpenSearch's fetch phase for a :meth:`query_phase` page:
+        each hit's stored fields (+ highlighted snippet) are read by
+        the shard that owns it, the shards serving their hits
+        concurrently → ``(rank, doc_id, score, *fields[, snippet])``
+        in page order.  A field-sorted page (a ``(doc_id, key)``
+        table) scores 0.0 (OpenSearch reports ``_score: null`` when
+        sorting by field) and carries its keys in a ``sort_key``
+        column — the per-hit ``sort`` values of a ``search_after``
+        cursor."""
         import pyarrow as pa
 
+        keys = None
+        if isinstance(page, pa.Table):
+            keys = page["key"].combine_chunks()
+            page = [(int(d), 0.0) for d in page["doc_id"].to_pylist()]
         # route hits to owning shards (bounds are sorted, right-open);
         # an empty page still takes a zero-row fetch through shard 0 so
         # it keeps the STORE's column types (as search.fetch_rows does)
-        per_shard: dict[int, list[int]] = {} if hits else {0: []}
-        for d, _ in hits:
+        per_shard: dict[int, list[int]] = {} if page else {0: []}
+        for d, _ in page:
             s = int(np.searchsorted(self._bounds, d, side="right")) - 1
             per_shard.setdefault(s, []).append(d)
         actors = self._actors
@@ -853,17 +693,19 @@ class ShardedQueryService:
         fetched = pa.concat_tables(parts, promote_options="default")
         row_of = {int(i): r for r, i in enumerate(fetched["doc_id"].to_pylist())}
         fetched = fetched.take(
-            pa.array([row_of[int(d)] for d, _ in hits], pa.int64())
+            pa.array([row_of[int(d)] for d, _ in page], pa.int64())
         )
         cols: dict[str, pa.Array] = {
             "rank": pa.array(
-                np.arange(rank_start, rank_start + len(hits), dtype=np.int64)
+                np.arange(rank_start, rank_start + len(page), dtype=np.int64)
             ),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-            "score": pa.array([float(s) for _, s in hits], pa.float64()),
+            "doc_id": pa.array([int(d) for d, _ in page], pa.int64()),
+            "score": pa.array([float(s) for _, s in page], pa.float64()),
         }
         for f in list(fields) + (["snippet"] if highlight_field else []):
             cols[f] = fetched[f].combine_chunks()
+        if keys is not None:
+            cols["sort_key"] = keys
         return pa.table(cols)
 
     def span_near(self, terms: list[str], slop: int = 0) -> list[tuple[int, int]]:
@@ -872,22 +714,6 @@ class ShardedQueryService:
         exactly the full-reader ``phrase.span_near``."""
         parts = self._fan("span_near_partial", list(terms), slop)
         return [hit for part in parts for hit in part]
-
-    def aggregate(self, query, syntax: bool = False, ops=()) -> tuple[int, list]:
-        """Every aggregation of a request in ONE fan-out: each shard
-        evaluates the query once and computes all ``ops`` over that
-        match set (:meth:`ShardQueryActor.scatter`, which lists the op
-        forms); the partials merge exactly per op
-        (:func:`merge_partials`).  Returns ``(live match count,
-        [merged result per op])`` — with no ops, OpenSearch
-        ``_count``: match-any over the analyzed terms, or the full
-        query_string/DSL semantics with ``syntax=True``."""
-        ops = list(ops)
-        parts = self._fan("scatter", query, syntax, ops)
-        return int(sum(n for n, _ in parts)), [
-            merge_partials(op, [p[i] for _, p in parts])
-            for i, op in enumerate(ops)
-        ]
 
     def filtered_topk(
         self, query: str, predicate: tuple, k: int = 10
@@ -928,6 +754,74 @@ class ShardedQueryService:
         self._groups = []
 
 
+def live_matches(
+    reader,
+    query,
+    syntax: bool = False,
+    default_operator: str = "or",
+    live: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The query's live match set over the reader's doc range →
+    ``(scores, matched)``: ``matched`` are the sorted doc offsets
+    WITHIN the range (position ``i`` is doc ``doc_lo + i``) that match
+    and are live under the shard-local tombstone mask ``live``.
+
+    Match-any (OR) over the analyzed terms by default (the
+    ``facets.match_doc_ids`` semantics, decoding only the posting
+    blocks that overlap the range; ``scores`` is ``None``), or the
+    full query_string / DSL language with ``syntax=True`` — one range
+    evaluation, whose dense ``scores`` the query phase ranks.  The
+    ONE match-set builder of the serving tier: the query phase, the
+    field-sort kernel and ``search_response``'s sort path use it."""
+    if syntax:
+        from .qstring import _eval_range, parse_query_string
+
+        node = parse_query_string(query, reader.analyzer, default_operator)
+        scores, match = _eval_range(reader, node)
+        if live is not None:
+            match = match & live
+        return scores, np.flatnonzero(match)
+    lo, hi = reader.doc_lo, reader.doc_hi
+    parts = []
+    for term in set(reader.analyzer(query)):
+        tp = reader.postings(term)
+        if tp is None:
+            continue
+        ids, _ = tp.decode_range(lo, hi)
+        if len(ids):
+            parts.append(ids.astype(np.int64) - lo)
+    if not parts:
+        return None, np.empty(0, np.int64)
+    matched = np.unique(np.concatenate(parts))
+    if live is not None:
+        matched = matched[live[matched]]
+    return None, matched
+
+
+def page_rank(
+    k: int,
+    from_: int = 0,
+    after: tuple | None = None,
+    sort: tuple[str, str] | None = None,
+) -> tuple:
+    """The query-phase ``rank`` of a ``k``-hit page: relevance
+    ``("score", from_ + k, after)``, or ``("field", col, desc, from_ +
+    k, after)`` for ``sort=(col, "asc"|"desc")``; the caller slices
+    the merged page at ``from_``.  ``from_`` is offset paging (each
+    shard ranks ``from_ + k`` — cost grows with the offset, OpenSearch
+    ``from``/``size``); ``after`` is the stateless ``search_after``
+    cursor — ``(score, doc_id)``, or ``(key, doc_id)`` in field order
+    — with which each shard ranks only ``k`` (constant cost per page,
+    the deep-pagination path).  Mutually exclusive, like OpenSearch."""
+    if from_ and after is not None:
+        raise ValueError("from_ and after are mutually exclusive "
+                         "(OpenSearch search_after requires from=0)")
+    if sort is None:
+        return ("score", from_ + k, after)
+    col, order = sort
+    return ("field", col, order == "desc", from_ + k, after)
+
+
 def _sum_by(parts: list, key: str, cols: list[str]):
     """Concatenate the non-empty shard partials and SUM ``cols`` per
     ``key`` — the one exact merge every additive partial shares
@@ -943,7 +837,7 @@ def _sum_by(parts: list, key: str, cols: list[str]):
 
 
 def merge_partials(op, parts: list):
-    """The exact cross-shard merge of one :meth:`ShardQueryActor.scatter`
+    """The exact cross-shard merge of one :meth:`ShardQueryActor.query_phase`
     op's partials (shard order) — the same tables the Dataset facets
     return:
 

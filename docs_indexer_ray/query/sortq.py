@@ -23,11 +23,11 @@ Semantics (OpenSearch defaults):
 Scale shape: the sort column lives WITH the reader (memoized
 ``reader.stored_column`` — ONE row-group-pruned docs-store scan per
 column, one slice per shard on the fleet, never driver-resident);
-the match set is the same range-limited evaluation the fleet's other
-surfaces use; each shard returns only its top-``n`` ``(doc_id, key)``
-rows, so the driver merge is page-scale.  Sorting the match set is a
-``pyarrow.compute.sort_indices`` over matched rows only — O(m log m)
-per shard on m matches, never a corpus sort.
+the match set is the query phase's one range-limited evaluation
+(``served.live_matches``); each shard returns only its top-``n``
+``(doc_id, key)`` rows, so the driver merge is page-scale.  Sorting
+the match set is a ``pyarrow.compute.sort_indices`` over matched rows
+only — O(m log m) per shard on m matches, never a corpus sort.
 """
 
 from __future__ import annotations
@@ -97,71 +97,36 @@ def _after_mask(
 
 
 def live_mask(reader) -> np.ndarray | None:
-    """Bool live mask over the reader's doc range (None when the build
-    has no tombstones) — the local-reader analog of the shard actor's
-    per-range ``_live``."""
+    """Bool live mask over the reader's doc range (None when no
+    tombstone falls in it) — a shard's ``_live``, or the full
+    reader's."""
+    lo, hi = reader.doc_lo, reader.doc_hi
     deleted = reader.deleted_ids()
+    deleted = deleted[(deleted >= lo) & (deleted < hi)]
     if not len(deleted):
         return None
-    lo, hi = reader.doc_lo, reader.doc_hi
     mask = np.ones(max(0, hi - lo), bool)
-    inrange = deleted[(deleted >= lo) & (deleted < hi)]
-    mask[inrange.astype(np.int64) - lo] = False
+    mask[deleted.astype(np.int64) - lo] = False
     return mask
 
 
 def sort_rows_range(
     reader,
-    query: str,
+    matched: np.ndarray,
     col: str,
     *,
     desc: bool = True,
     n: int = 10,
-    syntax: bool = False,
-    default_operator: str = "or",
     after: tuple | None = None,
-    live: np.ndarray | None = None,
-    analyzer=None,
-) -> tuple[pa.Table, int]:
-    """Top-``n`` ``(doc_id, key)`` of the reader's doc range in field
-    order, plus the TRUE match count — the shard primitive (the full
-    reader is the one-shard case): per-shard pages over disjoint doc
+) -> pa.Table:
+    """Top-``n`` ``(doc_id, key)`` of a match set in field order — the
+    shard primitive (the full reader is the one-shard case).
+    ``matched`` are the query's live doc offsets within the reader's
+    range (``served.live_matches``); per-shard pages over disjoint doc
     ranges merge exactly via :func:`merge_sorted_pages` because the
-    comparator is per-doc-local.
-
-    ``query`` is match-any over analyzed terms by default (the
-    ``facets.match_doc_ids`` semantics), or the full query_string /
-    DSL language with ``syntax=True``."""
-    if analyzer is None:
-        from ..functions.analyzer import Analyzer
-
-        analyzer = Analyzer(reader.chain)
-    lo, hi = reader.doc_lo, reader.doc_hi
-    if syntax:
-        from .qstring import _eval_range, parse_query_string
-
-        node = parse_query_string(query, analyzer, default_operator)
-        _, match = _eval_range(reader, node)
-        if live is not None:
-            match = match & live
-        matched = np.flatnonzero(match)
-    else:
-        parts = []
-        for term in set(analyzer(query)):
-            tp = reader.postings(term)
-            if tp is None:
-                continue
-            ids, _ = tp.decode_range(lo, hi)
-            if len(ids):
-                parts.append(ids.astype(np.int64) - lo)
-        matched = (
-            np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
-        )
-        if live is not None:
-            matched = matched[live[matched]]
-    n_matched = int(len(matched))
+    comparator is per-doc-local."""
     keys = reader.stored_column(col).take(pa.array(matched, pa.int64()))
-    docs = matched + lo
+    docs = matched + reader.doc_lo
     if after is not None:
         keep = _after_mask(keys, docs, after, desc)
         keys = keys.filter(pa.array(keep))
@@ -170,7 +135,7 @@ def sort_rows_range(
     idx = pc.sort_indices(
         tbl, sort_keys=_sort_keys(desc), null_placement="at_end"
     )
-    return tbl.take(idx[: max(0, n)]), n_matched
+    return tbl.take(idx[: max(0, n)])
 
 
 def merge_sorted_pages(parts: list[pa.Table], n: int, desc: bool) -> pa.Table:

@@ -64,11 +64,13 @@ Backends: every read goes through ONE shard protocol, a
 :class:`ShardedQueryService`.  ``backend="local"`` serves it as one
 in-process shard over the server's warm :class:`IndexReader`
 (single-node serving — the reference's one-shard index);
-``backend="sharded"`` serves it from a Ray actor fleet — every
-search/count fans out per doc-range shard, and all of a request's
-aggregations share ONE ``scatter`` fan-out (each shard evaluates the
-query once for them), so one HTTP front door scales reads with the
-fleet (OpenSearch's coordinating-node role).
+``backend="sharded"`` serves it from a Ray actor fleet.  A
+``_search`` is OpenSearch's query-then-fetch: ONE ``query_phase``
+fan-out (each shard evaluates the query once and returns its page,
+match count and every aggregation partial), then one fetch fan-out
+for the page's hits; ``_count`` is the query phase alone.  One HTTP
+front door scales reads with the fleet (OpenSearch's
+coordinating-node role).
 Errors map to ``{"error": {"type", "reason"}}`` with
 400 (bad query syntax / params) or 500, mirroring OpenSearch's error
 envelope.
@@ -83,6 +85,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from .query.facets import is_fixed_interval as _is_fixed_iv
+from .query.served import page_rank
 
 
 class PitGone(Exception):
@@ -654,7 +657,7 @@ class SearchServer:
             elif "missing" in agg:
                 # matched docs with NO value in the field: the
                 # request's match count minus the |q ∧ exists| count
-                # leg of the same scatter
+                # leg of the same query phase
                 p.setdefault("aggs_extra", []).append({
                     "name": name, "kind": "missing",
                     "field": agg["missing"]["field"],
@@ -786,7 +789,7 @@ class SearchServer:
                 })
             elif "filters" in agg:
                 # one |q ∧ filter| count leg per named sub-query, all
-                # in the request's one scatter
+                # in the request's one query phase
                 flt = agg["filters"]
                 named = flt.get("filters") if isinstance(flt, dict) else None
                 if not isinstance(named, dict) or not named:
@@ -1025,12 +1028,15 @@ class SearchServer:
         # the aggregation plan comes first: a malformed count leg must
         # fail before any shard call
         specs, ops, idx = self._agg_plan(params, reader, analyzer)
-        # rank + true match count in ONE fan-out (a separate count()
-        # call doubles the round trips on the hottest path)
-        table, total = svc.search_with_total(
-            q, k=k, fields=fields, highlight_field=highlight,
-            width=hl_width, syntax=syntax, from_=from_, after=after,
-            sort=sort_spec, hl_tags=hl_tags,
+        # query then fetch: ONE query-phase fan-out returns each
+        # shard's page, its true match count and every aggregation
+        # partial from one evaluation; the fetch reads the page's hits
+        page, total, res = svc.query_phase(
+            q, syntax, "or", page_rank(k, from_, after, sort_spec), ops
+        )
+        table = svc.fetch_phase(
+            page[from_:], q, fields, highlight, hl_width, syntax,
+            rank_start=from_ + 1, hl_tags=hl_tags,
         )
         took = int((time.perf_counter() - t0) * 1000)
         hits = []
@@ -1069,18 +1075,17 @@ class SearchServer:
             out["_scroll_id"] = self._scroll_state(params, table, k, sort_spec)
         if specs:
             aggs = out["aggregations"] = {}
-            # ONE aggregation fan-out: each shard evaluates the query
-            # once for every agg of the request
-            n_matched, res = svc.aggregate(q, syntax, ops) if ops else (0, [])
             # terms→top_hits needs the merged bucket keys before its
-            # head-k partials: the one second round, shared by every
-            # such agg of the request
+            # head-k partials: the one second query phase, shared by
+            # every such agg of the request
             top_ops = [
                 ("top_hits", spec["field"], spec["sort_col"], spec["k"],
                  spec["asc"], res[i[0]].slice(0, spec["size"])["value"].to_pylist())
                 for spec, i in zip(specs, idx) if spec["kind"] == "terms_top_hits"
             ]
-            top_hits = iter(svc.aggregate(q, syntax, top_ops)[1] if top_ops else [])
+            top_hits = iter(
+                svc.query_phase(q, syntax, ops=top_ops)[2] if top_ops else []
+            )
             # siblings resolve against their parent's rendered buckets
             # — render every non-sibling first, independent of body
             # ordering (OpenSearch allows the sibling to appear first)
@@ -1090,7 +1095,7 @@ class SearchServer:
                     if spec["kind"] == "terms_top_hits":
                         got.append(next(top_hits))
                     aggs[spec["name"]] = self._extra_agg(
-                        spec, got, n_matched, reader
+                        spec, got, total, reader
                     )
             for spec in specs:
                 if spec["kind"] == "sibling_bucket":
@@ -1099,7 +1104,7 @@ class SearchServer:
 
     def _agg_plan(self, params, reader, analyzer) -> tuple[list, list, list]:
         """A request's aggregations as ONE list of distinct shard ops
-        (``ShardQueryActor.scatter``) → ``(specs, ops, idx)``: the GET
+        (``ShardQueryActor.query_phase``) → ``(specs, ops, idx)``: the GET
         shorthand's ``agg_terms``/``agg_stats`` slots plus the body's
         ``aggs_extra`` specs, in response order; ``idx[i]`` are the
         positions in ``ops`` of the results ``specs[i]`` renders from.
@@ -1142,6 +1147,19 @@ class SearchServer:
         if kind == "terms_stats":
             return [("terms_stats", col, spec["val"])]
         if kind in ("percentiles", "extended_stats", "percentile_ranks"):
+            # the exact value histogram is numeric: a date or keyword
+            # field is refused here, before any shard call
+            import pyarrow.types as pt
+
+            schema = reader._docs_dataset().schema
+            typ = schema.field(col).type if col in schema.names else None
+            if typ is not None and not (
+                pt.is_integer(typ) or pt.is_floating(typ) or pt.is_decimal(typ)
+            ):
+                raise ValueError(
+                    f"field [{col}] of type [{typ}] is not supported for "
+                    f"aggregation [{kind}]"
+                )
             return [("hist", col, "values", None)]
         if kind == "cardinality":
             return [("hist", col, "distinct", None)]
@@ -1365,7 +1383,7 @@ class SearchServer:
         results it planned (``got``, in :meth:`_agg_ops` order, plus
         the second-round top hits of a terms→top_hits agg; ``n_matched``
         is the request's live match count).  No shard call happens here:
-        the whole request's aggregations came from one ``scatter``
+        the whole request's aggregations came from its one query-phase
         fan-out, so the in-process and fleet backends run the same
         code.  Response shapes follow OpenSearch: date buckets carry
         epoch-ms ``key`` + ISO ``key_as_string``, range buckets echo
@@ -1644,7 +1662,7 @@ class SearchServer:
     def _count(self, params) -> dict:
         q = params["q"]
         syntax = params.get("syntax", "0") in ("1", "true")
-        return {"count": self._svc.aggregate(q, syntax)[0]}
+        return {"count": self._svc.query_phase(q, syntax)[1]}
 
     def _count_post(self, params, body: bytes) -> dict:
         """``POST /_count`` with ``{"query": <DSL>}`` (OpenSearch body
@@ -1661,7 +1679,7 @@ class SearchServer:
             # with the clean DslError message, not an n-shard round
             # trip surfacing a Ray-wrapped traceback
             dsl_to_node(spec["query"], self._analyzer)
-            return {"count": self._svc.aggregate(spec["query"], True)[0]}
+            return {"count": self._svc.query_phase(spec["query"], True)[1]}
         return self._count(params)
 
     def _analyze_post(self, params, body: bytes) -> dict:

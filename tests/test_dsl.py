@@ -176,9 +176,9 @@ def test_dsl_on_the_sharded_fleet(built, ray_session):
                 built, qs, k=12
             ), (dsl, qs)
         dsl = DSL_VS_QS[0][0]
-        assert svc.aggregate(dsl, True)[0] == svc.aggregate(
+        assert svc.query_phase(dsl, True)[1] == svc.query_phase(
             DSL_VS_QS[0][1], True
-        )[0]
+        )[1]
     finally:
         svc.shutdown()
 
@@ -228,7 +228,7 @@ def test_dsl_range_filter_local_and_sharded(built, ray_session):
     svc = ShardedQueryService(root, n_shards=3, chain=built.chain)
     try:
         assert [d for d, _ in svc.query_string(dsl, k=12)] == want_ids
-        assert svc.aggregate(dsl, True)[0] == len(
+        assert svc.query_phase(dsl, True)[1] == len(
             {d for d, _ in full} & allowed
         )
         # memoized mask: second query reuses each shard's slice

@@ -65,24 +65,37 @@ def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factor
 
     reader, _ = built
     query = "node pools quota"
-    # predicate over a stored keyword field: url > some boundary
     dset = pads.dataset(os.path.join(reader.index_dir, "docs"), partitioning="hive")
-    t = dset.to_table(columns=["doc_id", "url"])
-    urls = dict(zip(t["doc_id"].to_pylist(), t["url"].to_pylist()))
-    cut = sorted(urls.values())[len(urls) // 2]
-    allowed = np.sort([d for d, u in urls.items() if u >= cut]).astype(np.int64)
-    local = filtered_topk(reader, Analyzer("simple")(query), allowed, k=5)
+    t = dset.to_table(columns=["doc_id", "url", "warc_ts"])
+    ids = t["doc_id"].to_pylist()
+    # predicates over a stored keyword field (url >= some boundary) and
+    # a timestamp field given as an ISO-8601 string (JSON has no
+    # datetime type); each admits some of the query's hits
+    urls = dict(zip(ids, t["url"].to_pylist()))
+    cut = sorted(urls.values())[len(urls) // 4]
+    stamps = dict(zip(ids, t["warc_ts"].to_pylist()))
+    ts_cut = sorted(stamps.values())[len(stamps) // 2]
+    cases = [
+        (("url", ">=", cut), [d for d, u in urls.items() if u >= cut]),
+        (("warc_ts", ">=", ts_cut.isoformat()),
+         [d for d, v in stamps.items() if v >= ts_cut]),
+    ]
 
     svc = ShardedQueryService(
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        sharded = svc.filtered_topk(query, ("url", ">=", cut), k=5)
-        # memoized mask path: a second identical query hits the cache
-        again = svc.filtered_topk(query, ("url", ">=", cut), k=5)
+        for predicate, allowed in cases:
+            assert 0 < len(allowed) < len(ids)
+            allowed = np.sort(allowed).astype(np.int64)
+            local = filtered_topk(reader, Analyzer("simple")(query), allowed, k=5)
+            assert local
+            sharded = svc.filtered_topk(query, predicate, k=5)
+            # memoized mask path: a second identical query hits the cache
+            again = svc.filtered_topk(query, predicate, k=5)
+            assert [(d, pytest.approx(s)) for d, s in local] == sharded == again
     finally:
         svc.shutdown()
-    assert [(d, pytest.approx(s)) for d, s in local] == sharded == again
 
 
 def test_match_doc_ids_union_semantics(built):
@@ -1538,10 +1551,10 @@ def test_sharded_facets_match_local(built, ray_session):
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        _, (got,) = svc.aggregate(query, False, [("terms", col)])
+        _, _, (got,) = svc.query_phase(query, ops=[("terms", col)])
         assert got.to_pylist() == want.to_pylist()
         # memoized column slice: a second call returns the same thing
-        again = svc.aggregate(query, False, [("terms", col)])[1][0]
+        again = svc.query_phase(query, ops=[("terms", col)])[2][0]
         assert again.slice(0, 2).to_pylist() == want.to_pylist()[:2]
         # brute-force independent check
         t = pads.dataset(docs_dir, partitioning="hive").to_table(
@@ -1563,7 +1576,7 @@ def test_sharded_facets_match_local(built, ray_session):
             zip(ts["doc_id"].to_pylist(), ts["warc_ts"].cast(pa.int64()).to_pylist())
         )
         vals = np.array([ts_of[d] for d in matched.tolist()], np.float64)
-        _, (st,) = svc.aggregate(query, False, [("stats", "warc_ts")])
+        _, _, (st,) = svc.query_phase(query, ops=[("stats", "warc_ts")])
         assert st["n_docs"][0].as_py() == len(vals)
         assert st["min_v"][0].as_py() == pytest.approx(vals.min())
         assert st["max_v"][0].as_py() == pytest.approx(vals.max())
@@ -1571,9 +1584,9 @@ def test_sharded_facets_match_local(built, ray_session):
         assert st["avg_v"][0].as_py() == pytest.approx(vals.mean())
 
         # _count on the fleet: per-shard counts sum to the match set
-        assert svc.aggregate(query)[0] == len(matched)
-        n0, (empty, st0) = svc.aggregate(
-            "zzzunseen", False, [("terms", col), ("stats", "warc_ts")]
+        assert svc.query_phase(query)[1] == len(matched)
+        _, n0, (empty, st0) = svc.query_phase(
+            "zzzunseen", ops=[("terms", col), ("stats", "warc_ts")]
         )
         assert n0 == 0
 

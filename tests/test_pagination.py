@@ -112,12 +112,12 @@ def test_search_response_from_and_after_pages(built):
 def test_sharded_pagination_matches_local(built, ray_session):
     """The fleet's from_/after pages are pinned to the local
     search_response in both modes — each shard applies the same global
-    cursor and the exact merge picks the page; search_with_total keeps
+    cursor and the exact merge picks the page; the query phase keeps
     the FULL match count on every page."""
     import os
 
     from docs_indexer_ray.query.search import search_response
-    from docs_indexer_ray.query.served import ShardedQueryService
+    from docs_indexer_ray.query.served import ShardedQueryService, page_rank
 
     root = os.path.dirname(built.index_dir)
     svc = ShardedQueryService(root, n_shards=3, chain=built.chain)
@@ -150,12 +150,14 @@ def test_sharded_pagination_matches_local(built, ray_session):
             )
             assert got.equals(want)
 
-            t, total = svc.search_with_total(
-                "node pools quota", k=4, fields=("url",),
-                syntax=syntax, after=cursor,
+            page, total, _ = svc.query_phase(
+                "node pools quota", syntax, rank=page_rank(4, after=cursor)
+            )
+            t = svc.fetch_phase(
+                page, "node pools quota", ("url",), None, 160, syntax
             )
             assert t.equals(want)
-            assert total == svc.aggregate("node pools quota", syntax)[0]
+            assert total == svc.query_phase("node pools quota", syntax)[1]
 
         with pytest.raises(ValueError):
             svc.search("node", k=3, from_=3, after=(1.0, 0))

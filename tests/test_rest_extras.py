@@ -1310,39 +1310,33 @@ def test_root_banner_health_and_head(root, ray_session):
 
 
 def test_search_evaluates_query_once_per_shard(root, ray_session, monkeypatch):
-    """POST /_search takes rank AND total from ONE query evaluation on
-    each shard (the local backend is one in-process shard), not one
-    evaluation for the rank and a second for the count."""
-    import docs_indexer_ray.query.qstring as qs
+    """POST /_search takes rank, total and every aggregation from ONE
+    query evaluation on each shard (the local backend is one
+    in-process shard) — relevance-ranked or field-sorted, with or
+    without aggs; an agg's own count legs are evaluated once each."""
+    from docs_indexer_ray.functions.analyzer import Analyzer
+    from docs_indexer_ray.query.dsl import dsl_to_node
     from docs_indexer_ray.serve_http import SearchServer
 
-    real = qs._eval_range
-    depth, roots = [0], [0]
-
-    def counted(reader, node):
-        # count top-level evaluations only: _eval_range recurses into
-        # the children of bool nodes
-        roots[0] += depth[0] == 0
-        depth[0] += 1
-        try:
-            return real(reader, node)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(qs, "_eval_range", counted)
+    _, _, roots = _count_shard_work(monkeypatch)
     srv = SearchServer(root, backend="local").start()
     try:
-        for body in (
-            {"query": {"match": {"body": "node pools"}}, "size": 3},
-            {"query": {"bool": {"must": [{"match": {"body": "node"}}],
-                                "must_not": [{"term": {"body": "quota"}}]}},
-             "highlight": {"fields": {"body": {}}}},
+        for body, n_legs in (
+            ({"query": {"match": {"body": "node pools"}}, "size": 3}, 0),
+            ({"query": {"bool": {"must": [{"match": {"body": "node"}}],
+                                 "must_not": [{"term": {"body": "quota"}}]}},
+              "highlight": {"fields": {"body": {}}}}, 0),
+            # filters: two legs; missing: one exists leg
+            (_AGG_BODY, 3),
+            (dict(_AGG_BODY, sort=[{"warc_ts": "desc"}]), 3),
         ):
-            roots[0] = 0
+            roots.clear()
             code, out = _req(srv.port, "/_search", body=body)
             assert code == 200, out
             assert out["hits"]["total"]["value"] > 0
-            assert roots[0] == 1, roots[0]
+            main = repr(dsl_to_node(body["query"], Analyzer("simple")))
+            assert roots[main] == 1, roots
+            assert sum(roots.values()) == 1 + n_legs, roots
     finally:
         srv.stop()
 
@@ -1367,20 +1361,19 @@ _AGG_BODY = {
 
 def _count_shard_work(monkeypatch):
     """Record every fan-out of any ShardedQueryService as ``(method,
-    args)``, plus the work of in-process shards: ``_matched_local``
-    calls per shard and top-level ``qstring._eval_range`` evaluations
-    per query node (``_eval_range`` recurses into bool children)."""
+    args)``, plus the work of in-process shards: match-set builds
+    (``served.live_matches``) per shard reader and top-level
+    ``qstring._eval_range`` evaluations per query node
+    (``_eval_range`` recurses into bool children)."""
     import collections
 
     import docs_indexer_ray.query.qstring as qs
-    from docs_indexer_ray.query.served import (
-        ShardedQueryService,
-        ShardQueryActor,
-    )
+    import docs_indexer_ray.query.served as served
+    from docs_indexer_ray.query.served import ShardedQueryService
 
     fans, matched, roots = [], collections.Counter(), collections.Counter()
     real_gather = ShardedQueryService._gather
-    real_matched = ShardQueryActor._matched_local
+    real_matched = served.live_matches
     real_eval = qs._eval_range
     depth = [0]
 
@@ -1388,9 +1381,9 @@ def _count_shard_work(monkeypatch):
         fans.append((calls[0][1], calls[0][2]))
         return real_gather(self, calls)
 
-    def matched_local(self, query, syntax=False):
-        matched[id(self)] += 1
-        return real_matched(self, query, syntax)
+    def live_matches(reader, *args):
+        matched[id(reader)] += 1
+        return real_matched(reader, *args)
 
     def eval_range(reader, node):
         if depth[0] == 0:
@@ -1402,7 +1395,7 @@ def _count_shard_work(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(ShardedQueryService, "_gather", gather)
-    monkeypatch.setattr(ShardQueryActor, "_matched_local", matched_local)
+    monkeypatch.setattr(served, "live_matches", live_matches)
     monkeypatch.setattr(qs, "_eval_range", eval_range)
     return fans, matched, roots
 
@@ -1432,13 +1425,16 @@ def _in_process_fleet(root, n_shards):
 
 
 def test_aggregations_take_one_scatter_round(root, ray_session, monkeypatch):
-    """All of a request's aggregations — terms, stats, percentiles,
-    extended_stats, cardinality, a 2-leg filters and missing — take
-    ONE fan-out, and each shard evaluates the query once for all of
-    them; terms→top_hits adds exactly one round; a search without
-    aggs never scatters.  Local backend, a 3-shard in-process fleet
-    (work counted per shard) and the 3-shard Ray fleet (fan-outs
-    counted) answer identically."""
+    """A _search's page, hits.total and all of its aggregations —
+    terms, stats, percentiles, extended_stats, cardinality, a 2-leg
+    filters and missing — take ONE query-phase fan-out, then the
+    fetch, and each shard evaluates the query once for all of them;
+    terms→top_hits adds exactly one query phase; a search without
+    aggs makes one query phase with no ops; a field-sorted search
+    with aggs takes the same two rounds; /_count is one query phase
+    with no page and no ops.  Local backend, a 3-shard
+    in-process fleet (work counted per shard) and the 3-shard Ray
+    fleet (fan-outs counted) answer identically."""
     from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.query.dsl import dsl_to_node
     from docs_indexer_ray.serve_http import SearchServer
@@ -1450,14 +1446,16 @@ def test_aggregations_take_one_scatter_round(root, ray_session, monkeypatch):
         "aggs": {"first": {"top_hits": {"size": 1}}},
     }))
     plain = {"query": _AGG_BODY["query"], "size": 2}
+    by_date = dict(_AGG_BODY, sort=[{"warc_ts": "desc"}], size=4)
 
-    def run(srv, body):
+    def run(srv, body, whole=False):
         fans.clear()
         matched.clear()
         roots.clear()
         code, out = _req(srv.port, "/_search", body=body)
         assert code == 200, out
-        return out.get("aggregations")
+        out.pop("took")
+        return out if whole else out.get("aggregations")
 
     got = {}
     for name, n in (("local", 1), ("in_process_3", 3), ("sharded_3", 3)):
@@ -1470,32 +1468,55 @@ def test_aggregations_take_one_scatter_round(root, ray_session, monkeypatch):
 
             got[name] = run(srv, _AGG_BODY)
             ops = [m for m, _ in fans]
-            assert ops == ["rank_count_partial", "fetch_partial", "scatter"], ops
+            assert ops == ["query_phase", "fetch_partial"], ops
             # percentiles and extended_stats share one value histogram:
             # 7 aggs, 7 distinct shard ops (terms, stats, two
             # histograms, three count legs)
-            assert len(fans[-1][1][2]) == 7, fans[-1][1][2]
+            assert len(fans[0][1][4]) == 7, fans[0][1][4]
             if counted:
                 assert len(matched) == n and set(matched.values()) == {1}
-                # once for the rank phase, once for every agg
-                assert roots[main] == 2 * n, roots
+                # one evaluation serves the page, the count and every agg
+                assert roots[main] == n, roots
 
             got[name + "_top"] = run(srv, top_body)
             ops = [m for m, _ in fans]
-            assert ops == [
-                "rank_count_partial", "fetch_partial", "scatter", "scatter",
-            ], ops
+            assert ops == ["query_phase", "fetch_partial", "query_phase"], ops
+            assert fans[2][1][3] is None  # the top_hits round ranks nothing
             if counted:
                 assert set(matched.values()) == {2}
 
             assert run(srv, plain) is None
-            assert "scatter" not in [m for m, _ in fans]
+            assert [m for m, _ in fans] == ["query_phase", "fetch_partial"]
+            assert fans[0][1][4] == []
             if counted:
-                assert not matched
+                assert set(matched.values()) == {1}
+
+            # field sort + aggs: the same two rounds, one evaluation
+            got[name + "_sorted"] = run(srv, by_date, whole=True)
+            assert [m for m, _ in fans] == ["query_phase", "fetch_partial"]
+            assert fans[0][1][3][0] == "field"
+            if counted:
+                assert set(matched.values()) == {1} and roots[main] == n
+
+            # /_count: one query phase, no page, no ops
+            fans.clear()
+            code, out = _req(srv.port, "/_count", body={"query": plain["query"]})
+            assert code == 200 and out["count"] == (
+                got[name + "_sorted"]["hits"]["total"]["value"]
+            )
+            assert [(m, a[3], a[4]) for m, a in fans] == [
+                ("query_phase", None, [])
+            ]
         finally:
             srv.stop()
     assert got["local"] == got["in_process_3"] == got["sharded_3"]
     assert got["local_top"] == got["in_process_3_top"] == got["sharded_3_top"]
+    assert (
+        got["local_sorted"] == got["in_process_3_sorted"]
+        == got["sharded_3_sorted"]
+    )
+    assert got["local_sorted"]["aggregations"] == got["local"]
+    assert [h["_score"] for h in got["local_sorted"]["hits"]["hits"]] == [None] * 4
     aggs = got["local"]
     assert aggs["no_lang"]["doc_count"] == 0
     assert aggs["es"]["count"] == aggs["ids"]["count"] > 0
@@ -1543,6 +1564,46 @@ def test_bad_agg_leg_fails_before_any_shard_call(root, ray_session, monkeypatch)
                 "aggs": {"am": {"adjacency_matrix": {"filters": nine}}},
             })
             assert code == 400 and "at most 8" in out["error"]["reason"]
+        finally:
+            srv.stop()
+
+
+def test_value_aggs_on_a_date_field_fail_before_any_shard_call(
+    root, ray_session, monkeypatch
+):
+    """percentiles, extended_stats and percentile_ranks fold a numeric
+    value histogram: on the ``warc_ts`` timestamp (and the ``lang``
+    keyword) they are a 400 naming the field and the aggregation,
+    raised before ANY shard call on both backends — never the 500 of
+    a float64 cast inside the shard.  A numeric field still
+    computes."""
+    from docs_indexer_ray.serve_http import SearchServer
+
+    q = {"match": {"body": "node"}}
+    fans, _, _ = _count_shard_work(monkeypatch)
+    for kw in ({}, {"backend": "sharded", "n_shards": 3}):
+        srv = SearchServer(root, **kw).start()
+        try:
+            for kind, field in (
+                ("percentiles", "warc_ts"), ("extended_stats", "warc_ts"),
+                ("percentile_ranks", "warc_ts"), ("percentiles", "lang"),
+            ):
+                agg = {"field": field}
+                if kind == "percentile_ranks":
+                    agg["values"] = [1]
+                fans.clear()
+                code, out = _req(srv.port, "/_search", body={
+                    "query": q, "aggs": {"a": {kind: agg}},
+                })
+                assert code == 400, out
+                assert out["error"]["type"] == "ValueError"
+                reason = out["error"]["reason"]
+                assert f"[{field}]" in reason and f"[{kind}]" in reason
+                assert fans == []
+            code, out = _req(srv.port, "/_search", body={
+                "query": q, "aggs": {"a": {"percentiles": {"field": "doc_id"}}},
+            })
+            assert code == 200 and out["aggregations"]["a"]["values"], out
         finally:
             srv.stop()
 

@@ -622,20 +622,19 @@ def test_http_doc_and_explain_tombstone_aware(built, ray_session, tmp_path):
         srv.stop()
 
 
-def test_search_with_total_pins_to_two_call_path(built, ray_session):
-    """search_with_total ≡ (search, count) in one fan-out — table and
+def test_query_phase_pins_to_search_and_count(built, ray_session):
+    """query_phase + fetch_phase ≡ (search, count) — page, table and
     total identical to the separate calls, both modes."""
-    from docs_indexer_ray.query.served import ShardedQueryService
+    from docs_indexer_ray.query.served import ShardedQueryService, page_rank
 
     svc = ShardedQueryService(built, n_shards=3, chain="simple")
     try:
         for q, syntax in (("node pools", False), ("+node -quota", True)):
-            t, total = svc.search_with_total(
-                q, k=5, fields=("url",), syntax=syntax
-            )
+            page, total, _ = svc.query_phase(q, syntax, rank=page_rank(5))
+            t = svc.fetch_phase(page, q, ("url",), None, 160, syntax)
             want = svc.search(q, k=5, fields=("url",), syntax=syntax)
             assert t.to_pylist() == want.to_pylist()
-            assert total == svc.aggregate(q, syntax)[0]
+            assert total == svc.query_phase(q, syntax)[1]
     finally:
         svc.shutdown()
 

@@ -68,6 +68,7 @@ def _brute_order(reader, query, col, desc):
 
 
 def test_sort_rows_range_matches_bruteforce(built):
+    from docs_indexer_ray.query.served import live_matches
     from docs_indexer_ray.query.sortq import sort_rows_range
 
     for col, desc in (("warc_ts", True), ("warc_ts", False),
@@ -76,10 +77,9 @@ def test_sort_rows_range_matches_bruteforce(built):
         # plain/stub pages WITHOUT (null extras) — the mixed case
         q = "node pools" if col == "warc_ts" else "node page quotas"
         want = _brute_order(built, q, col, desc)
-        got, n_matched = sort_rows_range(
-            built, q, col, desc=desc, n=len(want) + 5
-        )
-        assert n_matched == len(want)
+        _, matched = live_matches(built, q)
+        got = sort_rows_range(built, matched, col, desc=desc, n=len(want) + 5)
+        assert len(matched) == len(want)
         assert got["doc_id"].to_pylist() == [d for d, _ in want], (col, desc)
         assert got["key"].to_pylist() == [v for _, v in want]
         # extras is genuinely mixed — nulls-last must actually bite
@@ -155,7 +155,7 @@ def test_sort_sharded_matches_local(built, ray_session):
     import os
 
     from docs_indexer_ray.query.search import search_response
-    from docs_indexer_ray.query.served import ShardedQueryService
+    from docs_indexer_ray.query.served import ShardedQueryService, page_rank
 
     root = os.path.dirname(built.index_dir)
     svc = ShardedQueryService(root, n_shards=3, chain=built.chain)
@@ -174,10 +174,12 @@ def test_sort_sharded_matches_local(built, ray_session):
                 q, k=12, fields=("url",), syntax=syntax, sort=(col, order),
             )
             assert fleet.equals(local), (col, order, syntax)
-        # with_total: same table + the true match count in one fan-out
-        t, total = svc.search_with_total(
-            "node", k=5, fields=(), syntax=False, sort=("warc_ts", "desc")
+        # the query phase: same page + the true match count in one
+        # fan-out
+        page, total, _ = svc.query_phase(
+            "node", rank=page_rank(5, sort=("warc_ts", "desc"))
         )
+        t = svc.fetch_phase(page, "node", (), None, 160, False)
         assert total == len(_brute_order(built, "node", "warc_ts", True))
         assert t["doc_id"].to_pylist() == [
             d for d, _ in _brute_order(built, "node", "warc_ts", True)[:5]
@@ -307,10 +309,12 @@ def test_sort_cursor_type_coercion_and_string_sort(built, ray_session):
 
     # numeric-looking string cursor against the string column: the
     # kernel coerces to str instead of erroring
+    from docs_indexer_ray.query.served import live_matches
     from docs_indexer_ray.query.sortq import sort_rows_range
 
-    rows, _ = sort_rows_range(
-        built, "node", "url", desc=False, n=5, after=(123, -1)
+    rows = sort_rows_range(
+        built, live_matches(built, "node")[1], "url",
+        desc=False, n=5, after=(123, -1),
     )
     assert rows.num_rows > 0  # "123" < any https url → everything after
 

@@ -376,7 +376,7 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
     from docs_indexer_ray.query.bm25 import topk
     from docs_indexer_ray.query.phrase import match_phrase
     from docs_indexer_ray.query.reader import IndexReader
-    from docs_indexer_ray.query.served import ShardedQueryService
+    from docs_indexer_ray.query.served import ShardedQueryService, page_rank
     from docs_indexer_ray.synth import rich_pages_table
 
     build_index(
@@ -413,8 +413,9 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
         local = ShardedQueryService.in_process(reader)
         assert local.n_shards == 1 and local.revive() == 0
         for q in queries:
-            got, total = local.search_with_total(
-                q, k=5, highlight_field="body", syntax=True
+            page, total, _ = local.query_phase(q, True, rank=page_rank(5))
+            got = local.fetch_phase(
+                page, q, ("url", "title"), "body", 160, True
             )
             want, want_total = search_response(
                 reader, q, k=5, highlight_field="body", syntax=True,
@@ -649,7 +650,7 @@ def test_replicated_sharded_service_matches_local(ray_session, tmp_path):
         # several calls rotate replicas; all must agree
         for _ in range(4):
             assert svc.topk("node pools", k=10) == want
-        assert svc.match_phrase("node pools") and svc.aggregate("node")[0] > 0
+        assert svc.match_phrase("node pools") and svc.query_phase("node")[1] > 0
         resp = svc.search("node pools", k=3, highlight_field="body")
         assert resp.num_rows == 3 and "<em>" in resp["snippet"][0].as_py()
     finally:
