@@ -29,14 +29,12 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.codec import encode_postings
 
 __all__ = [
-    "SegmentEncoder",
     "encode_spill_files",
     "SEGMENT_SCHEMA",
     "segment_path",
@@ -80,21 +78,6 @@ def _atomic_write(table: pa.Table, path: str) -> None:
     tmp = f"{path}.tmp-{os.getpid()}"
     pq.write_table(table, tmp, compression="zstd")
     os.replace(tmp, path)
-
-
-def encode_partition(
-    term: np.ndarray,
-    doc_id: np.ndarray,
-    tf: np.ndarray,
-    dl: np.ndarray,
-    rpart: int,
-    block_size: int = 128,
-) -> pa.Table:
-    """Vectorized encode from a string term array (test/compat entry;
-    the hot path is :func:`encode_partition_codes` on dictionary
-    ranks)."""
-    uniq, codes = np.unique(term, return_inverse=True)
-    return encode_partition_codes(codes, uniq, doc_id, tf, dl, rpart, block_size)
 
 
 def _list_array(flat: np.ndarray, counts: np.ndarray, typ) -> pa.ListArray:
@@ -374,71 +357,3 @@ def encode_spill_files(
         "dl_n": int(len(dls)),
         "wall_s": round(_time.time() - _t0, 3),
     }
-
-
-class SegmentEncoder:
-    """``map_groups`` callable: one postings partition → one segment file.
-
-    The object-store-shuffle fallback for the file-spill reduce
-    (``encode_spill_files`` is the default path — see README's
-    multi-node shuffle section): ``ds.groupby("rpart").map_groups(
-    SegmentEncoder(seg_dir))`` builds the same segments without shared
-    scratch storage, at the cost of Ray's sort-based shuffle.
-
-    Returns a one-row **lineage record** per partition (rpart, term and
-    posting counts, output file, byte size) — these become the
-    manifest's per-partition lineage.  If the segment file already
-    exists (resume), the group is skipped and the lineage row is marked
-    ``resumed=True``.
-    """
-
-    def __init__(self, seg_dir: str, block_size: int = 128):
-        self.seg_dir = seg_dir
-        self.block_size = block_size
-
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        rpart = int(group["rpart"].iloc[0])
-        seg_file = segment_path(self.seg_dir, rpart)
-        dl_file = doclen_path(self.seg_dir, rpart)
-
-        if os.path.exists(seg_file) and os.path.exists(dl_file):
-            meta = pq.read_metadata(seg_file)
-            return pd.DataFrame(
-                [
-                    {
-                        "rpart": rpart,
-                        "n_terms": meta.num_rows,
-                        "n_postings": -1,
-                        "bytes": os.path.getsize(seg_file),
-                        "resumed": True,
-                    }
-                ]
-            )
-
-        term = group["term"].to_numpy(dtype=object)
-        doc_id = group["doc_id"].to_numpy(dtype=np.uint64)
-        tf = group["tf"].to_numpy(dtype=np.uint64)
-        dl = group["dl"].to_numpy(dtype=np.uint64)
-        seg = encode_partition(term, doc_id, tf, dl, rpart, self.block_size)
-        _atomic_write(seg, seg_file)
-
-        carriers = group[group["dlc"]]
-        dl_tbl = pa.table(
-            {
-                "doc_id": pa.array(carriers["doc_id"].to_numpy(np.uint64), pa.uint64()),
-                "dl": pa.array(carriers["dl"].to_numpy(np.uint32), pa.uint32()),
-            }
-        )
-        _atomic_write(dl_tbl, dl_file)
-
-        return pd.DataFrame(
-            [
-                {
-                    "rpart": rpart,
-                    "n_terms": seg.num_rows,
-                    "n_postings": int(len(group)),
-                    "bytes": os.path.getsize(seg_file),
-                    "resumed": False,
-                }
-            ]
-        )

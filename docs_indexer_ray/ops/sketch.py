@@ -501,11 +501,20 @@ def heavy_hitters(ds, col: str, k: int = 10, m: int = 1024) -> pa.Table:
     """
     from ..collect import tables_of
 
-    parts = tables_of(
-        ds.map_batches(
-            lambda t: _topm_partial(t, col, m), batch_format="pyarrow"
-        )
+    return fold_heavy_hitters(
+        tables_of(
+            ds.map_batches(
+                lambda t: _topm_partial(t, col, m), batch_format="pyarrow"
+            )
+        ),
+        k,
     )
+
+
+def fold_heavy_hitters(parts: list[pa.Table], k: int) -> pa.Table:
+    """The driver-side fold of :func:`_topm_partial` block summaries →
+    :func:`heavy_hitters`' top-``k`` table with its count bounds."""
+    parts = [p for p in parts if p.num_rows]
     if not parts:
         return pa.table(
             {

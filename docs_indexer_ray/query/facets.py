@@ -1,23 +1,31 @@
-"""Aggregations over query matches — OpenSearch's facet surface.
+"""Aggregations over query matches — OpenSearch's aggregation surface.
 
-The reference delegates search-UI facets (terms aggregation, date
-histogram) to OpenSearch; this module rebuilds the two aggregation
-shapes directly on the engine:
+The reference delegates every aggregation to OpenSearch's one
+implementation; this module holds the engine's ONE set of
+aggregation kernels and the Ray Data driver that runs them:
 
-* :func:`match_doc_ids` — the match-any doc set of a term list
-  (union of posting lists, the BooleanQuery-OR candidate set);
-* :func:`date_histogram` — per-interval doc counts of the matches
-  over a timestamp column (OpenSearch ``date_histogram``);
-* :func:`terms_facet` — per-value doc counts of the matches over a
-  keyword column (OpenSearch ``terms`` aggregation).
+* :func:`op_partial` / :func:`merge_partials` — the column kernels
+  (``terms``, ``stats``, ``hist``, ``bucket_sums``, ``composite``,
+  ``terms_stats``, ``top_hits``): one op's partial over a match set's
+  rows, and the exact merge of partials over disjoint row sets.  The
+  serving tier runs them per shard (``served.ShardQueryActor.
+  query_phase``) and this module runs them per docs-store block.
+* :func:`_scatter` — the Dataset driver: the match set is broadcast
+  ONCE (``ray.put``) as a PACKED BITMAP — ≤ n_docs/8 bytes no matter
+  how many docs match, read zero-copy from the node-local object
+  store by every task — each block is filtered once, every op's
+  partial is computed on it, and the driver merges the
+  (output-scale) partials: the combiner-before-collect rule.
+* the facet functions (:func:`terms_facet`, :func:`date_histogram`,
+  :func:`stats_facet`, …) — shells over :func:`_scatter` that only
+  rename, cast and sort a merged result; facets without a shared op
+  (``weighted_avg_facet``, ``matrix_stats``, the sketch variants, …)
+  pass their own per-block partial and merge to the same driver.
+* :func:`match_doc_ids` / :func:`match_doc_bitmap` — the match-any
+  doc set of a term list (union of posting lists).
 
-Shape at scale: the matched set is broadcast ONCE (``ray.put``) as a
-PACKED BITMAP — ≤ n_docs/8 bytes no matter how many docs match (an
-int64 id list for a frequent term is 64× larger), read zero-copy from
-the node-local plasma store by every task — and each docs-store batch
-tests membership with vectorized bit ops; per-batch PARTIAL counts
-are the only thing entering the final (tiny) groupby — the
-combiner-before-shuffle rule, same as ``ops/windows.py``.
+The shared kernels ignore missing values (OpenSearch and SQL
+semantics): bucket kernels drop null keys, value kernels null values.
 """
 
 from __future__ import annotations
@@ -54,6 +62,8 @@ __all__ = [
     "sibling_pipeline_aggs",
     "value_bucket_sums",
     "matrix_stats",
+    "op_partial",
+    "merge_partials",
 ]
 
 
@@ -240,62 +250,275 @@ def _member_mask(bits: np.ndarray, doc_ids: np.ndarray) -> np.ndarray:
     return out
 
 
-def _facet(docs_ds, matched: np.ndarray, key_of_batch, key_field: pa.Field,
-           bits_ref=None):
-    """Shared partial-count skeleton: per-batch filter + count, tiny
-    final groupby over (n_blocks × distinct keys) partial rows.
-    ``bits_ref`` lets a caller that already broadcast the bitmap
-    (auto_date_histogram's endpoint pass) reuse its ObjectRef."""
+def _broadcast(matched):
+    """The match set as ONE object-store bitmap: every task's
+    ``ray.get`` is a zero-copy read of the node-local copy.  An
+    ObjectRef from an earlier call passes through, so a facet with two
+    passes (``auto_date_histogram``) broadcasts once."""
     import ray
 
-    # broadcast ONCE; every task's ray.get is a zero-copy read of the
-    # node-local object-store copy (numpy over plasma)
-    if bits_ref is None:
-        bits_ref = ray.put(_as_bits(matched))
+    if isinstance(matched, ray.ObjectRef):
+        return matched
+    return ray.put(_as_bits(matched))
 
-    def partial_counts(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    key_field.name: pa.array([], key_field.type),
-                    "partial": pa.array([], pa.int64()),
-                }
-            )
-        keys = key_of_batch(t)
-        kt = pa.table({key_field.name: keys})
-        if kt[key_field.name].null_count:
-            # docs missing the field are ignored, as in OpenSearch
-            kt = kt.filter(pc.is_valid(kt[key_field.name]))
-        agg = kt.group_by(key_field.name).aggregate([([], "count_all")])
+
+def _scatter(docs_ds, matched, ops: list) -> list:
+    """THE Dataset aggregation driver → ``[merged result per op]``.
+
+    One ``map_batches`` pass: each block is filtered ONCE to the match
+    set (``matched`` — ids, a :class:`PackedMatches` or a
+    :func:`_broadcast` ref; ``None`` keeps every row) and every op's
+    partial is computed on the filtered rows; the driver merges the
+    per-block partials (output-scale, never doc-scale).  An op is a
+    shared kernel op (:func:`op_partial` / :func:`merge_partials`) or
+    a facet's own ``(partial(table), merge(parts))`` pair."""
+    import pickle
+
+    import ray
+
+    from ..collect import tables_of
+
+    bits_ref = None if matched is None else _broadcast(matched)
+
+    def block(t: pa.Table) -> pa.Table:
+        if bits_ref is not None:
+            doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+            t = t.filter(pa.array(_member_mask(ray.get(bits_ref), doc_ids)))
+        parts = [
+            op[0](t) if callable(op[0]) else op_partial(op, t.column)
+            for op in ops
+        ]
+        return pa.table({"parts": pa.array([pickle.dumps(parts)], pa.binary())})
+
+    blocks = [
+        pickle.loads(b)
+        for t in tables_of(docs_ds.map_batches(block, batch_format="pyarrow"))
+        for b in t["parts"].to_pylist()
+    ]
+    return [
+        op[1]([b[i] for b in blocks])
+        if callable(op[0])
+        else merge_partials(op, [b[i] for b in blocks])
+        for i, op in enumerate(ops)
+    ]
+
+
+def _counts(merged: pa.Table, key: str) -> pa.Table:
+    """A merged ``(key, n_docs)`` count table renamed to the facet's
+    key column, count desc / key asc — the ``terms`` order every
+    bucket-count facet returns."""
+    merged = merged.rename_columns([key, "n_docs"])
+    return merged.sort_by([("n_docs", "descending"), (key, "ascending")])
+
+
+def op_partial(op: tuple, col):
+    """One aggregation op's partial over a match set's rows — THE
+    column kernels, run per shard by ``served.ShardQueryActor.
+    query_phase`` and per docs-store block by :func:`_scatter`.
+    ``col(name)`` returns the matched rows' stored column ``name``
+    (``doc_id`` included).  Every partial is
+    distinct-key-scale (never doc-scale) or constant-size, and the
+    partials of disjoint row sets merge exactly
+    (:func:`merge_partials`).  Missing keys and values are ignored.
+    The ops:
+
+    * ``("terms", col)`` → ``(value: string, partial)`` counts.
+    * ``("stats", col)`` → ``(n, min, max, sum, sum_of_squares)`` over
+      the non-null values (``(0, None, …)`` when there are none).
+    * ``("hist", col, kind, arg)`` → ``(key, partial)`` from
+      :func:`value_histogram` (date_histogram / histogram / range /
+      date_range / ``values`` / ``distinct``).
+    * ``("bucket_sums", col, kind, arg, val_col)`` → ``(key, n, sm)``
+      from :func:`value_bucket_sums`.
+    * ``("composite", col, after, size)`` → the ``size`` smallest
+      matched keys after the cursor with their counts
+      (:func:`composite_page`): a key cut from this window has ≥ size
+      smaller keys in these rows alone, so it cannot be on the global
+      page, and every key on the global page lies in every holding
+      window — its count sums exactly.
+    * ``("terms_stats", key_col, val_col)`` → ``(value, n, mn, mx,
+      sm)`` per bucket.
+    * ``("top_hits", group_col, sort_col, k, ascending, values)`` → ≤ k
+      ``(value, s, doc_id)`` rows per bucket
+      (``ops/windows.head_k_per_key``; ``sort_col`` ``_doc``/``_id``
+      sorts by doc id; ``values``, when set, keeps only those
+      buckets)."""
+    kind = op[0]
+    if kind == "terms":
+        agg = (
+            pa.table({"value": col(op[1])})
+            .drop_null()
+            .group_by("value")
+            .aggregate([([], "count_all")])
+        )
         return pa.table(
             {
-                key_field.name: agg[key_field.name].cast(key_field.type),
+                "value": agg["value"].cast(pa.string()),
                 "partial": agg["count_all"].cast(pa.int64()),
             }
         )
-
-    partials = docs_ds.map_batches(partial_counts, batch_format="pyarrow")
-    # final combine is OUTPUT-scale (blocks × distinct keys partial
-    # rows, not docs) — a driver-side Arrow groupby, not a shuffle
-    parts = [ray.get(r) for r in partials.materialize().to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table(
-            {key_field.name: pa.array([], key_field.type),
-             "n_docs": pa.array([], pa.int64())}
+    if kind == "stats":
+        v = col(op[1]).drop_null().to_numpy(zero_copy_only=False).astype(np.float64)
+        if not len(v):
+            return (0, None, None, None, None)
+        return (len(v), float(v.min()), float(v.max()), float(v.sum()),
+                float((v * v).sum()))
+    if kind == "hist":
+        return value_histogram(col(op[1]), op[2], op[3])
+    if kind == "bucket_sums":
+        return value_bucket_sums(col(op[1]), col(op[4]), op[2], op[3])
+    if kind == "composite":
+        # validates the cursor even on an empty match, so an
+        # out-of-type cursor fails identically everywhere
+        return composite_page(col(op[1]), op[2], op[3])
+    if kind == "terms_stats":
+        t = pa.table(
+            {
+                "value": col(op[1]).cast(pa.string()),
+                "v": col(op[2]).cast(pa.float64()),
+            }
         )
-    t = pa.concat_tables(parts, promote_options="default")
-    agg = t.group_by(key_field.name).aggregate([("partial", "sum")])
-    out = pa.table(
-        {
-            key_field.name: agg[key_field.name],
-            "n_docs": agg["partial_sum"].cast(pa.int64()),
-        }
-    )
-    return out.sort_by([("n_docs", "descending"), (key_field.name, "ascending")])
+        agg = t.filter(pc.is_valid(t["value"])).group_by("value").aggregate(
+            [([], "count_all"), ("v", "min"), ("v", "max"), ("v", "sum")]
+        )
+        return pa.table(
+            {
+                "value": agg["value"],
+                "n": agg["count_all"].cast(pa.int64()),
+                "mn": agg["v_min"],
+                "mx": agg["v_max"],
+                "sm": agg["v_sum"],
+            }
+        )
+    if kind == "top_hits":
+        from ..ops.windows import head_k_per_key
+
+        _, group_col, sort_col, k, ascending, values = op
+        ids = col("doc_id").cast(pa.int64())
+        t = pa.table(
+            {
+                "value": col(group_col).cast(pa.string()),
+                "s": ids if sort_col in ("_doc", "_id") else col(sort_col),
+                "doc_id": ids,
+            }
+        )
+        if values is not None:
+            t = t.filter(pc.is_in(t["value"], value_set=pa.array(
+                [str(v) for v in values], pa.string()
+            )))
+        return head_k_per_key(t, "value", "s", k, ascending)
+    raise ValueError(f"unknown aggregation op {op!r}")
+
+
+def _sum_by(parts: list, key: str, cols: list[str]):
+    """Concatenate the non-empty partials and SUM ``cols`` per ``key``
+    — the one exact merge every additive partial shares (counts and
+    sums over disjoint row sets add).  ``None`` when no partial has a
+    row."""
+    live = [p for p in parts if p.num_rows]
+    if not live:
+        return None
+    t = pa.concat_tables(live, promote_options="default")
+    return t.group_by(key).aggregate([(c, "sum") for c in cols])
+
+
+def merge_partials(op: tuple, parts: list):
+    """The exact merge of one op's partials over disjoint row sets
+    (shards or blocks) → the op's result table:
+
+    * ``terms`` → ``(value, n_docs)``, count desc / value asc.
+    * ``stats`` → one row ``(n_docs, min_v, max_v, sum_v, avg_v,
+      sum_sq)`` (null values when nothing matched).
+    * ``hist`` → ``(key, n_docs)`` by key.
+    * ``bucket_sums`` → ``(key, n, sm)`` by key.
+    * ``composite`` → the page ``(value, n_docs)`` by value, or
+      ``None`` when no partial has a row.
+    * ``terms_stats`` → :func:`fold_terms_stats`.
+    * ``top_hits`` → ``(value, rank, doc_id, s)``, buckets ascending —
+      the partials' head-k re-applied (exact by idempotence).
+    * the serving tier's query ops: ``count`` → the summed count;
+      ``ids`` → the concatenated doc ids."""
+    kind = op[0]
+    if kind == "count":
+        return int(sum(parts))
+    if kind == "ids":
+        return np.concatenate(parts)
+    if kind == "stats":
+        parts = [p for p in parts if p[0]]
+        n = sum(p[0] for p in parts)
+        if n == 0:
+            return pa.table(
+                {
+                    "n_docs": pa.array([0], pa.int64()),
+                    **{c: pa.array([None], pa.float64()) for c in
+                       ("min_v", "max_v", "sum_v", "avg_v", "sum_sq")},
+                }
+            )
+        sm = float(sum(p[3] for p in parts))
+        return pa.table(
+            {
+                "n_docs": pa.array([n], pa.int64()),
+                "min_v": pa.array([min(p[1] for p in parts)], pa.float64()),
+                "max_v": pa.array([max(p[2] for p in parts)], pa.float64()),
+                "sum_v": pa.array([sm], pa.float64()),
+                "avg_v": pa.array([sm / n], pa.float64()),
+                "sum_sq": pa.array([float(sum(p[4] for p in parts))], pa.float64()),
+            }
+        )
+    if kind == "terms_stats":
+        return fold_terms_stats(parts)
+    if kind == "top_hits":
+        from ..ops.windows import head_k_per_key
+
+        live = [p for p in parts if p.num_rows]
+        if not live:
+            return pa.table(
+                {
+                    "value": pa.array([], pa.string()),
+                    "rank": pa.array([], pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "s": parts[0]["s"],
+                }
+            )
+        t = pa.concat_tables(live, promote_options="default")
+        out = head_k_per_key(t, "value", "s", op[3], op[4], with_rank=True)
+        return out.select(["value", "rank", "doc_id", "s"])
+    if kind == "bucket_sums":
+        agg = _sum_by(parts, "key", ["n", "sm"])
+        if agg is None:
+            return pa.table(
+                {
+                    "key": parts[0]["key"],
+                    "n": pa.array([], pa.int64()),
+                    "sm": pa.array([], pa.int64()),
+                }
+            )
+        agg = agg.sort_by("key")
+        return pa.table(
+            {
+                "key": agg["key"],
+                "n": agg["n_sum"].cast(pa.int64()),
+                "sm": agg["sm_sum"].cast(pa.int64()),
+            }
+        )
+    # terms / hist / composite: (key, partial) counts
+    key = "key" if kind == "hist" else "value"
+    agg = _sum_by(parts, key, ["partial"])
+    if agg is None:
+        if kind == "composite":
+            return None
+        return pa.table(
+            {
+                key: parts[0][key] if kind == "hist" else pa.array([], pa.string()),
+                "n_docs": pa.array([], pa.int64()),
+            }
+        )
+    out = pa.table({key: agg[key], "n_docs": agg["partial_sum"].cast(pa.int64())})
+    if kind == "terms":
+        return out.sort_by([("n_docs", "descending"), ("value", "ascending")])
+    if kind == "hist":
+        return out.sort_by("key")
+    return out.sort_by("value").slice(0, op[3])  # composite page
 
 
 _CALENDAR_UNITS = ("week", "month", "quarter", "year")
@@ -364,6 +587,20 @@ def _fixed_interval_us(arg) -> int:
     return iv * 1_000_000
 
 
+def _check_date_interval(arg) -> bool:
+    """Validate a ``date_histogram`` interval on the driver, before any
+    block runs → ``True`` for a calendar unit, ``False`` for a fixed
+    width."""
+    if is_fixed_interval(arg):
+        _fixed_interval_us(arg)
+        return False
+    if arg not in _CALENDAR_UNITS:
+        raise ValueError(
+            f"unknown calendar interval {arg!r} — one of {_CALENDAR_UNITS}"
+        )
+    return True
+
+
 def _ts_us_masked(t: pa.Table, ts_col: str) -> tuple[np.ndarray, np.ndarray]:
     """``(epoch_us int64, valid mask)`` of a timestamp column — the
     shared extraction behind every date-bucketing key_of (NaT-safe:
@@ -378,13 +615,6 @@ def _ts_us_masked(t: pa.Table, ts_col: str) -> tuple[np.ndarray, np.ndarray]:
     us = np.zeros(len(ts64), np.int64)
     us[valid] = ts64[valid].astype(np.int64)
     return us, valid
-
-
-def _ts_bucket_array(starts_us: np.ndarray, valid: np.ndarray) -> pa.Array:
-    """Masked ``timestamp[us]`` bucket-start array from epoch-us."""
-    return pa.array(
-        starts_us.astype("datetime64[us]"), pa.timestamp("us"), mask=~valid
-    )
 
 
 def _calendar_trunc_us(ts64: np.ndarray, unit: str) -> np.ndarray:
@@ -433,34 +663,13 @@ def date_histogram(
     civil bucket-start ``timestamp[us]``, exactly DuckDB
     ``date_trunc`` — the docs-site operator's "docs per month"
     dashboard query)."""
-
-    if not is_fixed_interval(interval_s):
-        unit = interval_s
-        if unit not in _CALENDAR_UNITS:
-            raise ValueError(
-                f"unknown calendar interval {unit!r} — one of {_CALENDAR_UNITS}"
-            )
-
-        def key_of(t: pa.Table) -> pa.Array:
-            us, valid = _ts_us_masked(t, ts_col)
-            out = np.zeros(len(us), np.int64)
-            out[valid] = _calendar_trunc_us(
-                us[valid].astype("datetime64[us]"), unit
-            )
-            return _ts_bucket_array(out, valid)
-
-        return _facet(docs_ds, matched, key_of, pa.field("bucket", pa.timestamp("us")))
-
-    interval_us = _fixed_interval_us(interval_s)
-
-    def key_of(t: pa.Table) -> pa.Array:
-        # numpy FLOOR division — matches the SQL oracle's
-        # floor(epoch_us/iv) exactly, including pre-1970 timestamps
-        # (Arrow's pc.divide truncates toward zero)
-        us, valid = _ts_us_masked(t, ts_col)
-        return pa.array(us // interval_us, pa.int64(), mask=~valid)
-
-    return _facet(docs_ds, matched, key_of, pa.field("bucket", pa.int64()))
+    calendar = _check_date_interval(interval_s)
+    (h,) = _scatter(
+        docs_ds, matched, [("hist", ts_col, "date_histogram", interval_s)]
+    )
+    if calendar:
+        h = h.set_column(0, "key", h["key"].cast(pa.timestamp("us")))
+    return _counts(h, "bucket")
 
 
 #: auto_date_histogram's interval ladder, coarsest-last: fixed widths
@@ -494,51 +703,31 @@ def auto_date_histogram(
     (``"3600s"``), calendar rungs their unit — count desc / bucket
     asc, deterministic and SQL-replayable (the oracle reproduces the
     ladder selection as a CASE over the same endpoint arithmetic)."""
-    import ray
 
-    bits_ref = ray.put(_as_bits(matched))
-
-    def mm_partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        us = (
-            t[ts_col]
-            .cast(pa.timestamp("us"))
-            .cast(pa.int64())
-            .drop_null()
-            .combine_chunks()
-        )
+    def mm_partial(t: pa.Table):
+        us = t[ts_col].cast(pa.timestamp("us")).cast(pa.int64()).drop_null()
         if len(us) == 0:
-            return pa.table({"lo": pa.array([], pa.int64()),
-                             "hi": pa.array([], pa.int64())})
+            return None
         v = us.to_numpy(zero_copy_only=False)
+        return int(v.min()), int(v.max())
+
+    def mm_merge(parts: list):
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            return None
+        return min(p[0] for p in parts), max(p[1] for p in parts)
+
+    bits_ref = _broadcast(matched)
+    (mm,) = _scatter(docs_ds, bits_ref, [(mm_partial, mm_merge)])
+    if mm is None:
         return pa.table(
             {
-                "lo": pa.array([int(v.min())], pa.int64()),
-                "hi": pa.array([int(v.max())], pa.int64()),
+                "bucket": pa.array([], pa.timestamp("us")),
+                "n_docs": pa.array([], pa.int64()),
+                "interval": pa.array([], pa.string()),
             }
         )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(mm_partial, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    empty = pa.table(
-        {
-            "bucket": pa.array([], pa.timestamp("us")),
-            "n_docs": pa.array([], pa.int64()),
-            "interval": pa.array([], pa.string()),
-        }
-    )
-    if not parts:
-        return empty
-    mm = pa.concat_tables(parts)
-    amin = int(pc.min(mm["lo"]).as_py())
-    amax = int(pc.max(mm["hi"]).as_py())
+    amin, amax = mm
 
     def _cal_count(unit: str) -> int:
         ends = np.array([amin, amax], "datetime64[us]")
@@ -566,36 +755,19 @@ def auto_date_histogram(
                 chosen = unit
                 break
 
-    if isinstance(chosen, int):
-        ivus = chosen * 1_000_000
-
-        def key_of(t: pa.Table) -> pa.Array:
-            # numpy FLOOR division, matching the ladder selection's
-            # Python floor exactly (Arrow's pc.divide truncates toward
-            # zero, which would disagree for pre-1970 timestamps; the
-            # SQL oracle's `//` also truncates — it replays exactly on
-            # non-negative epochs, which the corpus contract guarantees)
-            us, valid = _ts_us_masked(t, ts_col)
-            return _ts_bucket_array((us // ivus) * ivus, valid)
-
-        label = f"{chosen}s"
-    else:
-        unit = chosen
-
-        def key_of(t: pa.Table) -> pa.Array:
-            us, valid = _ts_us_masked(t, ts_col)
-            out = np.zeros(len(us), np.int64)
-            out[valid] = _calendar_trunc_us(
-                us[valid].astype("datetime64[us]"), unit
-            )
-            return _ts_bucket_array(out, valid)
-
-        label = unit
-
-    out = _facet(
-        docs_ds, matched, key_of, pa.field("bucket", pa.timestamp("us")),
-        bits_ref=bits_ref,
+    # the date_histogram key at the chosen rung: a fixed rung's key is
+    # the FLOOR-divided bucket index (matching the ladder selection's
+    # Python floor; the SQL oracle's `//` truncates — it replays
+    # exactly on non-negative epochs, which the corpus contract
+    # guarantees), a calendar rung's the bucket-start epoch-us
+    (h,) = _scatter(
+        docs_ds, bits_ref, [("hist", ts_col, "date_histogram", chosen)]
     )
+    key = h["key"]
+    if isinstance(chosen, int):
+        key = pc.multiply(key, pa.scalar(chosen * 1_000_000, pa.int64()))
+    out = _counts(h.set_column(0, "key", key.cast(pa.timestamp("us"))), "bucket")
+    label = f"{chosen}s" if isinstance(chosen, int) else chosen
     return out.append_column(
         "interval", pa.array([label] * out.num_rows, pa.string())
     )
@@ -615,11 +787,8 @@ def histogram(
     :func:`date_histogram`; empty buckets are omitted (OpenSearch
     ``min_doc_count: 1``)."""
     check_histogram_interval(interval)
-
-    def key_of(t: pa.Table) -> pa.Array:
-        return _float_histogram_keys(t[col], interval)
-
-    return _facet(docs_ds, matched, key_of, pa.field("bucket", pa.int64()))
+    (h,) = _scatter(docs_ds, matched, [("hist", col, "histogram", interval)])
+    return _counts(h, "bucket")
 
 
 def range_facet(
@@ -635,35 +804,13 @@ def range_facet(
     KEPT with ``n_docs = 0`` (range buckets are explicit, unlike
     histogram's).
 
-    Shape at scale: the bitmap broadcast + ONE partial row per
-    (block, bucket) — len(ranges) counts per block, a vectorized
-    comparison per bucket, constant-size final."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
+    Shape at scale: the ``range`` value histogram — ONE partial row
+    per (block, bucket), constant-size final."""
     lows = np.array([r[0] for r in ranges], np.float64)
     highs = np.array([r[1] for r in ranges], np.float64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        v = t[col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        counts = ((v[:, None] >= lows) & (v[:, None] < highs)).sum(axis=0)
-        return pa.table(
-            {
-                "b": pa.array(np.arange(len(ranges)), pa.int64()),
-                "partial": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
+    (h,) = _scatter(docs_ds, matched, [("hist", col, "range", list(ranges))])
     tot = np.zeros(len(ranges), np.int64)
-    for p in parts:
-        tot[p["b"].to_numpy()] += p["partial"].to_numpy()
+    tot[h["key"].to_numpy()] = h["n_docs"].to_numpy()
     order = np.argsort(lows, kind="stable")
     return pa.table(
         {
@@ -697,72 +844,34 @@ def percentiles(
     ``approx=True``: per-batch t-digest sketches (``ops/sketch.py``,
     CONSTANT ``O(delta)`` size) merged on the driver — OpenSearch's
     own algorithm (Dunning & Ertl) for unbounded cardinalities."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
-
     if approx:
         from ..ops.sketch import TDigest
 
-        def sk_partial(t: pa.Table) -> pa.Table:
-            bits = ray.get(bits_ref)
-            doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            t = t.filter(pa.array(_member_mask(bits, doc_ids)))
+        def sk_partial(t: pa.Table) -> TDigest:
             v = t[col].cast(pa.float64()).drop_null().to_numpy(zero_copy_only=False)
-            return TDigest(delta).add(v).to_row()
+            return TDigest(delta).add(v)
 
-        acc = TDigest(delta)
-        for part in [
-            ray.get(r)
-            for r in docs_ds.map_batches(
-                sk_partial, batch_format="pyarrow"
-            ).materialize().to_arrow_refs()
-        ]:
-            if "means" in part.column_names:  # empty block passthrough
-                acc.merge(TDigest.from_row(part, delta))
+        def sk_merge(parts: list) -> TDigest:
+            acc = TDigest(delta)
+            for sk in parts:
+                acc.merge(sk)
+            return acc
+
+        (acc,) = _scatter(docs_ds, matched, [(sk_partial, sk_merge)])
         vals = [acc.quantile(q / 100.0) for q in qs]
-        return pa.table(
-            {
-                "pct": pa.array([float(q) for q in qs], pa.float64()),
-                "value": pa.array(vals, pa.float64()),
-            }
-        )
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        vals = t.select([col]).drop_null()
-        agg = (
-            pa.table({"v": vals[col].cast(pa.float64()).combine_chunks()})
-            .group_by("v")
-            .aggregate([([], "count_all")])
-        )
-        return pa.table(
-            {"v": agg["v"], "partial": agg["count_all"].cast(pa.int64())}
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "pct": pa.array([float(q) for q in qs], pa.float64()),
-                "value": pa.array([None] * len(qs), pa.float64()),
-            }
-        )
-    t = pa.concat_tables(parts)
-    agg = t.group_by("v").aggregate([("partial", "sum")]).sort_by("v")
-    v = agg["v"].to_numpy(zero_copy_only=False)
-    c = agg["partial_sum"].to_numpy(zero_copy_only=False).astype(np.int64)
-    out = interpolate_quantiles(v, c, qs)
+    else:
+        (h,) = _scatter(docs_ds, matched, [("hist", col, "values", None)])
+        vals = [None] * len(qs)
+        if h.num_rows:
+            vals = interpolate_quantiles(
+                h["key"].to_numpy(zero_copy_only=False),
+                h["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64),
+                qs,
+            )
     return pa.table(
         {
             "pct": pa.array([float(q) for q in qs], pa.float64()),
-            "value": pa.array(out, pa.float64()),
+            "value": pa.array(vals, pa.float64()),
         }
     )
 
@@ -793,11 +902,34 @@ def interpolate_quantiles(
     return out
 
 
+def _bucket_keys(vals, kind: str, arg) -> pa.Array:
+    """int64 bucket keys of a ``date_histogram`` or ``histogram``, null
+    where the value is missing — the ONE date-key branch.  A date key
+    is ``floor(epoch_us / interval_us)`` for a fixed width (numpy FLOOR
+    division, the engine-wide date-bucket rule: ``pc.divide`` truncates
+    toward zero and would disagree pre-1970) or the civil bucket
+    start's epoch-us for a calendar unit (week/month/quarter/year);
+    a numeric key is the bucket's lower edge.  Identical keys sum
+    exactly across blocks and shards."""
+    if isinstance(vals, pa.ChunkedArray):
+        vals = vals.combine_chunks()
+    if kind == "histogram":
+        return _float_histogram_keys(vals, arg)
+    us, valid = _ts_us_masked(pa.table({"_ts": vals}), "_ts")
+    if is_fixed_interval(arg):
+        keys = us // _fixed_interval_us(arg)
+    else:
+        keys = np.zeros(len(us), np.int64)
+        keys[valid] = _calendar_trunc_us(
+            us[valid].astype("datetime64[us]"), str(arg)
+        )
+    return pa.array(keys, pa.int64(), mask=~valid)
+
+
 def value_histogram(vals, kind: str, arg=None) -> pa.Table:
     """``(key, partial)`` bucket-count histogram of one value array —
-    the SHARD primitive behind the serving tier's bucket aggregations
-    (the ``hist`` op of ``served.ShardQueryActor.query_phase``):
-    bucketing is vectorized here, per-shard histograms are
+    the ``hist`` op of :func:`op_partial` behind every bucket
+    aggregation: bucketing is vectorized here, histograms are
     distinct-key-scale, and disjoint-range partials SUM exactly on the
     driver.
 
@@ -817,28 +949,8 @@ def value_histogram(vals, kind: str, arg=None) -> pa.Table:
       never doc-scale.
     """
     vals = vals.combine_chunks() if isinstance(vals, pa.ChunkedArray) else vals
-    if kind == "date_histogram":
-        if not is_fixed_interval(arg):
-            # calendar interval (week/month/quarter/year): key =
-            # epoch-us of the civil bucket start — partials with
-            # identical keys sum exactly across shards, same as the
-            # fixed-width path
-            us, valid = _ts_us_masked(pa.table({"_ts": vals}), "_ts")
-            out = np.zeros(len(us), np.int64)
-            out[valid] = _calendar_trunc_us(
-                us[valid].astype("datetime64[us]"), str(arg)
-            )
-            keys = pa.array(out, pa.int64(), mask=~valid)
-        else:
-            # numpy FLOOR division (the engine-wide date-bucket rule;
-            # pc.divide truncates toward zero and would disagree with
-            # the Dataset facet pre-1970)
-            us, valid = _ts_us_masked(pa.table({"_ts": vals}), "_ts")
-            keys = pa.array(
-                us // _fixed_interval_us(arg), pa.int64(), mask=~valid
-            )
-    elif kind == "histogram":
-        keys = _float_histogram_keys(vals, arg)
+    if kind in ("date_histogram", "histogram"):
+        keys = _bucket_keys(vals, kind, arg)
     elif kind == "range":
         v = pa.chunked_array([vals]).cast(pa.float64()).to_numpy(
             zero_copy_only=False
@@ -882,8 +994,9 @@ def value_histogram(vals, kind: str, arg=None) -> pa.Table:
 
 def value_bucket_sums(key_vals, metric_vals, kind: str, arg=None) -> pa.Table:
     """``(key, n, sm)`` bucket count + metric-sum histogram — the
-    SHARD primitive behind the serving tier's pipeline aggregations
-    (a ``date_histogram``/``histogram`` parent with a ``sum`` metric):
+    ``bucket_sums`` op of :func:`op_partial` behind every pipeline
+    aggregation (a ``date_histogram``/``histogram`` parent with a
+    ``sum`` metric):
     bucketing reuses :func:`value_histogram`'s key semantics; rows
     with a null KEY are dropped, rows with a null METRIC still count
     toward ``n`` but contribute 0 to ``sm`` (OpenSearch: adding a
@@ -891,31 +1004,11 @@ def value_bucket_sums(key_vals, metric_vals, kind: str, arg=None) -> pa.Table:
     are distinct-key-scale and both columns SUM exactly across
     disjoint doc ranges (the metric is cast to int64 — the engine's
     integral-metric contract for order-independent exactness)."""
-    key_vals = (
-        key_vals.combine_chunks()
-        if isinstance(key_vals, pa.ChunkedArray)
-        else key_vals
-    )
-    if kind == "date_histogram":
-        if not is_fixed_interval(arg):
-            us, valid = _ts_us_masked(pa.table({"_ts": key_vals}), "_ts")
-            out = np.zeros(len(us), np.int64)
-            out[valid] = _calendar_trunc_us(
-                us[valid].astype("datetime64[us]"), str(arg)
-            )
-            keys = pa.array(out, pa.int64(), mask=~valid)
-        else:
-            us, valid = _ts_us_masked(pa.table({"_ts": key_vals}), "_ts")
-            keys = pa.array(
-                us // _fixed_interval_us(arg), pa.int64(), mask=~valid
-            )
-    elif kind == "histogram":
-        keys = _float_histogram_keys(key_vals, arg)
-    else:
+    if kind not in ("date_histogram", "histogram"):
         raise ValueError(f"unknown value_bucket_sums kind {kind!r}")
     t = pa.table(
         {
-            "key": keys,
+            "key": _bucket_keys(key_vals, kind, arg),
             "v": (
                 metric_vals.combine_chunks()
                 if isinstance(metric_vals, pa.ChunkedArray)
@@ -948,37 +1041,20 @@ def percentile_ranks(
     that value → ``(value, rank_pct)``.  Exact, single-division double
     (``100·count/total`` — the SQL oracle's expression shape).
 
-    Shape at scale: per-block partial ``(count ≤ v per v, n)`` — ONE
-    constant-size row per block, like :func:`range_facet`."""
-    import ray
+    Docs missing ``col`` are ignored (they count in neither term).
 
-    bits_ref = ray.put(_as_bits(matched))
+    Shape at scale: the ``range`` value histogram over the bands
+    ``[-inf, v]`` (``[lo, hi)`` with ``hi`` the next double above
+    ``v``) and the ``stats`` op's value count — constant-size
+    partials, like :func:`range_facet`."""
     vals = np.array(sorted(values), np.float64)
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        v = t[col].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        counts = (v[:, None] <= vals[None, :]).sum(axis=0)
-        return pa.table(
-            {
-                "i": pa.array(np.arange(len(vals)), pa.int64()),
-                "le": pa.array(counts.astype(np.int64), pa.int64()),
-                "n": pa.array(np.full(len(vals), len(v), np.int64), pa.int64()),
-            }
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
+    bands = [(-np.inf, float(x)) for x in np.nextafter(vals, np.inf)]
+    h, st = _scatter(
+        docs_ds, matched, [("hist", col, "range", bands), ("stats", col)]
+    )
     le = np.zeros(len(vals), np.int64)
-    n = 0
-    for p in parts:
-        le[p["i"].to_numpy()] += p["le"].to_numpy()
-        if p.num_rows:
-            n += int(p["n"][0].as_py())
+    le[h["key"].to_numpy()] = h["n_docs"].to_numpy()
+    n = int(st["n_docs"][0].as_py())
     if n == 0:
         return pa.table(
             {
@@ -1009,42 +1085,31 @@ def top_by_column(
     block contributes ≤ k rows), tiny driver final — the same
     combiner-before-collect shape as ``ops/windows.topk_per_group``;
     no full sort, no corpus-scale rows to the driver."""
-    import ray
 
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
+    def top(t: pa.Table) -> pa.Table:
+        t = t.select(["doc_id", col])
         if t.num_rows == 0:
-            return t.select(["doc_id", col])
+            return t
         ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         vals = t[col].to_numpy(zero_copy_only=False)
         key = vals if ascending else _neg_key(vals)
-        order = np.lexsort((ids, key))[:k]
-        return t.select(["doc_id", col]).take(pa.array(order))
+        return t.take(pa.array(np.lexsort((ids, key))[:k]))
 
-    parts = [
-        ray.get(r) for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
+    def merge(parts: list) -> pa.Table:
+        parts = [p for p in parts if p.num_rows]
+        ids = np.empty(0, np.int64)
+        if parts:
+            ids = top(pa.concat_tables(parts, promote_options="default"))[
+                "doc_id"
+            ].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table(
-            {"rank": pa.array([], pa.int64()), "doc_id": pa.array([], pa.int64())}
+            {
+                "rank": pa.array(np.arange(1, len(ids) + 1, dtype=np.int64)),
+                "doc_id": pa.array(ids, pa.int64()),
+            }
         )
-    t = pa.concat_tables(parts, promote_options="default")
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    vals = t[col].to_numpy(zero_copy_only=False)
-    key = vals if ascending else _neg_key(vals)
-    order = np.lexsort((ids, key))[:k]
-    out_ids = ids[order]
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(out_ids) + 1, dtype=np.int64)),
-            "doc_id": pa.array(out_ids, pa.int64()),
-        }
-    )
+
+    return _scatter(docs_ds, matched, [(top, merge)])[0]
 
 
 def rare_terms_facet(
@@ -1059,11 +1124,7 @@ def rare_terms_facet(
     (rarest first, the inverse of ``terms_facet``).  Same
     partial-count shuffle-free shape; the tail filter runs on the
     already-output-scale combined counts."""
-
-    def key_of(t: pa.Table) -> pa.Array:
-        return t[field].cast(pa.string()).combine_chunks()
-
-    t = _facet(docs_ds, matched, key_of, pa.field("value", pa.string()))
+    (t,) = _scatter(docs_ds, matched, [("terms", field)])
     t = t.filter(pc.less_equal(t["n_docs"], pa.scalar(max_doc_count, pa.int64())))
     return t.sort_by([("n_docs", "ascending"), ("value", "ascending")])
 
@@ -1076,35 +1137,28 @@ def multi_terms_facet(
     count desc then keys asc.  Same partial-count shape as
     :func:`terms_facet`, with the whole key tuple riding the partial
     rows (≤ distinct-tuples-per-block move)."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
 
     def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids))).select(cols)
-        agg = t.group_by(cols).aggregate([([], "count_all")])
+        agg = t.select(cols).group_by(cols).aggregate([([], "count_all")])
         return agg.rename_columns([*cols, "partial"])
 
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table(
-            {**{c: pa.array([], pa.string()) for c in cols},
-             "n_docs": pa.array([], pa.int64())}
+    def merge(parts: list) -> pa.Table:
+        parts = [p for p in parts if p.num_rows]
+        if not parts:
+            return pa.table(
+                {**{c: pa.array([], pa.string()) for c in cols},
+                 "n_docs": pa.array([], pa.int64())}
+            )
+        t = pa.concat_tables(parts, promote_options="default")
+        agg = t.group_by(cols).aggregate([("partial", "sum")])
+        out = agg.rename_columns([*cols, "n_docs"]).set_column(
+            len(cols), "n_docs", agg["partial_sum"].cast(pa.int64())
         )
-    t = pa.concat_tables(parts, promote_options="default")
-    agg = t.group_by(cols).aggregate([("partial", "sum")])
-    out = agg.rename_columns([*cols, "n_docs"]).set_column(
-        len(cols), "n_docs", agg["partial_sum"].cast(pa.int64())
-    )
-    return out.sort_by(
-        [("n_docs", "descending"), *[(c, "ascending") for c in cols]]
-    )
+        return out.sort_by(
+            [("n_docs", "descending"), *[(c, "ascending") for c in cols]]
+        )
+
+    return _scatter(docs_ds, matched, [(partial, merge)])[0]
 
 
 def top_hits(
@@ -1123,46 +1177,20 @@ def top_hits(
     direction as the sort (``ops/windows.topk_per_group`` semantics) —
     deterministic, mirrored by the SQL oracle.
 
-    Shape at scale: bitmap broadcast + the ``topk_per_group`` combiner
-    (≤ k rows per (block, bucket) enter the one shuffle)."""
-    import ray
-
-    from ..ops.windows import topk_per_group
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def flt(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.filter(pa.array(_member_mask(bits, doc_ids))).select(
-            ["doc_id", group_col, sort_col]
-        )
-
-    sel = topk_per_group(
-        docs_ds.map_batches(flt, batch_format="pyarrow"),
-        key=group_col,
-        order_col=sort_col,
-        k=k,
-        ascending=ascending,
+    Shape at scale: bitmap broadcast + the ``top_hits`` op (≤ k rows
+    per (block, bucket) reach the driver, whose merge re-applies the
+    same per-key head-k)."""
+    (t,) = _scatter(
+        docs_ds, matched,
+        [("top_hits", group_col, sort_col, k, ascending, None)],
     )
-    parts = [ray.get(r) for r in sel.materialize().to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "value": pa.array([], pa.string()),
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-            }
-        )
-    t = pa.concat_tables(parts, promote_options="default")
     return pa.table(
         {
-            "value": t[group_col].cast(pa.string()),
-            "rank": t["rank"].cast(pa.int64()),
+            "value": t["value"],
+            "rank": t["rank"],
             "doc_id": t["doc_id"].cast(pa.int64()),
         }
-    ).sort_by([("value", "ascending"), ("rank", "ascending")])
+    )
 
 
 def collapse_top(
@@ -1202,15 +1230,8 @@ def collapse_top(
         s = np.where(ok, sc[np.clip(doc_ids, 0, len(sc) - 1)], 0.0)
         keep = s > 0.0
         ids = doc_ids[keep]
-        empty = pa.table(
-            {
-                "value": pa.array([], pa.string()),
-                "doc_id": pa.array([], pa.int64()),
-                "s": pa.array([], pa.float64()),
-            }
-        )
         if not len(ids):
-            return empty
+            return None
         vals = t[field].filter(pa.array(keep))
         rows = collapse_rows(vals, ids, s[keep], k)
         top = vals.take(rows).to_pylist()
@@ -1224,32 +1245,33 @@ def collapse_top(
             }
         )
 
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
+    def merge(parts: list) -> pa.Table:
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            return pa.table(
+                {
+                    "rank": pa.array([], pa.int64()),
+                    "doc_id": pa.array([], pa.int64()),
+                    "value": pa.array([], pa.string()),
+                }
+            )
+        merged = pa.concat_tables(parts, promote_options="default")
+        ids = merged["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+        s = merged["s"].to_numpy(zero_copy_only=False)
+        rows = collapse_rows(merged["value"], ids, s, k)
         return pa.table(
             {
-                "rank": pa.array([], pa.int64()),
-                "doc_id": pa.array([], pa.int64()),
-                "value": pa.array([], pa.string()),
+                "rank": pa.array(np.arange(1, len(rows) + 1, dtype=np.int64)),
+                "doc_id": pa.array(ids[rows], pa.int64()),
+                "value": pa.array(
+                    [str(v) for v in merged["value"].take(rows).to_pylist()],
+                    pa.string(),
+                ),
             }
         )
-    merged = pa.concat_tables(parts, promote_options="default")
-    ids = merged["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    s = merged["s"].to_numpy(zero_copy_only=False)
-    rows = collapse_rows(merged["value"], ids, s, k)
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(rows) + 1, dtype=np.int64)),
-            "doc_id": pa.array(ids[rows], pa.int64()),
-            "value": pa.array(
-                [str(v) for v in merged["value"].take(rows).to_pylist()], pa.string()
-            ),
-        }
-    )
+
+    # the score vector is this facet's broadcast: no bitmap filter
+    return _scatter(docs_ds, None, [(partial, merge)])[0]
 
 
 def _neg_key(vals: np.ndarray) -> np.ndarray:
@@ -1261,8 +1283,8 @@ def _neg_key(vals: np.ndarray) -> np.ndarray:
 
 def composite_page(keys, after, size: int) -> pa.Table:
     """ONE composite-agg page over a matched key array — the shared
-    kernel behind the REST composite (the ``composite`` op of
-    ``served.ShardQueryActor.query_phase``): drop null keys
+    kernel behind every composite agg (the ``composite`` op of
+    :func:`op_partial`): drop null keys
     (OpenSearch ``missing_bucket: false``), cast the request cursor to
     the COLUMN's type (an unrepresentable cursor is a 400 — validated
     even on an empty match set so no shard can diverge),
@@ -1313,62 +1335,21 @@ def composite_facet(
     ``after_key`` is the cursor for the next page (None when
     exhausted).
 
-    Shape at scale: per block, matched rows with key > after are
-    bucket-counted locally and only the ``size`` SMALLEST keys'
-    partial rows leave the task (the global first-``size`` keys are
-    always within the union of per-block first-``size`` sets); the
-    driver merges output-scale partials.  Each page is one streaming
-    pass — the cursor protocol is what bounds response size, exactly
-    the API's contract."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
-        if after is not None:
-            v = v[v > after]
-        if len(v) == 0:
-            return pa.table(
-                {"key": pa.array([], pa.int64()), "n": pa.array([], pa.int64())}
-            )
-        keys, counts = np.unique(v, return_counts=True)
-        keys, counts = keys[:size], counts[:size]
-        return pa.table(
-            {"key": pa.array(keys), "n": pa.array(counts.astype(np.int64))}
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return (
-            pa.table(
-                {"key": pa.array([], pa.int64()), "n_docs": pa.array([], pa.int64())}
-            ),
-            None,
-        )
-    allp = pa.concat_tables(parts)
-    keys = allp["key"].to_numpy(zero_copy_only=False)
-    ns = allp["n"].to_numpy(zero_copy_only=False)
-    uk = np.unique(keys)[:size]
-    mask = np.isin(keys, uk)
-    agg = {}
-    for k, n in zip(keys[mask].tolist(), ns[mask].tolist()):
-        agg[k] = agg.get(k, 0) + n
-    out_keys = sorted(agg)
-    tbl = pa.table(
-        {
-            "key": pa.array(np.array(out_keys, np.int64)),
-            "n_docs": pa.array(np.array([agg[k] for k in out_keys], np.int64)),
-        }
+    Shape at scale: the ``composite`` op — per block, only the
+    ``size`` SMALLEST matched keys after the cursor leave the task
+    (the global first-``size`` keys are always within the union of
+    per-block first-``size`` sets); the driver merges output-scale
+    partials.  Each page is one streaming pass — the cursor protocol
+    is what bounds response size, exactly the API's contract.  Keys
+    are int64 (the source is numeric)."""
+    (t,) = _scatter(docs_ds, matched, [("composite", col, after, size)])
+    if t is None:
+        t = pa.table({"value": pa.array([], pa.int64()),
+                      "n_docs": pa.array([], pa.int64())})
+    tbl = pa.table({"key": t["value"].cast(pa.int64()), "n_docs": t["n_docs"]})
+    after_key = (
+        int(tbl["key"][-1].as_py()) if size and tbl.num_rows == size else None
     )
-    after_key = int(out_keys[-1]) if len(out_keys) == size else None
     return tbl, after_key
 
 
@@ -1398,36 +1379,25 @@ def filters_facet(docs_ds, filters: dict[str, tuple[str, str, object]]) -> pa.Ta
         if op not in _FILTER_OPS:
             raise ValueError(f"unsupported filter op: {op!r}")
 
-    def partial(t: pa.Table) -> pa.Table:
-        names, counts = [], []
-        for name, (col, op, val) in specs:
-            m = _FILTER_OPS[op](t[col], pa.scalar(val))
-            names.append(name)
-            counts.append(int(pc.sum(pc.cast(m, pa.int64())).as_py() or 0))
-        return pa.table(
-            {
-                "bucket": pa.array(names, pa.string()),
-                "n": pa.array(counts, pa.int64()),
-            }
-        )
+    def partial(t: pa.Table) -> list[int]:
+        return [
+            int(pc.sum(pc.cast(_FILTER_OPS[op](t[col], pa.scalar(val)),
+                               pa.int64())).as_py() or 0)
+            for _, (col, op, val) in specs
+        ]
 
-    import ray
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    agg: dict[str, int] = {name: 0 for name, _ in specs}
-    for p in parts:
-        for name, n in zip(p["bucket"].to_pylist(), p["n"].to_pylist()):
-            agg[name] += int(n)
-    names = [name for name, _ in specs]
+    (counts,) = _scatter(docs_ds, None, [(partial, _vector_sum(len(specs)))])
     return pa.table(
         {
-            "bucket": pa.array(names, pa.string()),
-            "n_docs": pa.array([agg[n] for n in names], pa.int64()),
+            "bucket": pa.array([name for name, _ in specs], pa.string()),
+            "n_docs": pa.array(counts, pa.int64()),
         }
     )
+
+
+def _vector_sum(n: int):
+    """The merge of per-block length-``n`` count vectors: their sum."""
+    return lambda parts: np.sum([np.zeros(n, np.int64), *parts], axis=0)
 
 
 def adjacency_matrix_facet(
@@ -1456,7 +1426,7 @@ def adjacency_matrix_facet(
         for j in range(i + 1, len(names))
     ]
 
-    def partial(t: pa.Table) -> pa.Table:
+    def partial(t: pa.Table) -> list[int]:
         masks = [
             pc.cast(_FILTER_OPS[op](t[col], pa.scalar(val)), pa.int64())
             for _, (col, op, val) in specs
@@ -1467,23 +1437,10 @@ def adjacency_matrix_facet(
                 counts.append(
                     int(pc.sum(pc.multiply(masks[i], masks[j])).as_py() or 0)
                 )
-        return pa.table(
-            {
-                "bucket": pa.array(keys, pa.string()),
-                "n": pa.array(counts, pa.int64()),
-            }
-        )
+        return counts
 
-    import ray
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    agg: dict[str, int] = {k: 0 for k in keys}
-    for p in parts:
-        for name, n in zip(p["bucket"].to_pylist(), p["n"].to_pylist()):
-            agg[name] += int(n)
+    (counts,) = _scatter(docs_ds, None, [(partial, _vector_sum(len(keys)))])
+    agg = dict(zip(keys, counts.tolist()))
     kept = sorted(k for k in keys if agg[k] > 0)
     return pa.table(
         {
@@ -1496,65 +1453,14 @@ def adjacency_matrix_facet(
 def stats_facet(docs_ds, matched: np.ndarray, col: str) -> pa.Table:
     """OpenSearch ``stats`` aggregation over a numeric stored field of
     the matched docs → one row ``(n_docs, min_v, max_v, sum_v,
-    avg_v)`` (values as float64, the aggregation's wire type).
+    avg_v)`` (values as float64, the aggregation's wire type; docs
+    missing the field are ignored).
 
-    Shape at scale: bitmap broadcast + per-batch partial
-    ``(count, min, max, sum)`` — ONE tiny row per block to the driver,
-    a constant-size final fold.  Nothing corpus-scale moves."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "n": pa.array([], pa.int64()),
-                    "mn": pa.array([], pa.float64()),
-                    "mx": pa.array([], pa.float64()),
-                    "sm": pa.array([], pa.float64()),
-                }
-            )
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table(
-            {
-                "n": pa.array([len(v)], pa.int64()),
-                "mn": pa.array([float(v.min())], pa.float64()),
-                "mx": pa.array([float(v.max())], pa.float64()),
-                "sm": pa.array([float(v.sum())], pa.float64()),
-            }
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table(
-            {
-                "n_docs": pa.array([0], pa.int64()),
-                "min_v": pa.array([None], pa.float64()),
-                "max_v": pa.array([None], pa.float64()),
-                "sum_v": pa.array([None], pa.float64()),
-                "avg_v": pa.array([None], pa.float64()),
-            }
-        )
-    t = pa.concat_tables(parts)
-    n = int(pc.sum(t["n"]).as_py())
-    sm = float(pc.sum(t["sm"]).as_py())
-    return pa.table(
-        {
-            "n_docs": pa.array([n], pa.int64()),
-            "min_v": pa.array([float(pc.min(t["mn"]).as_py())], pa.float64()),
-            "max_v": pa.array([float(pc.max(t["mx"]).as_py())], pa.float64()),
-            "sum_v": pa.array([sm], pa.float64()),
-            "avg_v": pa.array([sm / n], pa.float64()),
-        }
-    )
+    Shape at scale: the ``stats`` op — ONE constant-size partial per
+    block to the driver, a constant-size final fold.  Nothing
+    corpus-scale moves."""
+    (st,) = _scatter(docs_ds, matched, [("stats", col)])
+    return st.select(["n_docs", "min_v", "max_v", "sum_v", "avg_v"])
 
 
 def extended_stats_facet(docs_ds, matched: np.ndarray, col: str) -> pa.Table:
@@ -1563,71 +1469,16 @@ def extended_stats_facet(docs_ds, matched: np.ndarray, col: str) -> pa.Table:
     ``(Σx² − (Σx)²/n)/n`` formula — mirrored exactly so the SQL
     oracle hash-matches; integer-valued fields keep every sum exact).
 
-    Same constant-size-partial shape as ``stats_facet`` with one extra
-    Σx² scalar per block."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "n": pa.array([], pa.int64()),
-                    "mn": pa.array([], pa.float64()),
-                    "mx": pa.array([], pa.float64()),
-                    "sm": pa.array([], pa.float64()),
-                    "ss": pa.array([], pa.float64()),
-                }
-            )
-        v = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table(
-            {
-                "n": pa.array([len(v)], pa.int64()),
-                "mn": pa.array([float(v.min())], pa.float64()),
-                "mx": pa.array([float(v.max())], pa.float64()),
-                "sm": pa.array([float(v.sum())], pa.float64()),
-                "ss": pa.array([float((v * v).sum())], pa.float64()),
-            }
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:  # empty match set → null stats row (OpenSearch shape)
-        return pa.table(
-            {
-                "n_docs": pa.array([0], pa.int64()),
-                **{
-                    c: pa.array([None], pa.float64())
-                    for c in (
-                        "min_v", "max_v", "sum_v", "avg_v",
-                        "sum_sq", "variance", "std_dev",
-                    )
-                },
-            }
-        )
-    t = pa.concat_tables(parts)
-    n = int(pc.sum(t["n"]).as_py())
-    sm = float(pc.sum(t["sm"]).as_py())
-    ss = float(pc.sum(t["ss"]).as_py())
-    var = (ss - sm * sm / n) / n
-    return pa.table(
-        {
-            "n_docs": pa.array([n], pa.int64()),
-            "min_v": pa.array([float(pc.min(t["mn"]).as_py())], pa.float64()),
-            "max_v": pa.array([float(pc.max(t["mx"]).as_py())], pa.float64()),
-            "sum_v": pa.array([sm], pa.float64()),
-            "avg_v": pa.array([sm / n], pa.float64()),
-            "sum_sq": pa.array([ss], pa.float64()),
-            "variance": pa.array([var], pa.float64()),
-            "std_dev": pa.array([float(np.sqrt(var))], pa.float64()),
-        }
+    The same ``stats`` op as :func:`stats_facet` (it carries Σx²)."""
+    (st,) = _scatter(docs_ds, matched, [("stats", col)])
+    row = st.to_pylist()[0]
+    n, sm, ss = row["n_docs"], row["sum_v"], row["sum_sq"]
+    var = std = None
+    if n:  # empty match set → null stats row (OpenSearch shape)
+        var = (ss - sm * sm / n) / n
+        std = float(np.sqrt(var))
+    return st.append_column("variance", pa.array([var], pa.float64())).append_column(
+        "std_dev", pa.array([std], pa.float64())
     )
 
 
@@ -1636,60 +1487,33 @@ def weighted_avg_facet(
 ) -> pa.Table:
     """OpenSearch ``weighted_avg``: ``Σ(v·w) / Σw`` over the matched
     docs — two exact scalar partials per block, one final division."""
-    import ray
 
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
+    def partial(t: pa.Table):
         if t.num_rows == 0:
-            return pa.table(
-                {"vw": pa.array([], pa.float64()), "w": pa.array([], pa.float64())}
-            )
+            return None
         v = t[val_col].to_numpy(zero_copy_only=False).astype(np.float64)
         w = t[weight_col].to_numpy(zero_copy_only=False).astype(np.float64)
-        return pa.table(
-            {
-                "vw": pa.array([float((v * w).sum())], pa.float64()),
-                "w": pa.array([float(w.sum())], pa.float64()),
-            }
-        )
+        return float((v * w).sum()), float(w.sum())
 
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:  # empty match set → null (OpenSearch returns null)
-        return pa.table({"weighted_avg": pa.array([None], pa.float64())})
-    t = pa.concat_tables(parts)
-    vw = float(pc.sum(t["vw"]).as_py())
-    w = float(pc.sum(t["w"]).as_py())
-    # all-zero weights: the average is undefined → null, not a crash
-    avg = vw / w if w != 0.0 else None
+    def merge(parts: list):
+        parts = [p for p in parts if p is not None]
+        if not parts:  # empty match set → null (OpenSearch returns null)
+            return None
+        vw, w = float(sum(p[0] for p in parts)), float(sum(p[1] for p in parts))
+        # all-zero weights: the average is undefined → null, not a crash
+        return vw / w if w != 0.0 else None
+
+    (avg,) = _scatter(docs_ds, matched, [(partial, merge)])
     return pa.table({"weighted_avg": pa.array([avg], pa.float64())})
 
 
 def missing_facet(docs_ds, col: str) -> pa.Table:
     """OpenSearch ``missing`` aggregation: how many docs lack ``col``
     (null) — one streaming pass, one int partial per block."""
-    import ray
-
-    def partial(t: pa.Table) -> pa.Table:
-        return pa.table(
-            {"n": pa.array([int(t[col].null_count)], pa.int64())}
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    t = pa.concat_tables([p for p in parts if p.num_rows])
-    return pa.table(
-        {"n_missing": pa.array([int(pc.sum(t["n"]).as_py() or 0)], pa.int64())}
+    (n,) = _scatter(
+        docs_ds, None, [(lambda t: int(t[col].null_count), sum)]
     )
+    return pa.table({"n_missing": pa.array([int(n)], pa.int64())})
 
 
 def cardinality(
@@ -1699,9 +1523,9 @@ def cardinality(
     values of ``field`` among the matched docs → one row
     ``(n_unique,)``.
 
-    ``approx=False`` (exact): per-batch ``unique`` partials (≤
-    distinct-per-block values move, never rows), then a driver-side
-    unique of the union — output-scale, like ``terms_facet``'s final.
+    ``approx=False`` (exact): the ``distinct`` value histogram (≤
+    distinct-per-block values move, never rows), merged on the driver
+    — output-scale, like ``terms_facet``'s final.
     ``approx=True``: per-batch HyperLogLog sketches
     (``ops/sketch.py``, ±1.04/√2^p) max-merged on the driver —
     CONSTANT-size partials, the OpenSearch answer for unbounded
@@ -1709,64 +1533,29 @@ def cardinality(
 
     Nulls are ignored in both modes — SQL ``count(DISTINCT)`` /
     OpenSearch missing-value semantics."""
-    import ray
+    if not approx:
+        (h,) = _scatter(docs_ds, matched, [("hist", field, "distinct", None)])
+        return pa.table({"n_unique": pa.array([h.num_rows], pa.int64())})
+    from ..ops.sketch import HLL
 
-    bits_ref = ray.put(_as_bits(matched))
-
-    if approx:
-        from ..ops.sketch import HLL, hll_sketch_batch
-
-        def sk_partial(t: pa.Table) -> pa.Table:
-            bits = ray.get(bits_ref)
-            doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-            return hll_sketch_batch(
-                t.filter(pa.array(_member_mask(bits, doc_ids))), field, p
-            )
-
+    def merge(parts: list) -> HLL:
         acc = HLL(p)
-        for part in [
-            ray.get(r)
-            for r in docs_ds.map_batches(
-                sk_partial, batch_format="pyarrow"
-            ).materialize().to_arrow_refs()
-        ]:
-            for buf in part["sketch"].to_pylist():
-                acc.merge(HLL(p, np.frombuffer(buf, np.uint8)))
-        if len(matched) == 0:
-            return pa.table({"n_unique": pa.array([0], pa.int64())})
-        return pa.table(
-            {"n_unique": pa.array([int(round(acc.estimate()))], pa.int64())}
-        )
+        for sk in parts:
+            acc.merge(sk)
+        return acc
 
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        return pa.table(
-            {"v": pc.unique(t[field].combine_chunks().drop_null())}
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        return pa.table({"n_unique": pa.array([0], pa.int64())})
-    t = pa.concat_tables(parts, promote_options="default")
-    return pa.table(
-        {"n_unique": pa.array([len(pc.unique(t["v"].combine_chunks()))], pa.int64())}
+    (acc,) = _scatter(
+        docs_ds, matched, [(lambda t: HLL(p).add_column(t[field]), merge)]
     )
+    n = 0 if len(matched) == 0 else int(round(acc.estimate()))
+    return pa.table({"n_unique": pa.array([n], pa.int64())})
 
 
 def terms_facet(docs_ds, matched: np.ndarray, field: str) -> pa.Table:
     """Doc counts per distinct value of keyword column ``field`` among
-    the matched docs → ``(value, n_docs)``, count desc / value asc."""
-
-    def key_of(t: pa.Table) -> pa.Array:
-        return t[field].combine_chunks()
-
-    return _facet(docs_ds, matched, key_of, pa.field("value", pa.string()))
+    the matched docs → ``(value, n_docs)``, count desc / value asc —
+    the ``terms`` op (docs missing the field are ignored)."""
+    return _scatter(docs_ds, matched, [("terms", field)])[0]
 
 
 def terms_facet_approx(
@@ -1782,22 +1571,12 @@ def terms_facet_approx(
     and a completeness flag.  Columns ``(value, n_docs, n_docs_hi,
     guaranteed)``; when every block's matched-distinct fits ``m`` the
     result equals ``terms_facet``'s top-``k`` exactly."""
-    import ray
+    from ..ops.sketch import _topm_partial, fold_heavy_hitters
 
-    from ..ops.sketch import heavy_hitters
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def keep_matched(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.filter(pa.array(_member_mask(bits, doc_ids))).select([field])
-
-    hh = heavy_hitters(
-        docs_ds.map_batches(keep_matched, batch_format="pyarrow"),
-        field,
-        k=k,
-        m=m,
+    (hh,) = _scatter(
+        docs_ds, matched,
+        [(lambda t: _topm_partial(t, field, m),
+          lambda parts: fold_heavy_hitters(parts, k))],
     )
     return hh.rename_columns(["value", "n_docs", "n_docs_hi", "guaranteed"])
 
@@ -1811,69 +1590,28 @@ def terms_stats_facet(
     ``key_field`` over the matched docs: doc count and
     min/max/sum/avg of ``val_col``.
 
-    Scale shape: the match set rides the packed-bitmap broadcast;
-    each block emits ONE partial row per in-block distinct key
-    (Arrow ``group_by`` count/min/max/sum — the distributive
-    combiners), the driver folds blocks × distinct-keys rows with a
-    second Arrow groupby and does the avg division ONCE per bucket.
-    Like ``terms_facet`` this is exact and output-scale; for
-    unbounded key domains use the ``terms_facet_approx`` sketch and
-    fetch stats per surviving bucket.
+    Scale shape: the ``terms_stats`` op — each block emits ONE partial
+    row per in-block distinct key (Arrow ``group_by``
+    count/min/max/sum — the distributive combiners), the driver folds
+    blocks × distinct-keys rows (:func:`fold_terms_stats`) and does
+    the avg division ONCE per bucket.  Like ``terms_facet`` this is
+    exact and output-scale; for unbounded key domains use the
+    ``terms_facet_approx`` sketch and fetch stats per surviving
+    bucket.
 
     Sums travel as float64 (the aggregation's wire type): for
     integer-valued ``val_col`` below 2^53 every partial and total is
     exact regardless of fold order, and ``avg_v = sum_v / n_docs`` is
     a single IEEE division — the SQL oracle hash-matches bit-exactly.
     Ordered ``n_docs`` desc, key asc (the ``terms`` convention)."""
-    import ray
-
-    from ..collect import tables_of
-
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "value": pa.array([], pa.string()),
-                    "n": pa.array([], pa.int64()),
-                    "mn": pa.array([], pa.float64()),
-                    "mx": pa.array([], pa.float64()),
-                    "sm": pa.array([], pa.float64()),
-                }
-            )
-        agg = (
-            pa.table(
-                {
-                    "value": t[key_field].cast(pa.string()),
-                    "v": t[val_col].cast(pa.float64()),
-                }
-            )
-            .group_by("value")
-            .aggregate([([], "count_all"), ("v", "min"), ("v", "max"), ("v", "sum")])
-        )
-        return pa.table(
-            {
-                "value": agg["value"],
-                "n": agg["count_all"].cast(pa.int64()),
-                "mn": agg["v_min"],
-                "mx": agg["v_max"],
-                "sm": agg["v_sum"],
-            }
-        )
-
-    parts = tables_of(docs_ds.map_batches(partial, batch_format="pyarrow"))
-    return fold_terms_stats(parts)
+    return _scatter(docs_ds, matched, [("terms_stats", key_field, val_col)])[0]
 
 
 def fold_terms_stats(parts: list[pa.Table]) -> pa.Table:
     """Exact fold of ``(value, n, mn, mx, sm)`` partials → the terms+
     stats response table — count/min/max/sum are the distributive
     combiners, so Dataset blocks and fleet shards merge identically
-    (shared by :func:`terms_stats_facet` and the serving tier)."""
+    (the ``terms_stats`` merge of :func:`merge_partials`)."""
     parts = [p for p in parts if p.num_rows]
     if not parts:
         return pa.table(
@@ -1909,68 +1647,16 @@ def _bucket_sums(
     docs_ds, matched, ts_col: str, interval_s: int, metric_col: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The PARENT histogram every pipeline aggregation reduces over:
-    per-batch ``(bucket, count, sum)`` partials (output-scale rows to
-    the driver), exact int64 combine → ``(bucket, n, sum)`` arrays,
-    bucket ascending.  Shared by :func:`pipeline_aggs` and
-    :func:`sibling_pipeline_aggs`."""
-    import ray
-
-    bits_ref = ray.put(_as_bits(matched))
-    div = pa.scalar(interval_s * 1_000_000, pa.int64())
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
-        if t.num_rows == 0:
-            return pa.table(
-                {
-                    "bucket": pa.array([], pa.int64()),
-                    "n": pa.array([], pa.int64()),
-                    "sm": pa.array([], pa.int64()),
-                }
-            )
-        # FLOOR division + null-ts drop — the engine-wide date-bucket
-        # rule (pc.divide truncates toward zero; a null ts would
-        # otherwise survive as a null bucket and turn into a garbage
-        # INT64_MIN id in the driver fold's astype)
-        us, valid = _ts_us_masked(t, ts_col)
-        b = pa.table(
-            {
-                "bucket": pa.array(
-                    us // int(div.as_py()), pa.int64(), mask=~valid
-                ),
-                "v": t[metric_col].cast(pa.int64()),
-            }
-        ).filter(pa.array(valid))
-        # count_all (docs per bucket) + sum (Arrow sum skips null
-        # metrics) — doc_count must not change when a metric is added
-        agg = b.group_by("bucket").aggregate([([], "count_all"), ("v", "sum")])
-        return pa.table(
-            {
-                "bucket": agg["bucket"],
-                "n": agg["count_all"].cast(pa.int64()),
-                "sm": agg["v_sum"].fill_null(0).cast(pa.int64()),
-            }
-        )
-
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow")
-        .materialize()
-        .to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        z = np.empty(0, np.int64)
-        return z, z, z
-    t = pa.concat_tables(parts)
-    agg = t.group_by("bucket").aggregate([("n", "sum"), ("sm", "sum")])
-    agg = agg.sort_by("bucket")
-    return (
-        agg["bucket"].to_numpy(zero_copy_only=False).astype(np.int64),
-        agg["n_sum"].to_numpy(zero_copy_only=False).astype(np.int64),
-        agg["sm_sum"].to_numpy(zero_copy_only=False).astype(np.int64),
+    the ``bucket_sums`` op (fixed date interval) → ``(bucket, n,
+    sum)`` int64 arrays, bucket ascending.  Shared by
+    :func:`pipeline_aggs` and :func:`sibling_pipeline_aggs`."""
+    (t,) = _scatter(
+        docs_ds, matched,
+        [("bucket_sums", ts_col, "date_histogram", interval_s, metric_col)],
+    )
+    return tuple(
+        t[c].to_numpy(zero_copy_only=False).astype(np.int64)
+        for c in ("key", "n", "sm")
     )
 
 
@@ -2151,36 +1837,21 @@ def matrix_stats(docs_ds, matched: np.ndarray, x_col: str, y_col: str) -> pa.Tab
     production variant would swap the partials for Chan/Welford moment
     merges — the combiner stays constant-size either way.
     """
-    import ray
 
-    bits_ref = ray.put(_as_bits(matched))
-
-    def partial(t: pa.Table) -> pa.Table:
-        bits = ray.get(bits_ref)
-        doc_ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        t = t.filter(pa.array(_member_mask(bits, doc_ids)))
+    def partial(t: pa.Table):
         if t.num_rows == 0:
-            return pa.table({c: pa.array([], pa.int64()) for c in
-                             ("n", "sx", "sy", "sxx", "syy", "sxy")})
+            return None
         x = t[x_col].to_numpy(zero_copy_only=False).astype(np.int64)
         y = t[y_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table(
-            {
-                "n": pa.array([len(x)], pa.int64()),
-                "sx": pa.array([int(x.sum())], pa.int64()),
-                "sy": pa.array([int(y.sum())], pa.int64()),
-                "sxx": pa.array([int((x * x).sum())], pa.int64()),
-                "syy": pa.array([int((y * y).sum())], pa.int64()),
-                "sxy": pa.array([int((x * y).sum())], pa.int64()),
-            }
-        )
+        return (len(x), int(x.sum()), int(y.sum()), int((x * x).sum()),
+                int((y * y).sum()), int((x * y).sum()))
 
-    parts = [
-        ray.get(r)
-        for r in docs_ds.map_batches(partial, batch_format="pyarrow").materialize().to_arrow_refs()
-    ]
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
+    def merge(parts: list):
+        parts = [p for p in parts if p is not None]
+        return tuple(sum(col) for col in zip(*parts)) if parts else None
+
+    (sums,) = _scatter(docs_ds, matched, [(partial, merge)])
+    if sums is None:
         return pa.table(
             {
                 "n_docs": pa.array([0], pa.int64()),
@@ -2189,13 +1860,7 @@ def matrix_stats(docs_ds, matched: np.ndarray, x_col: str, y_col: str) -> pa.Tab
                              "cov_xy", "corr_xy")},
             }
         )
-    t = pa.concat_tables(parts)
-    n = int(pc.sum(t["n"]).as_py())
-    sx = int(pc.sum(t["sx"]).as_py())
-    sy = int(pc.sum(t["sy"]).as_py())
-    sxx = int(pc.sum(t["sxx"]).as_py())
-    syy = int(pc.sum(t["syy"]).as_py())
-    sxy = int(pc.sum(t["sxy"]).as_py())
+    n, sx, sy, sxx, syy, sxy = sums
     import math
 
     # expression trees mirror the SQL oracle EXACTLY (bit-stable):

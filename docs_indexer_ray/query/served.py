@@ -13,15 +13,18 @@ stages applied to the read path (SURVEY §7 step 7).
   query-then-fetch: :meth:`ShardQueryActor.query_phase` evaluates the
   query's live match set ONCE (:func:`live_matches`) and returns this
   shard's ranked page, its match count and every aggregation partial
-  of the request from it; ``fetch_partial`` then reads the stored
-  fields of the hits the shard owns.
+  of the request from it — the column aggregations through
+  ``facets.op_partial``, the engine's one set of aggregation kernels
+  (the Dataset facets run the same kernels per docs-store block);
+  ``fetch_partial`` then reads the stored fields of the hits the
+  shard owns.
 * :class:`ShardedQueryService` — the coordinator: fans each call out
   to one replica per shard and merges.  BM25 scores are globally
   comparable because N/avgdl/df are global statistics, so every
   cross-shard merge is **exact** (tested ≡ the unsharded library
   functions).  Each shard pays O(n_docs / n_shards) and shards score
   in parallel.  :meth:`ShardedQueryService.query_phase` is one
-  fan-out (page merge, count sum, :func:`merge_partials` per op) and
+  fan-out (page merge, count sum, ``facets.merge_partials`` per op) and
   :meth:`ShardedQueryService.fetch_phase` routes each hit to its
   owning shard; ``_search``, ``_count`` and :meth:`search` are built
   from those two.
@@ -153,38 +156,22 @@ class ShardQueryActor:
           ``(doc_id, key)`` table in field order
           (``sortq.sort_rows_range`` over the matched offsets).
 
-        Every op's partial is computed from shared pieces: each
-        stored column's shard slice (the memoized
-        ``reader.stored_column`` — one docs-store scan per column per
-        actor lifetime) is ``take``n once over the match set.  Every
-        partial is distinct-key-scale (never doc-scale, except
-        ``ids``) and merges exactly across disjoint doc ranges
-        (:func:`merge_partials`).  The ops:
+        ``ops`` — each is a column op of ``facets.op_partial``
+        (``terms``, ``stats``, ``hist``, ``bucket_sums``,
+        ``composite``, ``terms_stats``, ``top_hits`` — the kernels the
+        Dataset facets run per block), computed over each stored
+        column's shard slice (the memoized ``reader.stored_column`` —
+        one docs-store scan per column per actor lifetime) ``take``n
+        once over the match set, or one of the query ops:
 
-        * ``("terms", col)`` → ``(value: string, partial)`` counts.
-        * ``("stats", col)`` → ``(n, min, max, sum)``.
-        * ``("hist", col, kind, arg)`` → ``(key, partial)`` from
-          ``facets.value_histogram`` (date_histogram / histogram /
-          range / date_range / ``values`` / ``distinct``).
-        * ``("bucket_sums", col, kind, arg, val_col)`` → ``(key, n,
-          sm)`` from ``facets.value_bucket_sums``.
-        * ``("composite", col, after, size)`` → this shard's ``size``
-          smallest matched keys after the cursor with their counts
-          (``facets.composite_page``): a key cut from this window has
-          ≥ size smaller keys in this shard alone, so it cannot be on
-          the global page, and every key on the global page lies in
-          every holding shard's window — its count sums exactly.
-        * ``("terms_stats", key_col, val_col)`` → ``(value, n, mn, mx,
-          sm)`` per bucket.
-        * ``("top_hits", group_col, sort_col, k, ascending, values)``
-          → ≤ k ``(value, s, doc_id)`` rows per bucket
-          (``ops/windows.head_k_per_key``; ``sort_col`` ``_doc``/``_id``
-          sorts by doc id; ``values``, when set, keeps only those
-          buckets).
         * ``("count", legs)`` → ``|match ∧ leg₁ ∧ …|`` for a tuple of
           DSL objects (a leg that analyzes away constrains nothing);
           each distinct leg is evaluated once per call.
-        * ``("ids",)`` → the matched GLOBAL doc ids."""
+        * ``("ids",)`` → the matched GLOBAL doc ids.
+
+        Every partial is distinct-key-scale (never doc-scale, except
+        ``ids``) and merges exactly across disjoint doc ranges
+        (``facets.merge_partials``)."""
         import pyarrow as pa
 
         scores, matched = live_matches(
@@ -240,101 +227,25 @@ class ShardQueryActor:
         ]
 
     def _partial(self, op, matched: np.ndarray, col, leg):
-        """One :meth:`query_phase` aggregation op over the shared
-        match set."""
-        import pyarrow as pa
-
-        kind = op[0]
-        # terms and stats never read their column for an empty match
-        if kind == "terms":
-            if not len(matched):
-                return pa.table(
-                    {"value": pa.array([], pa.string()),
-                     "partial": pa.array([], pa.int64())}
-                )
-            agg = pa.table({"value": col(op[1])}).group_by("value").aggregate(
-                [([], "count_all")]
-            )
-            return pa.table(
-                {
-                    "value": agg["value"].cast(pa.string()),
-                    "partial": agg["count_all"].cast(pa.int64()),
-                }
-            )
-        if kind == "stats":
-            if not len(matched):
-                return (0, None, None, None)
-            v = col(op[1]).to_numpy(zero_copy_only=False).astype(np.float64)
-            return (len(v), float(v.min()), float(v.max()), float(v.sum()))
-        if kind == "hist":
-            from .facets import value_histogram
-
-            return value_histogram(col(op[1]), op[2], op[3])
-        if kind == "bucket_sums":
-            from .facets import value_bucket_sums
-
-            return value_bucket_sums(col(op[1]), col(op[4]), op[2], op[3])
-        if kind == "composite":
-            from .facets import composite_page
-
-            # validates the cursor even on an empty match, so an
-            # out-of-type cursor fails identically on every shard
-            return composite_page(col(op[1]), op[2], op[3])
-        if kind == "terms_stats":
-            t = pa.table(
-                {
-                    "value": col(op[1]).cast(pa.string()),
-                    "v": col(op[2]).cast(pa.float64()),
-                }
-            )
-            if t.num_rows == 0:
-                return pa.table(
-                    {
-                        "value": pa.array([], pa.string()),
-                        "n": pa.array([], pa.int64()),
-                        "mn": pa.array([], pa.float64()),
-                        "mx": pa.array([], pa.float64()),
-                        "sm": pa.array([], pa.float64()),
-                    }
-                )
-            agg = t.group_by("value").aggregate(
-                [([], "count_all"), ("v", "min"), ("v", "max"), ("v", "sum")]
-            )
-            return pa.table(
-                {
-                    "value": agg["value"],
-                    "n": agg["count_all"].cast(pa.int64()),
-                    "mn": agg["v_min"],
-                    "mx": agg["v_max"],
-                    "sm": agg["v_sum"],
-                }
-            )
-        if kind == "top_hits":
-            import pyarrow.compute as pc
-
-            from ..ops.windows import head_k_per_key
-
-            _, group_col, sort_col, k, ascending, values = op
-            ids = pa.array(matched + np.int64(self.reader.doc_lo), pa.int64())
-            s = ids if sort_col in ("_doc", "_id") else col(sort_col)
-            t = pa.table(
-                {"value": col(group_col).cast(pa.string()), "s": s, "doc_id": ids}
-            )
-            if values is not None:
-                t = t.filter(pc.is_in(t["value"], value_set=pa.array(
-                    [str(v) for v in values], pa.string()
-                )))
-            return head_k_per_key(t, "value", "s", k, ascending)
-        if kind == "count":
+        """One :meth:`query_phase` op over the shared match set: the
+        query ops here, every column op through ``facets.op_partial``."""
+        if op[0] == "count":
             sel = np.ones(len(matched), bool)
             for dsl in op[1]:
                 mask = leg(dsl)
                 if mask is not None:
                     sel &= mask[matched]
             return int(np.count_nonzero(sel))
-        if kind == "ids":
+        if op[0] == "ids":
             return matched + np.int64(self.reader.doc_lo)
-        raise ValueError(f"unknown aggregation op {op!r}")
+        from .facets import op_partial
+
+        if op[0] in ("terms", "stats") and not len(matched):
+            # terms and stats never read their column for an empty match
+            import pyarrow as pa
+
+            return op_partial(op, lambda _: pa.array([], pa.string()))
+        return op_partial(op, col)
 
     def span_near_partial(self, terms: list[str], slop: int) -> list[tuple[int, int]]:
         """This shard's unordered span matches ``(doc_id, min_window)``
@@ -612,6 +523,8 @@ class ShardedQueryService:
             from .sortq import merge_sorted_pages
 
             page = merge_sorted_pages(pages, rank[3], rank[2])
+        from .facets import merge_partials
+
         return page, int(sum(p[1] for p in parts)), [
             merge_partials(op, [p[2][i] for p in parts])
             for i, op in enumerate(ops)
@@ -820,120 +733,3 @@ def page_rank(
         return ("score", from_ + k, after)
     col, order = sort
     return ("field", col, order == "desc", from_ + k, after)
-
-
-def _sum_by(parts: list, key: str, cols: list[str]):
-    """Concatenate the non-empty shard partials and SUM ``cols`` per
-    ``key`` — the one exact merge every additive partial shares
-    (counts and sums over disjoint doc ranges add).  ``None`` when no
-    shard returned a row."""
-    import pyarrow as pa
-
-    live = [p for p in parts if p.num_rows]
-    if not live:
-        return None
-    t = pa.concat_tables(live, promote_options="default")
-    return t.group_by(key).aggregate([(c, "sum") for c in cols])
-
-
-def merge_partials(op, parts: list):
-    """The exact cross-shard merge of one :meth:`ShardQueryActor.query_phase`
-    op's partials (shard order) — the same tables the Dataset facets
-    return:
-
-    * ``terms`` → ``(value, n_docs)``, count desc / value asc.
-    * ``stats`` → one row ``(n_docs, min_v, max_v, sum_v, avg_v)``.
-    * ``hist`` → ``(key, n_docs)`` by key.
-    * ``bucket_sums`` → ``(key, n, sm)`` by key.
-    * ``composite`` → the page ``(value, n_docs)`` by value, or
-      ``None`` when no shard matched.
-    * ``terms_stats`` → ``facets.fold_terms_stats``.
-    * ``top_hits`` → ``(value, rank, doc_id, s)``, buckets ascending —
-      the shards' head-k re-applied (exact by idempotence).
-    * ``count`` → the summed count; ``ids`` → the sorted doc ids."""
-    import pyarrow as pa
-
-    kind = op[0]
-    if kind == "count":
-        return int(sum(parts))
-    if kind == "ids":
-        return np.concatenate(parts)
-    if kind == "stats":
-        parts = [p for p in parts if p[0]]
-        n = sum(p[0] for p in parts)
-        if n == 0:
-            return pa.table(
-                {
-                    "n_docs": pa.array([0], pa.int64()),
-                    "min_v": pa.array([None], pa.float64()),
-                    "max_v": pa.array([None], pa.float64()),
-                    "sum_v": pa.array([None], pa.float64()),
-                    "avg_v": pa.array([None], pa.float64()),
-                }
-            )
-        sm = float(sum(p[3] for p in parts))
-        return pa.table(
-            {
-                "n_docs": pa.array([n], pa.int64()),
-                "min_v": pa.array([min(p[1] for p in parts)], pa.float64()),
-                "max_v": pa.array([max(p[2] for p in parts)], pa.float64()),
-                "sum_v": pa.array([sm], pa.float64()),
-                "avg_v": pa.array([sm / n], pa.float64()),
-            }
-        )
-    if kind == "terms_stats":
-        from .facets import fold_terms_stats
-
-        return fold_terms_stats(parts)
-    if kind == "top_hits":
-        from ..ops.windows import head_k_per_key
-
-        live = [p for p in parts if p.num_rows]
-        if not live:
-            return pa.table(
-                {
-                    "value": pa.array([], pa.string()),
-                    "rank": pa.array([], pa.int64()),
-                    "doc_id": pa.array([], pa.int64()),
-                    "s": parts[0]["s"],
-                }
-            )
-        t = pa.concat_tables(live, promote_options="default")
-        out = head_k_per_key(t, "value", "s", op[3], op[4], with_rank=True)
-        return out.select(["value", "rank", "doc_id", "s"])
-    if kind == "bucket_sums":
-        agg = _sum_by(parts, "key", ["n", "sm"])
-        if agg is None:
-            return pa.table(
-                {
-                    "key": parts[0]["key"],
-                    "n": pa.array([], pa.int64()),
-                    "sm": pa.array([], pa.int64()),
-                }
-            )
-        agg = agg.sort_by("key")
-        return pa.table(
-            {
-                "key": agg["key"],
-                "n": agg["n_sum"].cast(pa.int64()),
-                "sm": agg["sm_sum"].cast(pa.int64()),
-            }
-        )
-    # terms / hist / composite: (key, partial) counts
-    key = "key" if kind == "hist" else "value"
-    agg = _sum_by(parts, key, ["partial"])
-    if agg is None:
-        if kind == "composite":
-            return None
-        return pa.table(
-            {
-                key: parts[0][key] if kind == "hist" else pa.array([], pa.string()),
-                "n_docs": pa.array([], pa.int64()),
-            }
-        )
-    out = pa.table({key: agg[key], "n_docs": agg["partial_sum"].cast(pa.int64())})
-    if kind == "terms":
-        return out.sort_by([("n_docs", "descending"), ("value", "ascending")])
-    if kind == "hist":
-        return out.sort_by("key")
-    return out.sort_by("value").slice(0, op[3])  # composite page

@@ -291,9 +291,9 @@ def significant_terms(
                 "score": pa.array([], pa.float64()),
             }
         )
-    from .facets import _as_bits
+    from .facets import _broadcast
 
-    bits_ref = ray.put(_as_bits(matched))
+    bits_ref = _broadcast(matched)
     if mode == "auto":
         # the scan pays O(total postings); re-tokenization pays
         # O(matched share of the corpus) plus ~0.5 s of fixed Ray Data

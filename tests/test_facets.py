@@ -523,6 +523,31 @@ def test_stats_and_cardinality_facets(built, ray_session):
     assert st0["n_docs"][0].as_py() == 0 and st0["min_v"][0].as_py() is None
     assert cardinality(ds, np.empty(0, np.int64), "v")["n_unique"][0].as_py() == 0
 
+    # missing values are ignored (DuckDB / OpenSearch), not NaN/inf
+    from docs_indexer_ray.query.facets import extended_stats_facet
+
+    nds, alld = _null_bearing(ray.data)
+    st = stats_facet(nds, alld, "v")
+    assert st.to_pylist() == [
+        {"n_docs": 4, "min_v": 1.0, "max_v": 7.0, "sum_v": 16.0, "avg_v": 4.0}
+    ]
+    es = extended_stats_facet(nds, alld, "v").to_pylist()[0]
+    assert (es["n_docs"], es["sum_sq"], es["variance"]) == (4, 84.0, 5.0)
+    assert es["std_dev"] == pytest.approx(5.0 ** 0.5)
+    assert cardinality(nds, alld, "v")["n_unique"][0].as_py() == 4
+
+
+def _null_bearing(data):
+    """The column ``[1, null, 3, null, 5, 7]`` over docs 0..5 → ``(ds,
+    all doc ids)``."""
+    t = pa.table(
+        {
+            "doc_id": pa.array(np.arange(6), pa.int64()),
+            "v": pa.array([1, None, 3, None, 5, 7], pa.int64()),
+        }
+    )
+    return data.from_arrow(t).repartition(2), np.arange(6, dtype=np.int64)
+
 
 def test_histogram_range_percentiles_facets(built, ray_session):
     import ray.data
@@ -601,6 +626,13 @@ def test_histogram_range_percentiles_facets(built, ray_session):
     assert pr["rank_pct"].to_pylist()[-1] == 100.0
     pr0 = percentile_ranks(ds, np.empty(0, np.int64), "v", probes)
     assert all(x is None for x in pr0["rank_pct"].to_pylist())
+
+    # missing values are ignored: ranks and percentiles over the 4
+    # present values only
+    nds, alld = _null_bearing(ray.data)
+    pr = percentile_ranks(nds, alld, "v", [3.0, 7.0])
+    assert pr["rank_pct"].to_pylist() == [50.0, 100.0]
+    assert percentiles(nds, alld, "v", [50.0])["value"].to_pylist() == [4.0]
 
 
 def test_multi_terms_facet(built, ray_session):
@@ -1529,8 +1561,10 @@ def test_all_query_surfaces_exclude_tombstones(built, ray_session, tmp_path):
 def test_sharded_facets_match_local(built, ray_session):
     """Serving-tier facets: per-shard matched counts over disjoint doc
     ranges sum to EXACTLY the Ray-Data ``terms_facet`` (same schema,
-    same count-desc/value-asc order), and the per-shard constant-size
-    stats partials fold to the brute-force numbers."""
+    same count-desc/value-asc order) — on a dense keyword column and
+    on the null-bearing ``extras`` (docs missing the field are
+    ignored by both drivers) — and the per-shard constant-size stats
+    partials fold to the brute-force numbers."""
     import os
 
     import pyarrow.dataset as pads
@@ -1540,31 +1574,35 @@ def test_sharded_facets_match_local(built, ray_session):
     from docs_indexer_ray.query.served import ShardedQueryService
 
     reader, _ = built
-    query, col = "node quota", "lang"
+    query = "node quota"
     docs_dir = os.path.join(reader.index_dir, "docs")
     matched = match_doc_ids(reader, query.split())
-
-    ds = ray.data.read_parquet(docs_dir, columns=["doc_id", col])
-    want = terms_facet(ds, matched, col)
 
     svc = ShardedQueryService(
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        _, _, (got,) = svc.query_phase(query, ops=[("terms", col)])
-        assert got.to_pylist() == want.to_pylist()
-        # memoized column slice: a second call returns the same thing
-        again = svc.query_phase(query, ops=[("terms", col)])[2][0]
-        assert again.slice(0, 2).to_pylist() == want.to_pylist()[:2]
-        # brute-force independent check
-        t = pads.dataset(docs_dir, partitioning="hive").to_table(
-            columns=["doc_id", col]
-        )
-        key_of = dict(zip(t["doc_id"].to_pylist(), t[col].to_pylist()))
-        brute: dict = {}
-        for d in matched.tolist():
-            brute[key_of[d]] = brute.get(key_of[d], 0) + 1
-        assert dict(zip(got["value"].to_pylist(), got["n_docs"].to_pylist())) == brute
+        # extras: null on pages without unmapped front-matter keys
+        for q, col in ((query, "lang"), ("node quotas", "extras")):
+            m = match_doc_ids(reader, q.split())
+            ds = ray.data.read_parquet(docs_dir, columns=["doc_id", col])
+            want = terms_facet(ds, m, col)
+            _, _, (got,) = svc.query_phase(q, ops=[("terms", col)])
+            assert got.to_pylist() == want.to_pylist()
+            # memoized column slice: a second call returns the same thing
+            again = svc.query_phase(q, ops=[("terms", col)])[2][0]
+            assert again.slice(0, 2).to_pylist() == want.to_pylist()[:2]
+            # brute-force independent check (a missing value is no bucket)
+            t = pads.dataset(docs_dir, partitioning="hive").to_table(
+                columns=["doc_id", col]
+            )
+            key_of = dict(zip(t["doc_id"].to_pylist(), t[col].to_pylist()))
+            brute: dict = {}
+            for d in m.tolist():
+                if key_of[d] is not None:
+                    brute[key_of[d]] = brute.get(key_of[d], 0) + 1
+            assert dict(zip(got["value"].to_pylist(), got["n_docs"].to_pylist())) == brute
+        assert 0 < sum(brute.values()) < len(m)  # extras is null-bearing
 
         # stats over a numeric-castable stored field
         import numpy as np

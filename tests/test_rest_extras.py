@@ -1718,3 +1718,55 @@ def test_filters_aggregation(root, ray_session):
             assert code == 400
         finally:
             srv.stop()
+
+
+def test_terms_family_aggs_drop_null_keys(root, ray_session):
+    """Docs missing the field are ignored by every terms-family agg
+    (OpenSearch): terms, rare_terms, terms→stats and terms→top_hits
+    on the null-bearing ``extras`` column return no ``null`` bucket on
+    the local backend and on 3 in-process shards, and the terms
+    buckets equal the Ray Data ``terms_facet`` over the same docs."""
+    import os
+
+    import numpy as np
+    import ray.data
+
+    from docs_indexer_ray.index import manifest as mf
+    from docs_indexer_ray.query.facets import terms_facet
+    from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.serve_http import SearchServer
+
+    bdir = mf.current_build(root) or root
+    n = IndexReader(bdir).n_docs
+    ds = ray.data.read_parquet(
+        os.path.join(bdir, "docs"), columns=["doc_id", "extras"]
+    )
+    want = terms_facet(ds, np.arange(n, dtype=np.int64), "extras")
+    assert 0 < sum(want["n_docs"].to_pylist()) < n  # genuinely null-bearing
+    terms = {"field": "extras", "size": 100}
+    body = {"query": {"match_all": {}}, "size": 0, "aggs": {
+        "t": {"terms": terms},
+        "r": {"rare_terms": {"field": "extras", "max_doc_count": n}},
+        "s": {"terms": terms, "aggs": {"st": {"stats": {"field": "doc_id"}}}},
+        "h": {"terms": terms, "aggs": {"top": {"top_hits": {"size": 1}}}},
+    }}
+    got = {}
+    for name in ("local", "in_process_3"):
+        srv = SearchServer(root).start()
+        try:
+            if name == "in_process_3":
+                srv._svc = _in_process_fleet(root, 3)
+            code, out = _req(srv.port, "/_search", body=body)
+            assert code == 200, out
+            got[name] = aggs = out["aggregations"]
+        finally:
+            srv.stop()
+        assert [(b["key"], b["doc_count"]) for b in aggs["t"]["buckets"]] == list(
+            zip(want["value"].to_pylist(), want["n_docs"].to_pylist())
+        )
+        keys = {b["key"] for b in aggs["t"]["buckets"]}
+        for agg in ("r", "s", "h"):
+            assert {b["key"] for b in aggs[agg]["buckets"]} == keys, agg
+        for b in aggs["h"]["buckets"]:
+            assert len(b["top"]["hits"]["hits"]) == 1
+    assert got["local"] == got["in_process_3"]
