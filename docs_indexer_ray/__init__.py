@@ -70,4 +70,4 @@ _logging.getLogger(
 # Bump when the on-disk index format or any result-affecting semantics
 # change: build fingerprints mix this in, so caches built by an older
 # engine can never be served as current (they rebuild instead).
-INDEX_FORMAT_VERSION = 4
+INDEX_FORMAT_VERSION = 5

@@ -51,6 +51,7 @@ import pyarrow as pa
 
 from ..stages.tokenize import MultiChainTokenizeSpill
 from . import manifest as mf
+from .segments import SEGMENT_LAYOUT
 
 __all__ = ["build_index", "IndexBuildResult"]
 
@@ -210,6 +211,7 @@ def _build_segments_all_chains(
             segd,
             dict(
                 phase="segments",
+                layout=SEGMENT_LAYOUT,
                 num_parts=num_parts,
                 block_size=block_size,
                 store_positions=bool(store_positions),
@@ -424,6 +426,7 @@ def build_index(
         "bm25_k1": 1.2,
         "bm25_b": 0.75,
         "store_positions": bool(store_positions),
+        "segment_layout": SEGMENT_LAYOUT,
         **chain_stats,
         "chains": extras,
         # throughput metrics: job-level docs/s plus the per-partition

@@ -42,6 +42,7 @@ import pyarrow.parquet as pq
 from . import manifest as mf
 from .build import _build_segments_all_chains
 from .deletes import load_delete_ids
+from .segments import SEGMENT_LAYOUT
 
 __all__ = ["compact_index", "reindex_index"]
 
@@ -168,6 +169,7 @@ def _rebuild_from_docs(
         "bm25_k1": 1.2,
         "bm25_b": 0.75,
         "store_positions": bool(store_positions),
+        "segment_layout": SEGMENT_LAYOUT,
         **all_stats[chain],
         "chains": {c: all_stats[c] for c in extra_chains},
         "timings_s": {

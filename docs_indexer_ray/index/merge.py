@@ -5,7 +5,7 @@ merges happen inside Lucene; the indexer just feeds docs).  Here the
 merge is explicit — the piece that makes **incremental builds** work:
 index yesterday's crawl once, build a small delta index for today's
 pages, merge instead of rebuilding.  The merge reads and rewrites
-every base partition: its Parquet I/O is O(base segment bytes), and
+every base partition: its segment I/O is O(base segment bytes), and
 the per-row work on those bytes is vectorized Arrow/numpy (no
 extraction, tokenizing or posting re-encode).
 
@@ -63,7 +63,19 @@ import pyarrow.parquet as pq
 from ..functions.codec import varint_encode_with_lengths
 from ..stages.tokenize import term_part
 from . import manifest as mf
-from .segments import SEGMENT_SCHEMA, doclen_path, segment_path
+from .segments import (
+    SEGMENT_LAYOUT,
+    SEGMENT_SCHEMA,
+    SegmentFile,
+    _concat_ranges,
+    _list_parts,
+    _offsets,
+    check_layout,
+    doclen_path,
+    read_segment,
+    segment_path,
+    write_segment,
+)
 
 __all__ = ["merge_indexes", "merge_many"]
 
@@ -89,7 +101,7 @@ def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
         path = segment_path(seg_dir, rp)
         if not os.path.exists(path):
             continue
-        t = pq.read_table(path)
+        t = read_segment(path)
         if rp != k:
             t = t.filter(pc.is_in(t["term"], value_set=mine))
         elif len(others):
@@ -99,26 +111,6 @@ def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
     if not tabs:
         return None
     return pa.concat_tables(tabs)
-
-
-def _list_parts(col) -> tuple[np.ndarray, np.ndarray]:
-    """A list column's offsets (rebased to 0) and its flat values."""
-    arr = col.combine_chunks()
-    off = arr.offsets.to_numpy().astype(np.int64)
-    return off - off[0], arr.flatten().to_numpy()
-
-
-def _offsets(lens: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum with the total appended: ``len(lens) + 1``
-    offsets of consecutive ranges of the given lengths."""
-    return np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
-
-
-def _concat_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Indices ``starts[i] .. starts[i] + lens[i]`` of every range, in
-    order — one gather builds a buffer from many byte ranges."""
-    off = _offsets(lens)
-    return np.repeat(starts - off[:-1], lens) + np.arange(off[-1])
 
 
 def _shift_rows(t: pa.Table, shift: int, k: int) -> pa.Table:
@@ -235,9 +227,7 @@ def _merge_part(inputs: list[dict], k: int, out_seg_dir: str) -> dict:
             merged = merged.take(order)
         else:
             merged = SEGMENT_SCHEMA.empty_table()
-        tmp = seg_file + f".tmp-{os.getpid()}"
-        pq.write_table(merged, tmp, compression="zstd")
-        os.replace(tmp, seg_file)
+        write_segment(merged, seg_file)
 
         dl_tabs = []
         for inp in inputs:
@@ -267,7 +257,7 @@ def _merge_part(inputs: list[dict], k: int, out_seg_dir: str) -> dict:
         pq.write_table(dlt, tmp, compression="zstd")
         os.replace(tmp, dl_file)
 
-    return {"rpart": k, "n_terms": pq.read_metadata(seg_file).num_rows}
+    return {"rpart": k, "n_terms": SegmentFile(seg_file).num_rows}
 
 
 def _chain_stats(stats_list: list[dict]) -> dict:
@@ -310,6 +300,8 @@ def merge_many(
         raise ValueError("merge_many needs >= 2 indexes")
     dirs = [mf.current_build(d) or d for d in index_dirs]
     mans = [mf.read_manifest(d) for d in dirs]
+    for d, m in zip(dirs, mans):
+        check_layout(d, m)
     from .deletes import load_delete_ids
 
     input_deletes = [load_delete_ids(d) for d in dirs]
@@ -415,6 +407,7 @@ def merge_many(
             )
         },
         "store_positions": store_positions,
+        "segment_layout": SEGMENT_LAYOUT,
         "fingerprint": fingerprint,
         "n_docs": n_total,
         **_chain_stats(mans),

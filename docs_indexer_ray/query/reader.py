@@ -3,16 +3,21 @@
 Replaces the read side of what the reference delegated to OpenSearch
 (D4/D9 of SURVEY §2.2).  An :class:`IndexReader` holds the loaded term
 → partition routing (``crc32(term) % num_parts`` — same function the
-tokenizer used), the doc-length (norms) array, and cached Parquet file
-handles; instantiate it once per query actor (``__init__`` does the
-loading, queries are per-call), never per query.
+tokenizer used), the doc-length (norms) array, and one
+:class:`~docs_indexer_ray.index.segments.SegmentFile` handle per
+touched partition (its sparse block index, loaded on first touch);
+instantiate it once per query actor (``__init__`` does the loading,
+queries are per-call), never per query.  Opening a build written in an
+older segment layout raises.
 
-Term lookup reads **one** segment file per term (or ``n_salt_runs``
-files for a salted heavy term) with a Parquet row filter; segment rows
-are term-sorted so row-group statistics prune the read.  A heavy
-term's salted runs are doc-id **ranges** (``stages/tokenize.py``), so
-concatenating runs in ``rpart`` order yields a globally doc-id-sorted
-posting list — the reader stitches blocks, it never re-sorts.
+Term lookup touches **one** segment file per term (or ``n_salt_runs``
+files for a salted heavy term), and in each reads and decompresses the
+one ~16 KB block the sparse index points at (``index/segments.py``).
+Reads are positional, so the server's threads share one reader.  A
+heavy term's salted runs are doc-id **ranges** (``stages/tokenize.py``),
+so concatenating runs in first-doc-id order yields a globally
+doc-id-sorted posting list — the reader stitches blocks, it never
+re-sorts.
 
 Scale note: ``doclens`` is loaded as one numpy array indexed by
 ``doc_id`` (exact norms; Lucene stores a lossy byte-encoded norm —
@@ -31,8 +36,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..functions.analyzer import Analyzer
-from ..functions.codec import varint_decode
 from ..index import manifest as mf
+from ..index.segments import SegmentFile, check_layout, read_segment, segment_path
 from ..stages.tokenize import term_part
 from .segments_io import TermPostings
 
@@ -91,6 +96,7 @@ class IndexReader:
             index_dir = mf.current_build(index_dir)  # accept the root too
         self.index_dir = index_dir
         self.manifest = mf.read_manifest(index_dir)
+        check_layout(index_dir, self.manifest)
         stats = self.manifest
         seg_dirname = "segments"
         if chain is not None and chain != self.manifest.get("analyzer"):
@@ -113,7 +119,7 @@ class IndexReader:
         self.n_salt_runs = int(stats.get("n_salt_runs", 1))
         self.run_width = int(stats.get("run_width", 1 << 60))
         self._seg_dir = os.path.join(index_dir, seg_dirname)
-        self._files: dict[int, pq.ParquetFile | None] = {}
+        self._segments: dict[int, SegmentFile | None] = {}
         # hot-postings cache (term dictionary + postings page cache of a
         # real engine); bounded FIFO — query sets re-hit the same terms
         self._postings_cache: dict[str, TermPostings | None] = {}
@@ -142,11 +148,16 @@ class IndexReader:
         self.doclens = dl_arr if doc_range is None else _ShardNorms(self.doc_lo, dl_arr)
 
     # -- postings access ---------------------------------------------------
-    def _segment_file(self, rpart: int) -> pq.ParquetFile | None:
-        if rpart not in self._files:
-            path = os.path.join(self._seg_dir, f"seg-{rpart:05d}.parquet")
-            self._files[rpart] = pq.ParquetFile(path) if os.path.exists(path) else None
-        return self._files[rpart]
+    def _segment(self, rpart: int) -> SegmentFile | None:
+        """Partition ``rpart``'s handle (None: the partition is empty),
+        opened on first touch; a racing thread's duplicate is dropped."""
+        seg = self._segments.get(rpart, False)
+        if seg is False:
+            path = segment_path(self._seg_dir, rpart)
+            seg = self._segments.setdefault(
+                rpart, SegmentFile(path) if os.path.exists(path) else None
+            )
+        return seg
 
     def _term_rows(self, term: str) -> list[dict]:
         part = term_part(term, self.num_parts)
@@ -156,22 +167,9 @@ class IndexReader:
             rparts = {(part + r) % self.num_parts for r in range(max_run + 1)}
         rows: list[dict] = []
         for rp in sorted(rparts):
-            f = self._segment_file(rp)
-            if f is None:
-                continue
-            # row-group pruning via term statistics, then an exact filter
-            groups = [
-                i
-                for i in range(f.metadata.num_row_groups)
-                if _rg_may_contain(f.metadata.row_group(i), term)
-            ]
-            if not groups:
-                continue
-            t = f.read_row_groups(groups)
-            mask = np.asarray(t["term"]) == term
-            idx = np.flatnonzero(mask)
-            for i in idx:
-                rows.append({name: t[name][i].as_py() for name in t.column_names})
+            seg = self._segment(rp)
+            if seg is not None:
+                rows.extend(seg.rows(term))
         # salted runs are disjoint doc-id ranges: first-block order is
         # global doc-id order (collided runs already merged at encode)
         rows.sort(key=lambda r: r["block_last"][0] if len(r["block_last"]) else 0)
@@ -457,45 +455,50 @@ class IndexReader:
         """The loaded term dictionary: ``(sorted_terms, total_dfs)``.
 
         Loaded ONCE per reader (the term-dictionary state of a query
-        actor — SURVEY §7 step 7) from each segment file's (term, df)
-        columns; df sums across a term's runs (salted / merged rows).
-        At 10^12 docs the dictionary shards with the query actors —
-        each actor serves a term-hash range and loads only its
-        partitions' dictionaries; this single-node reader loads all.
+        actor — SURVEY §7 step 7) from each segment file's (term, df,
+        cf) columns; df and cf sum across a term's runs (salted /
+        merged rows), and the cfs serve :meth:`term_cf`.  At 10^12 docs
+        the dictionary shards with the query actors — each actor
+        serves a term-hash range and loads only its partitions'
+        dictionaries; this single-node reader loads all.
         """
         if getattr(self, "_term_dict", None) is None:
-            parts = []
-            for fname in sorted(os.listdir(self._seg_dir)):
-                if fname.startswith("seg-") and fname.endswith(".parquet"):
-                    parts.append(
-                        pq.read_table(
-                            os.path.join(self._seg_dir, fname), columns=["term", "df"]
-                        )
-                    )
-            if not parts:
+            paths = [segment_path(self._seg_dir, rp) for rp in range(self.num_parts)]
+            parts = [read_segment(p, ["term", "df", "cf"]) for p in paths if os.path.exists(p)]
+            t = pa.concat_tables(parts) if parts else None
+            if t is None or t.num_rows == 0:
                 self._term_dict = (np.empty(0, object), np.empty(0, np.int64))
-            else:
-                t = pa.concat_tables(parts)
-                terms = np.asarray(t["term"].to_pylist(), dtype=object)
-                dfs = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-                order = np.argsort(terms, kind="mergesort")
-                terms, dfs = terms[order], dfs[order]
-                starts = np.flatnonzero(
-                    np.concatenate(([True], terms[1:] != terms[:-1]))
-                )
-                self._term_dict = (
-                    terms[starts],
-                    np.add.reduceat(dfs, starts),
-                )
+                self._term_cfs = np.empty(0, np.int64)
+                return self._term_dict
+            terms = np.asarray(t["term"].to_pylist(), dtype=object)
+            order = np.argsort(terms, kind="mergesort")
+            terms = terms[order]
+            starts = np.flatnonzero(np.concatenate(([True], terms[1:] != terms[:-1])))
+
+            def total(col: str) -> np.ndarray:
+                v = t[col].to_numpy(zero_copy_only=False).astype(np.int64)
+                return np.add.reduceat(v[order], starts)
+
+            self._term_dict = (terms[starts], total("df"))
+            self._term_cfs = total("cf")
         return self._term_dict
+
+    def _term_stat(self, term: str, values: np.ndarray) -> int:
+        terms = self._term_dict[0]
+        i = np.searchsorted(terms, term)
+        if i < len(terms) and terms[i] == term:
+            return int(values[i])
+        return 0
 
     def term_df(self, term: str) -> int:
         """Total df of one term (0 if absent) via the dictionary."""
-        terms, dfs = self.term_dictionary()
-        i = np.searchsorted(terms, term)
-        if i < len(terms) and terms[i] == term:
-            return int(dfs[i])
-        return 0
+        return self._term_stat(term, self.term_dictionary()[1])
+
+    def term_cf(self, term: str) -> int:
+        """Total collection frequency (OpenSearch ``ttf``) of one term
+        (0 if absent) via the dictionary."""
+        self.term_dictionary()
+        return self._term_stat(term, self._term_cfs)
 
     def prefix_terms(self, prefix: str, limit: int = 10) -> list[tuple[str, int]]:
         """Terms starting with ``prefix``, by descending total df (term
@@ -512,13 +515,3 @@ class IndexReader:
             key=lambda kv: (-kv[1], kv[0]),
         )
         return [(t, int(d)) for t, d in top[:limit]]
-
-
-def _rg_may_contain(rg_meta, term: str) -> bool:
-    col = rg_meta.column(0)  # term is the first schema column
-    st = col.statistics
-    if st is None or not st.has_min_max:
-        return True
-    return st.min <= term <= st.max
-
-

@@ -17,8 +17,8 @@ Shape at scale — an INDEX scan, not a corpus scan:
   (``stages/tokenize.py::term_part``), so the scan is one task per
   segment partition — no shuffle, no re-tokenization of stored text
   (the tokens were computed once at build time);
-* each task reads ONLY ``(term, df, doc_ids_enc, block_last)`` of its
-  partition file (column-pruned parquet read), decodes each term's
+* each task reads ONLY ``(term, df, doc_ids_enc)`` of its partition
+  file (``index/segments.py::read_segment``), decodes each term's
   doc ids and counts members of the broadcast match BITMAP (the same
   packed-bitmap broadcast as ``facets.py`` — ≤ n_docs/8 bytes once in
   plasma, zero-copy per task);
@@ -38,9 +38,9 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.parquet as pq
 
 from ..functions.codec import varint_decode
+from ..index.segments import read_segment, segment_path
 from .facets import _member_mask, _pack_bitmap
 
 __all__ = ["significant_terms"]
@@ -68,7 +68,7 @@ def _scan_partition(
 
     ``bits`` is passed as an ObjectRef by the caller — Ray resolves it
     per task from the node-local plasma copy (zero-copy numpy)."""
-    path = os.path.join(seg_dir, f"seg-{rpart:05d}.parquet")
+    path = segment_path(seg_dir, rpart)
     empty = pa.table(
         {
             "term": pa.array([], pa.string()),
@@ -78,7 +78,7 @@ def _scan_partition(
     )
     if not os.path.exists(path):
         return empty
-    t = pq.read_table(path, columns=["term", "df", "doc_ids_enc"])
+    t = read_segment(path, ["term", "df", "doc_ids_enc"])
     if t.num_rows == 0:
         return empty
     # ONE decode per row WINDOW, not one per term row: slices of the

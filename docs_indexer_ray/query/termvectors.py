@@ -111,48 +111,6 @@ def analyze_with_spans(
     raise ValueError(f"unknown analyzer chain: {chain!r}")
 
 
-def _cf_lookup(reader, term: str) -> int:
-    """Collection frequency (OpenSearch ``ttf``) of one term via a
-    memoized ``(term, cf)`` dictionary — built once per reader like
-    ``term_dictionary``, summing a term's salted / merged runs."""
-    import numpy as np
-
-    cache = getattr(reader, "_cf_dict", None)
-    if cache is None:
-        import os
-
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        parts = []
-        for fname in sorted(os.listdir(reader._seg_dir)):
-            if fname.startswith("seg-") and fname.endswith(".parquet"):
-                parts.append(
-                    pq.read_table(
-                        os.path.join(reader._seg_dir, fname),
-                        columns=["term", "cf"],
-                    )
-                )
-        if not parts:
-            cache = (np.empty(0, object), np.empty(0, np.int64))
-        else:
-            t = pa.concat_tables(parts)
-            terms = np.asarray(t["term"].to_pylist(), dtype=object)
-            cfs = t["cf"].to_numpy(zero_copy_only=False).astype(np.int64)
-            order = np.argsort(terms, kind="mergesort")
-            terms, cfs = terms[order], cfs[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], terms[1:] != terms[:-1]))
-            )
-            cache = (terms[starts], np.add.reduceat(cfs, starts))
-        reader._cf_dict = cache
-    terms, cfs = cache
-    i = np.searchsorted(terms, term)
-    if i < len(terms) and terms[i] == term:
-        return int(cfs[i])
-    return 0
-
-
 def term_vectors(
     reader,
     *,
@@ -220,7 +178,7 @@ def term_vectors(
             entry["doc_freq"] = reader.term_df(term)
     if term_statistics:
         for term, entry in terms.items():
-            entry["ttf"] = _cf_lookup(reader, term)
+            entry["ttf"] = reader.term_cf(term)
 
     kept = {
         term: e

@@ -116,8 +116,7 @@ def test_scan_partition_vectorized_equals_per_row(built):
     merged term rows and block boundaries."""
     import os
 
-    import pyarrow.parquet as pq
-
+    from docs_indexer_ray.index.segments import read_segment, segment_path
     from docs_indexer_ray.query.facets import _member_mask, _pack_bitmap
     from docs_indexer_ray.query.significant import _decode_ids, _scan_partition
 
@@ -126,11 +125,11 @@ def test_scan_partition_vectorized_equals_per_row(built):
     bs = int(reader.manifest.get("block_size", 128))
     checked = 0
     for rp in range(reader.num_parts):
-        path = os.path.join(reader._seg_dir, f"seg-{rp:05d}.parquet")
+        path = segment_path(reader._seg_dir, rp)
         if not os.path.exists(path):
             continue
         new = _scan_partition(reader._seg_dir, rp, bits, bs)
-        t = pq.read_table(path, columns=["doc_ids_enc"])
+        t = read_segment(path, ["doc_ids_enc"])
         ref = [
             int(_member_mask(bits, _decode_ids(enc, bs).astype(np.int64)).sum())
             for enc in t["doc_ids_enc"].to_pylist()

@@ -372,16 +372,14 @@ def test_load_home_rows_routes_salted_runs(salted_build):
     hashing every row's term keeps, and a heavy term's run dfs summed
     over its home partition equal its unsalted df."""
     import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     from docs_indexer_ray.index.merge import _load_home_rows
-    from docs_indexer_ray.index.segments import segment_path
+    from docs_indexer_ray.index.segments import read_segment, segment_path
     from docs_indexer_ray.stages.tokenize import term_part
 
     seg_dir, man = salted_build[True]
     heavy = man["heavy_terms"]
     assert heavy and man["n_salt_runs"] == 4
-    files = [pq.read_table(segment_path(seg_dir, rp)) for rp in range(8)]
+    files = [read_segment(segment_path(seg_dir, rp)) for rp in range(8)]
     for k in range(8):
         keep = [
             t.filter(pa.array([term_part(x, 8) == k for x in t["term"].to_pylist()]))
@@ -397,7 +395,7 @@ def test_load_home_rows_routes_salted_runs(salted_build):
         runs = _load_home_rows(seg_dir, man, home)
         runs = runs.filter(pc.equal(runs["term"], h))
         n_runs = max(n_runs, runs.num_rows)
-        plain = pq.read_table(segment_path(plain_dir, home))
+        plain = read_segment(segment_path(plain_dir, home))
         df = plain.filter(pc.equal(plain["term"], h))["df"].to_pylist()
         assert df == [sum(runs["df"].to_pylist())], h
     assert n_runs > 1  # some heavy term really is split into runs

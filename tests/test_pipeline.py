@@ -193,7 +193,7 @@ def test_resume_skips_existing_segments(ray_session, tmp_path):
     segs = sorted(f for f in os.listdir(seg_dir) if f.startswith("seg-"))
     for f in segs[: len(segs) // 2]:
         os.remove(os.path.join(seg_dir, f))
-        os.remove(os.path.join(seg_dir, f.replace("seg-", "dl-")))
+        os.remove(os.path.join(seg_dir, f.replace("seg-", "dl-").replace(".postings", ".parquet")))
     os.remove(os.path.join(out, "CURRENT"))
     res3 = build_index(pages, out, fingerprint="r1", salt_heavy=False)
     resumed = [p for p in res3["partitions"] if p["resumed"]]
