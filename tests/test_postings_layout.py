@@ -76,6 +76,18 @@ def _rows_table(rows: list[dict], schema: pa.Schema) -> pa.Table:
     return pa.Table.from_pydict(cols, schema=schema)
 
 
+def _count_reads(monkeypatch) -> list:
+    reads = []
+    real = SegmentFile._read_block
+
+    def counted(self, b):
+        reads.append((self.path, b))
+        return real(self, b)
+
+    monkeypatch.setattr(SegmentFile, "_read_block", counted)
+    return reads
+
+
 @pytest.mark.parametrize("positions", [False, True])
 def test_round_trip_is_exact(tmp_path, positions):
     schema = SEGMENT_SCHEMA_POS if positions else SEGMENT_SCHEMA
@@ -88,11 +100,11 @@ def test_round_trip_is_exact(tmp_path, positions):
     )
     seg = SegmentFile(path)
     assert seg.num_rows == t.num_rows and seg.has_positions == positions
-    # the big term's record is a block of its own; blocks elsewhere
-    # respect the bound
+    # the big term's record outgrows the bound and is a block of its own
     big = seg.rows("t0007")
     assert len(big[0]["doc_ids_enc"]) > segments.BLOCK_BYTES
-    assert len(seg._first) > 2 and "t0007" in seg._first
+    own = seg._read_block(seg._first.index("t0007"))
+    assert len(segments._split_block(own)[0]) == 2  # one term in the block
     # every term's point lookup is its table row
     for term in t["term"].to_pylist():
         got = _rows_table(seg.rows(term), schema)
@@ -107,26 +119,30 @@ def test_round_trip_is_exact(tmp_path, positions):
 
 
 def test_runs_of_one_term_across_a_block_boundary(tmp_path, monkeypatch):
-    """A salted or merged term has several rows; with tiny blocks its
-    runs land in different blocks and the lookup reads exactly those."""
+    """A salted or merged term has several rows; when a block boundary
+    falls between two of its runs, the lookup reads the block holding
+    the first run as well as the blocks the term starts — and no
+    other."""
     t = _table(False, n_terms=40)
     term = "t0011"
     i = t["term"].to_pylist().index(term)
     # three runs of the term (copies of its row)
-    runs = [t.slice(i, 1)] * 3
-    t = pa.concat_tables([t.slice(0, i), *runs, t.slice(i + 1)])
-    monkeypatch.setattr(segments, "BLOCK_BYTES", 64)
+    t = pa.concat_tables([t.slice(0, i), *[t.slice(i, 1)] * 3, t.slice(i + 1)])
     path = str(tmp_path / "seg.postings")
-    write_segment(t, path)
+    for bound in range(32, 4096, 8):  # a bound that splits the runs mid-block
+        monkeypatch.setattr(segments, "BLOCK_BYTES", bound)
+        write_segment(t, path)
+        seg = SegmentFile(path)
+        starts = [b for b, first in enumerate(seg._first) if first == term]
+        if starts and seg._cont[starts[0]] and seg._first[starts[0] - 1] != term:
+            break
+    else:
+        pytest.fail("no block bound puts a boundary between the runs")
     assert read_segment(path).equals(t)
-    seg = SegmentFile(path)
-    assert seg._first.count(term) >= 2  # the runs start blocks
-    reads = []
-    monkeypatch.setattr(
-        SegmentFile, "_read_block", lambda self, b, f=SegmentFile._read_block: reads.append(b) or f(self, b)
-    )
+    reads = _count_reads(monkeypatch)
     rows = seg.rows(term)
-    assert len(rows) == 3 and len(reads) == 3
+    assert len(rows) == 3
+    assert sorted(b for _, b in reads) == [starts[0] - 1, *starts]
     reads.clear()
     assert len(seg.rows("t0012")) == 1 and len(reads) == 1
 
@@ -204,18 +220,6 @@ def merged(salted, tmp_path_factory):
     return root
 
 
-def _count_reads(monkeypatch) -> list:
-    reads = []
-    real = SegmentFile._read_block
-
-    def counted(self, b):
-        reads.append((self.path, b))
-        return real(self, b)
-
-    monkeypatch.setattr(SegmentFile, "_read_block", counted)
-    return reads
-
-
 def test_cold_lookup_reads_one_block_per_run(salted, monkeypatch):
     terms = IndexReader(salted).term_dictionary()[0].tolist()
     reader = IndexReader(salted)
@@ -243,11 +247,13 @@ def test_cold_lookup_reads_one_block_per_run(salted, monkeypatch):
 
 def test_merged_runs_read_at_most_one_block_each(merged, monkeypatch):
     reader = IndexReader(merged)
+    terms, dfs = reader.term_dictionary()
     reads = _count_reads(monkeypatch)
     crossing = 0
-    for term in reader.term_dictionary()[0].tolist():
+    for term, df in zip(terms.tolist(), dfs.tolist()):
         reads.clear()
         tp = reader.postings(term)
+        assert tp.df == df, term  # every run found
         assert 1 <= len(reads) <= len(tp._runs), term
         crossing += len(reads) > 1
     assert crossing > 0  # some term's runs straddle a block boundary
