@@ -7,7 +7,7 @@ delta+varint-encoded postings with per-block skip metadata
 (``functions/codec.py``), in term order.
 
 This replaces Lucene's segment write that the reference delegated to
-OpenSearch (``/root/reference/mappings/hugo.json`` — D4 of SURVEY §2.2),
+OpenSearch (the reference's ``mappings/hugo.json`` — D4 of SURVEY §2.2),
 with one segment per shuffle partition instead of per-writer-flush (no
 background merges needed — the shuffle already globally groups terms).
 
