@@ -4913,8 +4913,8 @@ def oracle_sql() -> dict[str, str]:
             p2 AS (SELECT a, b FROM pair
                    JOIN cnt ca ON ca.doc_id = pair.a JOIN cnt cb ON cb.doc_id = pair.b
                    WHERE CAST(inter AS DOUBLE) / (ca.n + cb.n - inter) >= 0.5),
-            edges AS (SELECT a AS src, b AS dst FROM p2
-                      UNION ALL SELECT b, a FROM p2),
+            edges AS MATERIALIZED (SELECT a AS src, b AS dst FROM p2
+                                   UNION ALL SELECT b, a FROM p2),
             walk(node, label) AS (
               SELECT src, src FROM edges
               UNION
@@ -4925,36 +4925,42 @@ def oracle_sql() -> dict[str, str]:
             WHERE c.node IS NULL OR c.component = d.doc_id
             ORDER BY doc_id
         """,
+        # DuckDB inlines a CTE at every place that reads it, so without
+        # MATERIALIZED each reader of a stage re-plans the chain beneath
+        # it — the recursive `walk` and the `edges` it reads on every
+        # iteration included (hundreds of parquet scans, out of memory
+        # at 12 GiB).  MATERIALIZED evaluates each shared stage once; it
+        # changes the plan only, not the rows.
         "curate": f"""
-            WITH RECURSIVE all_rows AS ({_DUP_UNION}),
+            WITH RECURSIVE all_rows AS MATERIALIZED ({_DUP_UNION}),
             ex AS (SELECT min(doc_id) AS keeper FROM all_rows GROUP BY text),
-            s1 AS (SELECT a.doc_id, a.text FROM all_rows a JOIN ex ON ex.keeper = a.doc_id),
+            s1 AS MATERIALIZED (SELECT a.doc_id, a.text FROM all_rows a JOIN ex ON ex.keeper = a.doc_id),
             t AS (SELECT doc_id, {_toks('text')} AS toks FROM s1),
-            g AS (SELECT doc_id,
-                         unnest(list_distinct(list_transform(
-                           generate_series(1, len(toks) - 2),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
-                  FROM t WHERE len(toks) >= 3),
-            cnt AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
+            g AS MATERIALIZED (SELECT doc_id,
+                                      unnest(list_distinct(list_transform(
+                                        generate_series(1, len(toks) - 2),
+                                        i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
+                               FROM t WHERE len(toks) >= 3),
+            cnt AS MATERIALIZED (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
             pair AS (SELECT ga.doc_id AS a, gb.doc_id AS b, count(*) AS inter
                      FROM g ga JOIN g gb ON ga.gram = gb.gram AND ga.doc_id < gb.doc_id
                      GROUP BY ga.doc_id, gb.doc_id),
-            p2 AS (SELECT a, b FROM pair
-                   JOIN cnt ca ON ca.doc_id = pair.a JOIN cnt cb ON cb.doc_id = pair.b
-                   WHERE CAST(inter AS DOUBLE) / (ca.n + cb.n - inter) >= 0.5),
-            edges AS (SELECT a AS src, b AS dst FROM p2
-                      UNION ALL SELECT b, a FROM p2),
+            p2 AS MATERIALIZED (SELECT a, b FROM pair
+                                JOIN cnt ca ON ca.doc_id = pair.a JOIN cnt cb ON cb.doc_id = pair.b
+                                WHERE CAST(inter AS DOUBLE) / (ca.n + cb.n - inter) >= 0.5),
+            edges AS MATERIALIZED (SELECT a AS src, b AS dst FROM p2
+                                   UNION ALL SELECT b, a FROM p2),
             walk(node, label) AS (
               SELECT src, src FROM edges
               UNION
               SELECT e.dst, w.label FROM walk w JOIN edges e ON e.src = w.node),
-            comp AS (SELECT node, min(label) AS component FROM walk GROUP BY node),
-            s2 AS (SELECT d.doc_id, d.text FROM s1 d LEFT JOIN comp c ON c.node = d.doc_id
-                   WHERE c.node IS NULL OR c.component = d.doc_id),
+            comp AS MATERIALIZED (SELECT node, min(label) AS component FROM walk GROUP BY node),
+            s2 AS MATERIALIZED (SELECT d.doc_id, d.text FROM s1 d LEFT JOIN comp c ON c.node = d.doc_id
+                                WHERE c.node IS NULL OR c.component = d.doc_id),
             t2 AS (SELECT doc_id, {_toks('text')} AS toks FROM s2),
-            w AS (SELECT doc_id, unnest(toks) AS w,
-                         generate_subscripts(toks, 1) AS pos
-                  FROM t2),
+            w AS MATERIALIZED (SELECT doc_id, unnest(toks) AS w,
+                                      generate_subscripts(toks, 1) AS pos
+                               FROM t2),
             base AS (SELECT doc_id,
                             count(*) AS n,
                             SUM(length(w)) AS cchars,
@@ -4975,7 +4981,7 @@ def oracle_sql() -> dict[str, str]:
                             || ' ' || lead(w, 3) OVER win5 || ' ' || lead(w, 4) OVER win5 AS gram,
                           lead(w, 4) OVER win5 AS l4
                    FROM w WINDOW win5 AS (PARTITION BY doc_id ORDER BY pos)),
-            g5v AS (SELECT doc_id, pos, gram FROM g5 WHERE l4 IS NOT NULL),
+            g5v AS MATERIALIZED (SELECT doc_id, pos, gram FROM g5 WHERE l4 IS NOT NULL),
             dupg AS (SELECT doc_id, gram FROM g5v
                      GROUP BY doc_id, gram HAVING count(*) > 1),
             cov AS (SELECT DISTINCT gg.doc_id, gg.pos + sk.k AS cpos
@@ -4984,27 +4990,27 @@ def oracle_sql() -> dict[str, str]:
             covc AS (SELECT c.doc_id, SUM(length(w.w)) AS covered5
                      FROM cov c JOIN w ON w.doc_id = c.doc_id AND w.pos = c.cpos
                      GROUP BY c.doc_id),
-            m AS (SELECT base.doc_id,
-                         CAST(base.n AS BIGINT) AS n_words,
-                         CAST(base.cchars AS DOUBLE) / base.n AS mean_word_len,
-                         CAST(base.n_alpha AS DOUBLE) / base.n AS alpha_frac,
-                         CAST(base.nstop AS BIGINT) AS n_stop_distinct,
-                         CASE WHEN base.n >= 2 AND base.cchars > 0
-                              THEN CAST(tb.covered2 AS DOUBLE) / base.cchars
-                              ELSE 0.0 END AS top2gram_frac,
-                         CASE WHEN base.cchars > 0
-                              THEN CAST(COALESCE(cc.covered5, 0) AS DOUBLE) / base.cchars
-                              ELSE 0.0 END AS dup5gram_frac
-                  FROM base
-                  LEFT JOIN (SELECT doc_id, covered2 FROM topbg WHERE rn = 1) tb USING (doc_id)
-                  LEFT JOIN covc cc USING (doc_id)),
-            s3 AS (SELECT s2.doc_id, s2.text FROM s2 JOIN m USING (doc_id)
-                   WHERE m.n_words BETWEEN 20 AND 100000
-                     AND m.mean_word_len BETWEEN 3.0 AND 10.0
-                     AND m.alpha_frac >= 0.8
-                     AND m.n_stop_distinct >= 2
-                     AND m.top2gram_frac <= 0.20
-                     AND m.dup5gram_frac <= 0.15),
+            m AS MATERIALIZED (SELECT base.doc_id,
+                                      CAST(base.n AS BIGINT) AS n_words,
+                                      CAST(base.cchars AS DOUBLE) / base.n AS mean_word_len,
+                                      CAST(base.n_alpha AS DOUBLE) / base.n AS alpha_frac,
+                                      CAST(base.nstop AS BIGINT) AS n_stop_distinct,
+                                      CASE WHEN base.n >= 2 AND base.cchars > 0
+                                           THEN CAST(tb.covered2 AS DOUBLE) / base.cchars
+                                           ELSE 0.0 END AS top2gram_frac,
+                                      CASE WHEN base.cchars > 0
+                                           THEN CAST(COALESCE(cc.covered5, 0) AS DOUBLE) / base.cchars
+                                           ELSE 0.0 END AS dup5gram_frac
+                               FROM base
+                               LEFT JOIN (SELECT doc_id, covered2 FROM topbg WHERE rn = 1) tb USING (doc_id)
+                               LEFT JOIN covc cc USING (doc_id)),
+            s3 AS MATERIALIZED (SELECT s2.doc_id, s2.text FROM s2 JOIN m USING (doc_id)
+                                WHERE m.n_words BETWEEN 20 AND 100000
+                                  AND m.mean_word_len BETWEEN 3.0 AND 10.0
+                                  AND m.alpha_frac >= 0.8
+                                  AND m.n_stop_distinct >= 2
+                                  AND m.top2gram_frac <= 0.20
+                                  AND m.dup5gram_frac <= 0.15),
             w3 AS (SELECT doc_id, unnest({_toks('text')}) AS term,
                           generate_subscripts({_toks('text')}, 1) AS pos
                    FROM s3),
@@ -5026,8 +5032,8 @@ def oracle_sql() -> dict[str, str]:
                             || ' ' || lead(term, 7) OVER wine AS gram,
                           lead(term, 7) OVER wine AS l7
                    FROM ew WINDOW wine AS (PARTITION BY doc_id ORDER BY pos)),
-            eval AS (SELECT DISTINCT gram FROM eg WHERE l7 IS NOT NULL),
-            dirty AS (SELECT DISTINCT g8v.doc_id FROM g8v JOIN eval USING (gram)),
+            eval AS MATERIALIZED (SELECT DISTINCT gram FROM eg WHERE l7 IS NOT NULL),
+            dirty AS MATERIALIZED (SELECT DISTINCT g8v.doc_id FROM g8v JOIN eval USING (gram)),
             s4 AS (SELECT s3.doc_id FROM s3 LEFT JOIN dirty d USING (doc_id)
                    WHERE d.doc_id IS NULL)
             SELECT CAST(row_number() OVER (ORDER BY md5('42:' || doc_id), doc_id) AS BIGINT) AS pos,
@@ -5050,8 +5056,8 @@ def oracle_sql() -> dict[str, str]:
             p2 AS (SELECT a, b FROM pair
                    JOIN cnt ca ON ca.doc_id = pair.a JOIN cnt cb ON cb.doc_id = pair.b
                    WHERE CAST(inter AS DOUBLE) / (ca.n + cb.n - inter) >= 0.5),
-            edges AS (SELECT a AS src, b AS dst FROM p2
-                      UNION ALL SELECT b, a FROM p2),
+            edges AS MATERIALIZED (SELECT a AS src, b AS dst FROM p2
+                                   UNION ALL SELECT b, a FROM p2),
             walk(node, label) AS (
               SELECT src, src FROM edges
               UNION
@@ -6809,13 +6815,16 @@ def oracle_sql() -> dict[str, str]:
     sqls["dsl_mlt_sharded"] = sqls["more_like_this"]
     # the full composition: the curate pipeline's survivor set (its
     # ENTIRE five-stage SQL as a subquery) defines the corpus the BM25
-    # replay ranks over — statistics are the survivors' own
+    # replay ranks over — statistics are the survivors' own.  As in
+    # `curate`, MATERIALIZED keeps DuckDB from inlining (and so
+    # re-planning) the whole curate chain, recursive `walk` included,
+    # under each reader of `surv`; it changes the plan, not the rows.
     sqls["curate_then_index"] = f"""
-        WITH surv AS (SELECT doc_id FROM ({sqls['curate']})),
-        docs AS (SELECT u.doc_id, u.text AS body
-                 FROM ({_DUP_UNION}) u JOIN surv USING (doc_id)),
-        toks AS (SELECT doc_id, unnest({toks_body}) AS term FROM docs),
-        dl AS (SELECT doc_id, count(*) AS dl FROM toks GROUP BY doc_id),
+        WITH surv AS MATERIALIZED (SELECT doc_id FROM ({sqls['curate']})),
+        docs AS MATERIALIZED (SELECT u.doc_id, u.text AS body
+                              FROM ({_DUP_UNION}) u JOIN surv USING (doc_id)),
+        toks AS MATERIALIZED (SELECT doc_id, unnest({toks_body}) AS term FROM docs),
+        dl AS MATERIALIZED (SELECT doc_id, count(*) AS dl FROM toks GROUP BY doc_id),
         stats AS (SELECT (SELECT count(*) FROM docs) AS n,
                          (SELECT CAST(SUM(dl) AS DOUBLE) / count(*) FROM dl WHERE dl > 0) AS avgdl),
         tf AS (SELECT doc_id, term, count(*) AS tf FROM toks

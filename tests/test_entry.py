@@ -8,6 +8,8 @@ non-degenerate schemas.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import duckdb
 import pandas as pd
 import pyarrow as pa
@@ -29,20 +31,24 @@ def entry_mod(ray_session):
     import docs_indexer_ray.pipelines.flagship as fl
 
     fl.CACHE_ROOT = cache
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     import __ray_entry__ as e
 
     return e
 
 
-@pytest.fixture(scope="module")
-def con():
+def _oracle_db():
     c = duckdb.connect()
     for t in ["documents", "embeddings", "events", "lineitem", "orders"]:
         c.execute(
             f"create view {t} as select * from read_parquet('{SF}/{t}.parquet')"
         )
     return c
+
+
+@pytest.fixture(scope="module")
+def con():
+    return _oracle_db()
 
 
 def _norm(df: pd.DataFrame) -> pd.DataFrame:
@@ -226,6 +232,21 @@ def test_sql_backed_query_matches_oracle(entry_mod, con, name):
     assert list(got.columns) == list(want.columns)
     want = want.astype(got.dtypes.to_dict())
     pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+@pytest.mark.parametrize(
+    "name, rows",
+    [("curate", 294), ("curate_then_index", 10), ("dedup_apply", 476),
+     ("dup_components", 183)],
+)
+def test_recursive_dedup_oracles_run_in_bounded_memory(entry_mod, name, rows):
+    """The oracles with a recursive near-dup `walk` each peak near
+    230 MB; if DuckDB inlines their shared CTEs again (one copy of the
+    chain per reader) they need many GiB, so they must finish under a
+    1 GB limit."""
+    c = _oracle_db()
+    c.execute("SET memory_limit='1GB'")
+    assert len(c.execute(entry_mod.oracle_sql()[name]).fetchall()) == rows
 
 
 def test_every_query_has_oracle_or_is_marked(entry_mod):
