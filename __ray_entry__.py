@@ -4880,14 +4880,14 @@ def oracle_sql() -> dict[str, str]:
             FROM all_rows GROUP BY md5(text)
         """,
         "ngram_jaccard": f"""
-            WITH all_rows AS ({_DUP_UNION}),
+            WITH all_rows AS MATERIALIZED ({_DUP_UNION}),
             t AS (SELECT doc_id, {_toks('text')} AS toks FROM all_rows),
-            g AS (SELECT doc_id,
-                         unnest(list_distinct(list_transform(
-                           generate_series(1, len(toks) - 2),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
-                  FROM t WHERE len(toks) >= 3),
-            cnt AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
+            g AS MATERIALIZED (SELECT doc_id,
+                                      unnest(list_distinct(list_transform(
+                                        generate_series(1, len(toks) - 2),
+                                        i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
+                               FROM t WHERE len(toks) >= 3),
+            cnt AS MATERIALIZED (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
             pair AS (SELECT ga.doc_id AS a, gb.doc_id AS b, count(*) AS inter
                      FROM g ga JOIN g gb ON ga.gram = gb.gram AND ga.doc_id < gb.doc_id
                      GROUP BY ga.doc_id, gb.doc_id)
@@ -4899,14 +4899,14 @@ def oracle_sql() -> dict[str, str]:
             WHERE CAST(inter AS DOUBLE) / (ca.n + cb.n - inter) >= 0.5
         """,
         "dedup_apply": f"""
-            WITH RECURSIVE all_rows AS ({_DUP_UNION}),
+            WITH RECURSIVE all_rows AS MATERIALIZED ({_DUP_UNION}),
             t AS (SELECT doc_id, {_toks('text')} AS toks FROM all_rows),
-            g AS (SELECT doc_id,
-                         unnest(list_distinct(list_transform(
-                           generate_series(1, len(toks) - 2),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
-                  FROM t WHERE len(toks) >= 3),
-            cnt AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
+            g AS MATERIALIZED (SELECT doc_id,
+                                      unnest(list_distinct(list_transform(
+                                        generate_series(1, len(toks) - 2),
+                                        i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
+                               FROM t WHERE len(toks) >= 3),
+            cnt AS MATERIALIZED (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
             pair AS (SELECT ga.doc_id AS a, gb.doc_id AS b, count(*) AS inter
                      FROM g ga JOIN g gb ON ga.gram = gb.gram AND ga.doc_id < gb.doc_id
                      GROUP BY ga.doc_id, gb.doc_id),
@@ -5042,14 +5042,14 @@ def oracle_sql() -> dict[str, str]:
             ORDER BY md5('42:' || doc_id), doc_id
         """,
         "dup_components": f"""
-            WITH RECURSIVE all_rows AS ({_DUP_UNION}),
+            WITH RECURSIVE all_rows AS MATERIALIZED ({_DUP_UNION}),
             t AS (SELECT doc_id, {_toks('text')} AS toks FROM all_rows),
-            g AS (SELECT doc_id,
-                         unnest(list_distinct(list_transform(
-                           generate_series(1, len(toks) - 2),
-                           i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
-                  FROM t WHERE len(toks) >= 3),
-            cnt AS (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
+            g AS MATERIALIZED (SELECT doc_id,
+                                      unnest(list_distinct(list_transform(
+                                        generate_series(1, len(toks) - 2),
+                                        i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]))) AS gram
+                               FROM t WHERE len(toks) >= 3),
+            cnt AS MATERIALIZED (SELECT doc_id, count(*) AS n FROM g GROUP BY doc_id),
             pair AS (SELECT ga.doc_id AS a, gb.doc_id AS b, count(*) AS inter
                      FROM g ga JOIN g gb ON ga.gram = gb.gram AND ga.doc_id < gb.doc_id
                      GROUP BY ga.doc_id, gb.doc_id),

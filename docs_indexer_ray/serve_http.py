@@ -23,11 +23,11 @@ Endpoints (GET, query-string parameters):
 * ``POST /_search`` — the OpenSearch JSON body interface:
   ``{"query": <query-DSL object>, "size", "from", "search_after":
   [score, doc_id], "_source": [fields…], "highlight": {"fields":
-  {field: {}}}, "aggs": {name: {"terms"|"stats": …}}}``.  The DSL
+  {field: {}}}, "aggs": {name: {<kind>: …}}}``.  The DSL
   (match / match_phrase / term / terms / fuzzy / wildcard / prefix /
   query_string / bool — ``query/dsl.py``) lowers onto the
   query_string AST, so both backends serve it unchanged; aggs come
-  back keyed by their agg NAME.
+  back keyed by their agg NAME (the kinds: ``query/aggs.py``).
 * ``/_count?q=…`` → ``{"count": n}`` (match-any over live docs).
 * ``/_analyze?text=…`` → ``{"tokens": [{"token": t, "position": i}]}``.
 * ``/_suggest?q=…&n=3`` → ``{"suggestions": [{"text", "score"}]}``.
@@ -37,9 +37,8 @@ Round-3 completions of the read surface: field ``sort`` (GET
 cursors, ``sort_key`` per hit), stateless ``scroll`` +
 ``POST /_search/scroll`` (the id pins the build — a write invalidates
 it loudly), the FULL query DSL on POST bodies (25 clause kinds —
-``query/dsl.py``), the aggregation envelope (terms / stats /
-date_histogram / histogram / range / cardinality / percentiles +
-terms→stats sub-aggregations), highlight ``pre_tags`` / ``post_tags``
+``query/dsl.py``), the aggregation envelope (``query/aggs.py``),
+highlight ``pre_tags`` / ``post_tags``
 / ``fragment_size``, body ``suggest`` blocks, ``POST /_mget``,
 ``GET /_field_caps``, ``POST /_validate/query`` (never 400s on a bad
 query — ``valid: false``), ``POST /_rank_eval`` (precision@k / MRR /
@@ -84,7 +83,7 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from .query.facets import is_fixed_interval as _is_fixed_iv
+from .query import aggs
 from .query.served import page_rank
 
 
@@ -178,50 +177,6 @@ def _is_deleted(reader, doc_id: int) -> bool:
     return pos < len(d) and int(d[pos]) == doc_id
 
 __all__ = ["SearchServer"]
-
-
-def _date_bucket_key(k, arg, calendar: bool) -> dict:
-    """A date bucket's OpenSearch ``key`` (epoch millis) and ISO
-    ``key_as_string``: a fixed-interval key is the bucket ordinal, a
-    calendar key is already the civil bucket start in epoch-us."""
-    import datetime as _dt
-
-    epoch_s = int(k) // 1_000_000 if calendar else int(k) * int(arg)
-    return {
-        "key": epoch_s * 1000,
-        "key_as_string": _dt.datetime.utcfromtimestamp(epoch_s).isoformat(),
-    }
-
-
-def _extended_stats(n: int, mn: float, mx: float, s: float, ss: float) -> dict:
-    """OpenSearch ``extended_stats`` from count/min/max/sum/sum of
-    squares, with the POPULATION variance/std (OpenSearch's
-    definition)."""
-    mean = s / n
-    # ss/n - mean^2 can land slightly NEGATIVE from float
-    # cancellation; clamp so variance and std agree
-    var = max(ss / n - mean * mean, 0.0)
-    return {
-        "count": n, "min": mn, "max": mx, "sum": s, "avg": mean,
-        "sum_of_squares": ss, "variance": var,
-        "std_deviation": var ** 0.5 if var > 0 else 0.0,
-    }
-
-
-def _adjacency_legs(spec: dict) -> list:
-    """An adjacency_matrix agg's ``(bucket key, [filter DSL, …])`` legs:
-    each named filter, then its intersection with every later name
-    (names sorted)."""
-    names = sorted(spec["filters"])
-    legs = []
-    for i, a in enumerate(names):
-        legs.append((a, [spec["filters"][a]]))
-        for b in names[i + 1:]:
-            legs.append((
-                f"{a}{spec['separator']}{b}",
-                [spec["filters"][a], spec["filters"][b]],
-            ))
-    return legs
 
 
 class SearchServer:
@@ -418,30 +373,10 @@ class SearchServer:
                     p["hl_pre"] = str(pre)
                 if post is not None:
                     p["hl_post"] = str(post)
-        # EVERY named agg becomes one aggs_extra entry — per-name
-        # processing, so two terms aggs (or terms + stats on the same
-        # field) never collide on a shared slot / response key (the
-        # GET shorthand's agg_terms/agg_stats single slots stay
-        # GET-only)
-        aggs_spec = spec.get("aggs") or spec.get("aggregations") or {}
-        if not isinstance(aggs_spec, dict):
-            raise ValueError(f"aggs must be an object: {aggs_spec!r}")
-        for name, agg in aggs_spec.items():
-            if not isinstance(agg, dict):
-                raise ValueError(
-                    f"aggregation {name!r} must be an object: {agg!r}"
-                )
-            # the branches below are pure dict parsing — a malformed
-            # body's TypeError/AttributeError (e.g. {"terms": null},
-            # {"range": {"ranges": 3}}) is INPUT error, the server's
-            # 400 contract, never a 500 (fuzz-enforced)
-            try:
-                self._compile_one_agg(name, agg, p)
-            except (TypeError, AttributeError) as e:
-                raise ValueError(
-                    f"malformed aggregation {name!r}: {e}"
-                ) from e
-        out = self._search(p)
+        # every named agg parses to its own spec, so two terms aggs (or
+        # terms + stats on one field) never collide on a response key
+        specs = aggs.parse(spec.get("aggs") or spec.get("aggregations") or {})
+        out = self._search(p, specs)
         if "suggest" in spec:
             # the OpenSearch suggest envelope riding a search body:
             # {"name": {"text": …, "term": {...}}} → per-name options
@@ -466,420 +401,6 @@ class SearchServer:
                 }]
             out["suggest"] = sugg
         return out
-
-    def _compile_one_agg(self, name, agg, p):
-        """One named aggregation body → one ``aggs_extra`` entry (the
-        loop body of the agg compiler — see the caller's 400 note)."""
-        from .query.dsl import _interval_seconds  # noqa: F401 (branches import)
-
-        if True:  # preserve the original branch indentation
-            if "terms" in agg:
-                sub = agg.get("aggs") or agg.get("aggregations")
-                if sub:
-                    # nested terms → metric sub-aggregation (the
-                    # canonical OpenSearch nested-agg request): stats,
-                    # or any single metric it subsumes (avg/sum/min/
-                    # max) — all lower onto the ONE terms_stats
-                    # partial; the renderer projects the metric
-                    if len(sub) != 1:
-                        raise ValueError("one sub-aggregation supported")
-                    subname, subspec = next(iter(sub.items()))
-                    if "top_hits" in subspec:
-                        # terms → top_hits: per bucket, the k best
-                        # docs by ONE sort field
-                        th = subspec["top_hits"]
-                        sort = th.get("sort") or [{"_doc": {"order": "asc"}}]
-                        if len(sort) != 1 or not isinstance(sort[0], dict):
-                            raise ValueError(
-                                f"top_hits supports one sort field: "
-                                f"{sort!r}"
-                            )
-                        scol, sspec2 = next(iter(sort[0].items()))
-                        order = (
-                            sspec2.get("order", "asc")
-                            if isinstance(sspec2, dict)
-                            else str(sspec2)
-                        )
-                        p.setdefault("aggs_extra", []).append({
-                            "name": name, "kind": "terms_top_hits",
-                            "field": agg["terms"]["field"],
-                            "size": int(agg["terms"].get("size", 10)),
-                            "sub": subname,
-                            "k": int(th.get("size", 3)),
-                            "sort_col": scol,
-                            "asc": order == "asc",
-                        })
-                        return
-                    metric = next(
-                        (k for k in ("stats", "avg", "sum", "min", "max")
-                         if k in subspec),
-                        None,
-                    )
-                    if metric is None:
-                        raise ValueError(
-                            f"terms sub-agg must be stats|avg|sum|min|"
-                            f"max|top_hits: {subspec!r}"
-                        )
-                    p.setdefault("aggs_extra", []).append({
-                        "name": name, "kind": "terms_stats",
-                        "field": agg["terms"]["field"],
-                        "val": subspec[metric]["field"],
-                        "size": int(agg["terms"].get("size", 10)),
-                        "sub": subname, "metric": metric,
-                    })
-                else:
-                    p.setdefault("aggs_extra", []).append({
-                        "name": name, "kind": "terms",
-                        "field": agg["terms"]["field"],
-                        "size": int(agg["terms"].get("size", 10)),
-                    })
-            elif "stats" in agg:
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "stats",
-                    "field": agg["stats"]["field"],
-                })
-            elif "date_histogram" in agg:
-                dh = agg["date_histogram"]
-                from .query.dsl import _interval_seconds
-                from .query.facets import _CALENDAR_UNITS
-
-                iv = dh.get(
-                    "fixed_interval",
-                    dh.get("calendar_interval", dh.get("interval")),
-                )
-                # calendar intervals (week/month/quarter/year — plus
-                # the 1-suffixed OpenSearch spellings) bucket by civil
-                # date_trunc, not epoch division.  The calendar route
-                # applies ONLY to `calendar_interval` specs: a
-                # `fixed_interval` of "1w"/"week" keeps the epoch-
-                # division 604800 s weeks (OpenSearch fixed semantics).
-                arg = None
-                if "fixed_interval" not in dh and "calendar_interval" in dh:
-                    iv_cal = {
-                        "1w": "week", "1M": "month",
-                        "1q": "quarter", "1y": "year",
-                    }.get(str(iv), str(iv))
-                    if iv_cal in _CALENDAR_UNITS:
-                        arg = iv_cal
-                entry = {
-                    "name": name, "kind": "date_histogram",
-                    "field": dh["field"],
-                    "arg": arg if arg is not None else _interval_seconds(iv),
-                }
-                sub = agg.get("aggs") or agg.get("aggregations")
-                if sub:
-                    # date_histogram with a sum metric + parent
-                    # pipeline aggregations (OpenSearch nests the
-                    # pipelines beside the metric): exactly one
-                    # {"sum": {"field": v}} metric; pipelines
-                    # reference it by buckets_path
-                    metric = None
-                    pipes = []
-                    for sname, sspec in sub.items():
-                        if "sum" in sspec:
-                            if metric is not None:
-                                raise ValueError(
-                                    "one sum metric per date_histogram"
-                                )
-                            metric = (sname, sspec["sum"]["field"])
-                        elif any(
-                            k in sspec
-                            for k in ("cumulative_sum", "derivative",
-                                      "serial_diff", "moving_fn")
-                        ):
-                            # the MATCHED pipeline key, not the first
-                            # dict key (bodies may carry "meta" etc.)
-                            pkind = next(
-                                k
-                                for k in ("cumulative_sum", "derivative",
-                                          "serial_diff", "moving_fn")
-                                if k in sspec
-                            )
-                            body = sspec[pkind]
-                            if pkind == "moving_fn":
-                                script = str(body.get("script", ""))
-                                if "unweightedAvg" not in script:
-                                    raise ValueError(
-                                        "moving_fn supports only the "
-                                        "MovingFunctions.unweightedAvg "
-                                        f"script: {script!r}"
-                                    )
-                            pipes.append({
-                                "name": sname, "kind": pkind,
-                                "path": str(body.get("buckets_path", "")),
-                                "lag": int(body.get("lag", 1)),
-                                "window": int(body.get("window", 3)),
-                            })
-                        else:
-                            raise ValueError(
-                                f"date_histogram sub-agg must be sum|"
-                                f"cumulative_sum|derivative|serial_diff"
-                                f"|moving_fn: {sspec!r}"
-                            )
-                    if metric is None:
-                        raise ValueError(
-                            "date_histogram pipelines need a sum metric"
-                        )
-                    for pp in pipes:
-                        if pp["path"] != metric[0]:
-                            raise ValueError(
-                                f"buckets_path {pp['path']!r} does not "
-                                f"name the sum metric {metric[0]!r}"
-                            )
-                    entry.update({
-                        "kind": "date_histogram_metric",
-                        "sub": metric[0], "val": metric[1],
-                        "pipes": pipes,
-                    })
-                p.setdefault("aggs_extra", []).append(entry)
-            elif "histogram" in agg:
-                entry = {
-                    "name": name, "kind": "histogram",
-                    "field": agg["histogram"]["field"],
-                    "arg": int(agg["histogram"]["interval"]),
-                }
-                hsub = agg.get("aggs") or agg.get("aggregations")
-                if hsub:
-                    # numeric-histogram parent + ONE sum metric (the
-                    # pipeline machinery is the date_histogram path)
-                    if len(hsub) != 1:
-                        raise ValueError("one sub-aggregation supported")
-                    hname, hspec = next(iter(hsub.items()))
-                    if "sum" not in hspec:
-                        raise ValueError(
-                            f"histogram sub-agg must be sum: {hspec!r}"
-                        )
-                    entry.update({
-                        "kind": "histogram_metric",
-                        "sub": hname, "val": hspec["sum"]["field"],
-                    })
-                p.setdefault("aggs_extra", []).append(entry)
-            elif "missing" in agg:
-                # matched docs with NO value in the field: the
-                # request's match count minus the |q ∧ exists| count
-                # leg of the same query phase
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "missing",
-                    "field": agg["missing"]["field"],
-                })
-            elif "value_count" in agg:
-                # docs with a value: the |q ∧ exists| count leg
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "value_count",
-                    "field": agg["value_count"]["field"],
-                })
-            elif "rare_terms" in agg:
-                rt = agg["rare_terms"]
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "rare_terms",
-                    "field": rt["field"],
-                    "max_doc_count": int(rt.get("max_doc_count", 1)),
-                })
-            elif "adjacency_matrix" in agg:
-                am = agg["adjacency_matrix"]
-                named = am.get("filters")
-                if not isinstance(named, dict) or not named:
-                    raise ValueError(
-                        "adjacency_matrix expects {'filters': "
-                        f"{{name: <DSL>, …}}}}: {am!r}"
-                    )
-                if len(named) > 8:
-                    raise ValueError(
-                        "adjacency_matrix supports at most 8 filters "
-                        "(the intersection legs grow quadratically)"
-                    )
-                for sub in named.values():
-                    if not isinstance(sub, dict):
-                        raise ValueError(
-                            f"adjacency_matrix filter must be a DSL "
-                            f"object: {sub!r}"
-                        )
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "adjacency_matrix", "field": "",
-                    "filters": named,
-                    "separator": str(am.get("separator", "&")),
-                })
-            elif "composite" in agg:
-                comp = agg["composite"]
-                sources = comp.get("sources")
-                if (
-                    not isinstance(sources, list)
-                    or len(sources) != 1
-                    or not isinstance(sources[0], dict)
-                    or len(sources[0]) != 1
-                ):
-                    raise ValueError(
-                        "composite supports exactly one terms source: "
-                        f"{sources!r}"
-                    )
-                sname, sspec = next(iter(sources[0].items()))
-                if "terms" not in sspec:
-                    raise ValueError(
-                        f"composite source must be terms: {sspec!r}"
-                    )
-                after = comp.get("after")
-                if after is not None and (
-                    not isinstance(after, dict) or sname not in after
-                ):
-                    raise ValueError(
-                        f"composite after must be {{{sname!r}: <key>}}: "
-                        f"{after!r}"
-                    )
-                csize = int(comp.get("size", 10))
-                if csize <= 0:
-                    raise ValueError(
-                        f"composite size must be > 0, got {csize}"
-                    )
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "composite",
-                    "field": sspec["terms"]["field"],
-                    "size": csize,
-                    "source": sname,
-                    # keep after's NATIVE value: numeric sources must
-                    # order/page numerically (str ordering puts "10" < "9")
-                    "after": None if after is None else after[sname],
-                })
-            elif "date_range" in agg:
-                import datetime as _dtc
-
-                dr = agg["date_range"]
-
-                def _edge_us(v, default):
-                    if v is None:
-                        return default
-                    if isinstance(v, (int, float)):
-                        return float(v) * 1000.0  # epoch millis → us
-                    d = _dtc.datetime.fromisoformat(str(v))
-                    if d.tzinfo is None:
-                        # naive = UTC (the engine's timestamp contract);
-                        # an EXPLICIT offset must convert, not be
-                        # reinterpreted
-                        d = d.replace(tzinfo=_dtc.timezone.utc)
-                    return d.timestamp() * 1_000_000.0
-
-                dranges = [
-                    (
-                        _edge_us(r.get("from"), float("-inf")),
-                        _edge_us(r.get("to"), float("inf")),
-                    )
-                    for r in dr.get("ranges", [])
-                ]
-                if not dranges:
-                    raise ValueError("date_range aggregation needs ranges")
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "date_range",
-                    "field": dr["field"], "arg": dranges,
-                })
-            elif "range" in agg:
-                rng = agg["range"]
-                ranges = [
-                    (float(r.get("from", "-inf")), float(r.get("to", "inf")))
-                    for r in rng["ranges"]
-                ]
-                if not ranges:
-                    raise ValueError("range aggregation needs ranges")
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "range",
-                    "field": rng["field"], "arg": ranges,
-                })
-            elif "cardinality" in agg:
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "cardinality",
-                    "field": agg["cardinality"]["field"],
-                })
-            elif "filters" in agg:
-                # one |q ∧ filter| count leg per named sub-query, all
-                # in the request's one query phase
-                flt = agg["filters"]
-                named = flt.get("filters") if isinstance(flt, dict) else None
-                if not isinstance(named, dict) or not named:
-                    raise ValueError(
-                        f"filters agg expects {{'filters': {{name: "
-                        f"<DSL>, …}}}}: {flt!r}"
-                    )
-                for sub in named.values():
-                    if not isinstance(sub, dict):
-                        raise ValueError(
-                            f"filters agg sub-query must be a DSL "
-                            f"object: {sub!r}"
-                        )
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "filters", "field": "",
-                    "filters": named,
-                })
-            elif "significant_terms" in agg:
-                st = agg["significant_terms"]
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "significant_terms",
-                    "field": st.get("field", ""),
-                    "size": int(st.get("size", 10)),
-                    "min_doc_count": int(st.get("min_doc_count", 1)),
-                })
-            elif "percentiles" in agg:
-                pc_ = agg["percentiles"]
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "percentiles",
-                    "field": pc_["field"],
-                    "percents": pc_.get(
-                        "percents", [1, 5, 25, 50, 75, 95, 99]
-                    ),
-                })
-            elif "percentile_ranks" in agg:
-                pr = agg["percentile_ranks"]
-                vals = pr.get("values")
-                if not isinstance(vals, list) or not vals:
-                    raise ValueError(
-                        f"percentile_ranks needs values: {pr!r}"
-                    )
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "percentile_ranks",
-                    "field": pr["field"],
-                    "values": [float(v) for v in vals],
-                })
-            elif "extended_stats" in agg:
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "extended_stats",
-                    "field": agg["extended_stats"]["field"],
-                })
-            elif any(
-                k in agg
-                for k in ("avg_bucket", "max_bucket", "min_bucket",
-                          "sum_bucket", "stats_bucket",
-                          "percentiles_bucket", "extended_stats_bucket")
-            ):
-                # SIBLING pipeline agg: one value computed from a
-                # date_histogram parent's metric, addressed
-                # "parent>metric" (OpenSearch buckets_path)
-                skind = next(
-                    k
-                    for k in ("avg_bucket", "max_bucket", "min_bucket",
-                              "sum_bucket", "stats_bucket",
-                              "percentiles_bucket",
-                              "extended_stats_bucket")
-                    if k in agg
-                )
-                path = str(agg[skind].get("buckets_path", ""))
-                if ">" not in path:
-                    raise ValueError(
-                        f"{skind} buckets_path must be 'parent>metric':"
-                        f" {path!r}"
-                    )
-                parent, metric = path.split(">", 1)
-                p.setdefault("aggs_extra", []).append({
-                    "name": name, "kind": "sibling_bucket", "op": skind,
-                    "parent": parent, "metric": metric, "field": "",
-                    "percents": agg[skind].get(
-                        "percents", [1.0, 5.0, 25.0, 50.0, 75.0, 95.0, 99.0]
-                    ),
-                })
-            else:
-                raise ValueError(
-                    f"unsupported aggregation {agg!r} (terms|stats|"
-                    "date_histogram|histogram|range|cardinality|"
-                    "percentiles|significant_terms|filters|date_range|"
-                    "avg_bucket|max_bucket|min_bucket|sum_bucket|"
-                    "stats_bucket)"
-                )
 
     def _hybrid_search(self, spec: dict, params) -> dict:
         """OpenSearch 2.x ``hybrid`` query — BM25 + k-NN (or any mix of
@@ -964,7 +485,7 @@ class SearchServer:
             },
         }
 
-    def _search(self, params) -> dict:
+    def _search(self, params, body_aggs=()) -> dict:
         q = params["q"]
         k = int(params.get("size", params.get("k", "10")))
         from_ = int(params.get("from", "0"))
@@ -1026,8 +547,18 @@ class SearchServer:
                 params["pit_id"], params.get("pit_keep_alive")
             )
         # the aggregation plan comes first: a malformed count leg must
-        # fail before any shard call
-        specs, ops, idx = self._agg_plan(params, reader, analyzer)
+        # fail before any shard call.  Identical ops run once
+        # (percentiles and extended_stats share one value histogram,
+        # terms and rare_terms one terms count); idx[i] are the
+        # positions in ops of the results specs[i] renders from
+        specs = aggs.shorthand(params) + list(body_aggs)
+        plan = {}  # repr(op) → (position in ops, op)
+        idx = [
+            [plan.setdefault(repr(op), (len(plan), op))[0]
+             for op in spec.ops(reader, analyzer)]
+            for spec in specs
+        ]
+        ops = [op for _, op in plan.values()]
         # query then fetch: ONE query-phase fan-out returns each
         # shard's page, its true match count and every aggregation
         # partial from one evaluation; the fetch reads the page's hits
@@ -1074,199 +605,24 @@ class SearchServer:
                 raise ValueError("scroll and from are mutually exclusive")
             out["_scroll_id"] = self._scroll_state(params, table, k, sort_spec)
         if specs:
-            aggs = out["aggregations"] = {}
-            # terms→top_hits needs the merged bucket keys before its
-            # head-k partials: the one second query phase, shared by
-            # every such agg of the request
-            top_ops = [
-                ("top_hits", spec["field"], spec["sort_col"], spec["k"],
-                 spec["asc"], res[i[0]].slice(0, spec["size"])["value"].to_pylist())
-                for spec, i in zip(specs, idx) if spec["kind"] == "terms_top_hits"
-            ]
-            top_hits = iter(
-                svc.query_phase(q, syntax, ops=top_ops)[2] if top_ops else []
-            )
-            # siblings resolve against their parent's rendered buckets
-            # — render every non-sibling first, independent of body
-            # ordering (OpenSearch allows the sibling to appear first)
-            for spec, i in zip(specs, idx):
-                if spec["kind"] != "sibling_bucket":
-                    got = [res[j] for j in i]
-                    if spec["kind"] == "terms_top_hits":
-                        got.append(next(top_hits))
-                    aggs[spec["name"]] = self._extra_agg(
-                        spec, got, total, reader
-                    )
-            for spec in specs:
-                if spec["kind"] == "sibling_bucket":
-                    aggs[spec["name"]] = self._sibling_bucket(spec, aggs)
+            got = [[res[j] for j in i] for i in idx]
+            # an agg may need a second query phase over the first one's
+            # merged results (terms→top_hits: the head-k hits of the
+            # merged buckets) — one more round, shared by the request
+            second = [spec.second_ops(g) for spec, g in zip(specs, got)]
+            flat = [op for ops2 in second for op in ops2]
+            if flat:
+                more = iter(svc.query_phase(q, syntax, ops=flat)[2])
+                for g, ops2 in zip(got, second):
+                    g += [next(more) for _ in ops2]
+            # late aggs (sibling pipelines) read their parent's rendered
+            # buckets: they render after every other agg, whatever the
+            # body order
+            rendered = out["aggregations"] = {}
+            ctx = aggs.RenderCtx(total, reader, rendered)
+            for spec, g in sorted(zip(specs, got), key=lambda sg: sg[0].late):
+                rendered[spec.name] = spec.render(g, ctx)
         return out
-
-    def _agg_plan(self, params, reader, analyzer) -> tuple[list, list, list]:
-        """A request's aggregations as ONE list of distinct shard ops
-        (``ShardQueryActor.query_phase``) → ``(specs, ops, idx)``: the GET
-        shorthand's ``agg_terms``/``agg_stats`` slots plus the body's
-        ``aggs_extra`` specs, in response order; ``idx[i]`` are the
-        positions in ``ops`` of the results ``specs[i]`` renders from.
-        Identical ops are computed once (percentiles and
-        extended_stats share one value histogram; terms and
-        rare_terms one terms count)."""
-        specs = []
-        if params.get("agg_terms"):
-            col = params["agg_terms"]
-            specs.append({"name": col, "kind": "terms", "field": col,
-                          "size": int(params.get("agg_size", "10"))})
-        if params.get("agg_stats"):
-            col = params["agg_stats"]
-            specs.append({"name": col, "kind": "stats", "field": col})
-        specs += params.get("aggs_extra") or []
-        ops, seen, idx = [], {}, []
-        for spec in specs:
-            mine = []
-            for op in self._agg_ops(spec, reader, analyzer):
-                key = repr(op)
-                if key not in seen:
-                    seen[key] = len(ops)
-                    ops.append(op)
-                mine.append(seen[key])
-            idx.append(mine)
-        return specs, ops, idx
-
-    @staticmethod
-    def _agg_ops(spec: dict, reader, analyzer) -> list:
-        """The shard ops one aggregation renders from, in the order
-        :meth:`_extra_agg` reads them.  Count legs (filters,
-        adjacency_matrix, missing, value_count) are DSL objects,
-        validated HERE — a malformed leg costs one parse and a clean
-        400, never a shard round trip."""
-        kind, col, arg = spec["kind"], spec["field"], spec.get("arg")
-        if kind in ("terms", "rare_terms", "terms_top_hits"):
-            return [("terms", col)]
-        if kind == "stats":
-            return [("stats", col)]
-        if kind == "terms_stats":
-            return [("terms_stats", col, spec["val"])]
-        if kind in ("percentiles", "extended_stats", "percentile_ranks"):
-            # the exact value histogram is numeric: a date or keyword
-            # field is refused here, before any shard call
-            import pyarrow.types as pt
-
-            schema = reader._docs_dataset().schema
-            typ = schema.field(col).type if col in schema.names else None
-            if typ is not None and not (
-                pt.is_integer(typ) or pt.is_floating(typ) or pt.is_decimal(typ)
-            ):
-                raise ValueError(
-                    f"field [{col}] of type [{typ}] is not supported for "
-                    f"aggregation [{kind}]"
-                )
-            return [("hist", col, "values", None)]
-        if kind == "cardinality":
-            return [("hist", col, "distinct", None)]
-        if kind in ("histogram_metric", "date_histogram_metric"):
-            return [("bucket_sums", col, kind.removesuffix("_metric"), arg,
-                     spec["val"])]
-        if kind == "composite":
-            return [("composite", col, spec["after"], spec["size"])]
-        if kind == "sibling_bucket":
-            return []
-        if kind == "significant_terms":
-            # significance runs over the chain's postings, so the field
-            # must be the build's indexed source field
-            idx_field = reader.manifest["field"]
-            if col and col != idx_field:
-                raise ValueError(
-                    f"significant_terms runs over the indexed field "
-                    f"{idx_field!r}, not {col!r}"
-                )
-            return [("ids",)]
-        if kind in ("missing", "value_count"):
-            legs = [[{"exists": {"field": col}}]]
-        elif kind == "filters":
-            legs = [[sub] for sub in spec["filters"].values()]
-        elif kind == "adjacency_matrix":
-            legs = [fs for _, fs in _adjacency_legs(spec)]
-        else:  # date_histogram / histogram / range / date_range
-            return [("hist", col, kind, arg)]
-        from .query.dsl import dsl_to_node
-
-        for fs in legs:
-            for dsl in fs:
-                dsl_to_node(dsl, analyzer)
-        return [("count", tuple(fs)) for fs in legs]
-
-    @staticmethod
-    def _sibling_bucket(spec: dict, aggs: dict) -> dict:
-        """One sibling pipeline value from a rendered date_histogram
-        parent: ``buckets_path`` = ``parent>metric``.  O(n_buckets),
-        driver-side — exactly where OpenSearch runs sibling aggs."""
-        parent = aggs.get(spec["parent"])
-        if parent is None or "buckets" not in parent:
-            raise ValueError(
-                f"buckets_path parent {spec['parent']!r} is not a "
-                "bucket aggregation in this request"
-            )
-        vals, keys = [], []
-        seen_metric = False
-        for b in parent["buckets"]:
-            m = b.get(spec["metric"])
-            if not isinstance(m, dict) or "value" not in m:
-                # a pipeline metric (derivative/serial_diff) is
-                # legitimately absent in its first bucket(s) —
-                # OpenSearch's skip gap policy: drop the bucket, keep
-                # going
-                continue
-            seen_metric = True
-            vals.append(m["value"])
-            keys.append(b.get("key_as_string", b.get("key")))
-        if parent["buckets"] and not seen_metric:
-            raise ValueError(
-                f"parent buckets carry no metric {spec['metric']!r}"
-            )
-        if not vals:
-            return {"value": None}
-        op = spec["op"]
-        if op == "avg_bucket":
-            return {"value": float(sum(vals)) / len(vals)}
-        if op == "sum_bucket":
-            return {"value": float(sum(vals))}
-        if op == "min_bucket":
-            mv = min(vals)
-            return {
-                "value": float(mv),
-                "keys": [k for k, v in zip(keys, vals) if v == mv],
-            }
-        if op == "max_bucket":
-            mv = max(vals)
-            return {
-                "value": float(mv),
-                "keys": [k for k, v in zip(keys, vals) if v == mv],
-            }
-        if op == "percentiles_bucket":
-            # quantile_cont over the bucket metric values — the same
-            # interpolation rule as the percentiles facet
-            import numpy as _np
-
-            from .query.facets import interpolate_quantiles
-
-            v = _np.sort(_np.asarray(vals, _np.float64))
-            uq, cnt = _np.unique(v, return_counts=True)
-            qs = [float(x) for x in spec["percents"]]
-            out = interpolate_quantiles(uq, cnt.astype(_np.int64), qs)
-            return {"values": {f"{q}": o for q, o in zip(qs, out)}}
-        if op == "extended_stats_bucket":
-            return _extended_stats(
-                len(vals), float(min(vals)), float(max(vals)),
-                float(sum(vals)), float(sum(x * x for x in vals)),
-            )
-        # stats_bucket
-        return {
-            "count": len(vals),
-            "min": float(min(vals)),
-            "max": float(max(vals)),
-            "sum": float(sum(vals)),
-            "avg": float(sum(vals)) / len(vals),
-        }
 
     # ------------------------------------------------------------ scroll
 
@@ -1362,302 +718,6 @@ class SearchServer:
             if hk in state:
                 p[hk] = state[hk]
         return self._search(p)
-
-    @staticmethod
-    def _terms_agg(t, size: int) -> dict:
-        return {"buckets": [
-            {"key": r["value"], "doc_count": r["n_docs"]}
-            for r in t.slice(0, size).to_pylist()
-        ]}
-
-    @staticmethod
-    def _stats_agg(t) -> dict:
-        r = t.to_pylist()[0]
-        return {
-            "count": r["n_docs"], "min": r["min_v"], "max": r["max_v"],
-            "sum": r["sum_v"], "avg": r["avg_v"],
-        }
-
-    def _extra_agg(self, spec: dict, got: list, n_matched: int, reader) -> dict:
-        """One aggregation's OpenSearch rendering from the merged shard
-        results it planned (``got``, in :meth:`_agg_ops` order, plus
-        the second-round top hits of a terms→top_hits agg; ``n_matched``
-        is the request's live match count).  No shard call happens here:
-        the whole request's aggregations came from its one query-phase
-        fan-out, so the in-process and fleet backends run the same
-        code.  Response shapes follow OpenSearch: date buckets carry
-        epoch-ms ``key`` + ISO ``key_as_string``, range buckets echo
-        from/to, percentiles a ``values`` map."""
-        import numpy as np
-
-        from .query.facets import interpolate_quantiles
-
-        kind, arg = spec["kind"], spec.get("arg")
-        if kind == "filters":
-            # one bucket per NAMED sub-query: |q ∧ f|
-            return {"buckets": {
-                bname: {"doc_count": n}
-                for bname, n in zip(spec["filters"], got)
-            }}
-        if kind == "significant_terms":
-            # JLH-significant terms of the query's match set
-            # (query/significant.py — a per-partition postings scan,
-            # one Ray task per segment partition: an ANALYTICS agg,
-            # never a hot search path) over the snapshot reader; the
-            # foreground set is the shards' match ids
-            from .query.significant import significant_terms
-
-            matched = got[0]
-            t = significant_terms(
-                reader, matched, k=spec["size"],
-                min_doc_count=spec["min_doc_count"],
-            )
-            return {
-                "doc_count": int(len(matched)),
-                "buckets": [
-                    {"key": r["term"], "doc_count": r["fg_df"],
-                     "bg_count": r["bg_df"], "score": r["score"]}
-                    for r in t.to_pylist()
-                ],
-            }
-        if kind == "terms":
-            # plain terms agg, per NAME (body requests may carry many)
-            return self._terms_agg(got[0], spec["size"])
-        if kind == "stats":
-            return self._stats_agg(got[0])
-        if kind == "terms_top_hits":
-            # terms buckets + per-bucket top-k hits: ≤ k rows per
-            # rendered bucket end-to-end
-            t, th = got
-            counts = {
-                r["value"]: r["n_docs"]
-                for r in t.slice(0, spec["size"]).to_pylist()
-            }
-            hits_by = {}
-            for r in th.to_pylist():
-                sv = r["s"]
-                if hasattr(sv, "isoformat"):
-                    sv = sv.isoformat()
-                hits_by.setdefault(r["value"], []).append(
-                    {"_id": str(r["doc_id"]), "sort": [sv]}
-                )
-            buckets = []
-            for v in sorted(counts, key=lambda x: (-counts[x], x)):
-                buckets.append({
-                    "key": v,
-                    "doc_count": counts[v],
-                    spec["sub"]: {"hits": {
-                        "total": {"value": counts[v], "relation": "eq"},
-                        "hits": hits_by.get(v, []),
-                    }},
-                })
-            return {"buckets": buckets}
-        if kind == "terms_stats":
-            # nested terms→stats: the shared exact fold
-            metric = spec.get("metric", "stats")
-            buckets = []
-            for r in got[0].slice(0, spec["size"]).to_pylist():
-                full = {
-                    "count": r["n_docs"], "min": r["min_v"],
-                    "max": r["max_v"], "sum": r["sum_v"],
-                    "avg": r["avg_v"],
-                }
-                buckets.append({
-                    "key": r["value"],
-                    "doc_count": r["n_docs"],
-                    spec["sub"]: (
-                        full
-                        if metric == "stats"
-                        else {"value": full[metric]}  # single-metric agg
-                    ),
-                })
-            return {"buckets": buckets}
-        if kind in ("extended_stats", "percentile_ranks"):
-            # both fold the SAME exact value-count histogram the
-            # percentiles agg reads (one op per request)
-            hist = got[0]
-            v = hist["key"].to_numpy(zero_copy_only=False).astype(np.float64)
-            c = hist["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-            n = int(c.sum())
-            if kind == "percentile_ranks":
-                if n == 0:
-                    return {"values": {f"{x}": None for x in spec["values"]}}
-                cum = np.cumsum(c)
-                out = {}
-                for x in spec["values"]:
-                    le = int(cum[np.searchsorted(v, float(x), "right") - 1]) \
-                        if np.searchsorted(v, float(x), "right") else 0
-                    out[f"{float(x)}"] = 100.0 * le / n
-                return {"values": out}
-            if n == 0:
-                return {"count": 0}
-            return _extended_stats(
-                n, float(v.min()), float(v.max()),
-                float((v * c).sum()), float((v * v * c).sum()),
-            )
-        if kind == "value_count":
-            # docs carrying a value: |q ∧ exists|
-            return {"value": got[0]}
-        if kind == "missing":
-            # |q| − |q ∧ exists(field)|
-            return {"doc_count": n_matched - got[0]}
-        if kind == "rare_terms":
-            # long-tail terms: the terms count, tail-filtered and
-            # re-sorted (count asc, value asc) on the key-scale table
-            rows = [
-                (r["value"], int(r["n_docs"]))
-                for r in got[0].to_pylist()
-                if int(r["n_docs"]) <= spec["max_doc_count"]
-            ]
-            rows.sort(key=lambda kv: (kv[1], kv[0]))
-            return {"buckets": [
-                {"key": v, "doc_count": n} for v, n in rows
-            ]}
-        if kind == "composite":
-            # key-ordered bucket pages with after_key resumption over
-            # ONE terms source — the export-a-big-facet agg.  BOUNDED
-            # per page: each shard computes only the ``size`` smallest
-            # matched keys after the cursor in the COLUMN's native
-            # order (a near-unique key column costs O(size) per page,
-            # never key-cardinality), and keys page/emit in the
-            # column's native type — an int source pages 9 < 10, a
-            # string source lexicographically.
-            size_, t = spec["size"], got[0]
-            if t is None or t.num_rows == 0:
-                return {"buckets": []}
-            vals = t["value"].to_pylist()
-            ns = [int(x) for x in t["n_docs"].to_pylist()]
-            page = list(zip(vals, ns))
-            out = {"buckets": [
-                {"key": {spec["source"]: v}, "doc_count": n}
-                for v, n in page
-            ]}
-            # OpenSearch semantics: a FULL page carries after_key (the
-            # client's next request may come back empty — that is the
-            # terminal signal)
-            if len(page) == size_:
-                out["after_key"] = {spec["source"]: page[-1][0]}
-            return out
-        if kind == "adjacency_matrix":
-            # one count per named filter + one per pairwise
-            # intersection (q ∧ fa ∧ fb), zero-count buckets omitted
-            buckets = [
-                {"key": key, "doc_count": n}
-                for (key, _), n in zip(_adjacency_legs(spec), got)
-                if n > 0
-            ]
-            buckets.sort(key=lambda b: b["key"])
-            return {"buckets": buckets}
-        if kind == "histogram_metric":
-            t = got[0]
-            return {"buckets": [
-                {
-                    "key": float(k),
-                    "doc_count": int(n),
-                    spec["sub"]: {"value": float(s)},
-                }
-                for k, n, s in zip(
-                    t["key"].to_pylist(), t["n"].to_pylist(),
-                    t["sm"].to_pylist(),
-                )
-            ]}
-        if kind == "date_histogram_metric":
-            # histogram parent + sum metric + parent pipelines: every
-            # pipeline function is an O(n_buckets) coordinator pass
-            # (OpenSearch's own reduce-side placement)
-            t = got[0]
-            calendar = not _is_fixed_iv(arg)
-            ks = t["key"].to_pylist()
-            ns = t["n"].to_pylist()
-            sums = [float(s) for s in t["sm"].to_pylist()]
-            cums = np.cumsum(sums)
-            buckets = []
-            for i, (k, n, s) in enumerate(zip(ks, ns, sums)):
-                b = {
-                    **_date_bucket_key(k, arg, calendar),
-                    "doc_count": int(n),
-                    spec["sub"]: {"value": s},
-                }
-                for pp in spec["pipes"]:
-                    if pp["kind"] == "cumulative_sum":
-                        b[pp["name"]] = {"value": float(cums[i])}
-                    elif pp["kind"] == "derivative":
-                        if i >= 1:
-                            b[pp["name"]] = {"value": sums[i] - sums[i - 1]}
-                    elif pp["kind"] == "moving_fn":
-                        # trailing window incl. current, partial heads
-                        # (pipeline_aggs' moving_avg semantics)
-                        w = max(1, pp["window"])
-                        lo_i = max(0, i - w + 1)
-                        b[pp["name"]] = {
-                            "value": float(sum(sums[lo_i:i + 1]))
-                            / (i - lo_i + 1)
-                        }
-                    else:  # serial_diff
-                        lag = max(1, pp["lag"])
-                        if i >= lag:
-                            b[pp["name"]] = {"value": sums[i] - sums[i - lag]}
-                buckets.append(b)
-            return {"buckets": buckets}
-        hist = got[0]
-        if kind == "cardinality":
-            return {"value": int(hist.num_rows)}
-        if kind == "percentiles":
-            qs = [float(x) for x in spec["percents"]]
-            if hist.num_rows == 0:
-                return {"values": {f"{x}": None for x in qs}}
-            v = hist["key"].to_numpy(zero_copy_only=False)
-            c = hist["n_docs"].to_numpy(zero_copy_only=False)
-            out = interpolate_quantiles(v, np.asarray(c, np.int64), qs)
-            return {"values": {f"{x}": val for x, val in zip(qs, out)}}
-        if kind == "range":
-            counts = dict(
-                zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
-            )
-            buckets = []
-            for i, (lo, hi) in enumerate(arg):
-                b = {"doc_count": int(counts.get(i, 0))}
-                if lo != float("-inf"):
-                    b["from"] = lo
-                if hi != float("inf"):
-                    b["to"] = hi
-                buckets.append(b)
-            return {"buckets": buckets}
-        if kind == "date_range":
-            import datetime as _dt
-
-            counts = dict(
-                zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
-            )
-            buckets = []
-            epoch0 = _dt.datetime(1970, 1, 1)
-            for i, (lo, hi) in enumerate(arg):
-                b = {"doc_count": int(counts.get(i, 0))}
-                if lo != float("-inf"):
-                    b["from"] = int(lo) // 1000  # epoch millis
-                    # exact micro-second ISO echo (no float detour, no
-                    # whole-second truncation of sub-second bounds)
-                    b["from_as_string"] = (
-                        epoch0 + _dt.timedelta(microseconds=int(lo))
-                    ).isoformat()
-                if hi != float("inf"):
-                    b["to"] = int(hi) // 1000
-                    b["to_as_string"] = (
-                        epoch0 + _dt.timedelta(microseconds=int(hi))
-                    ).isoformat()
-                buckets.append(b)
-            return {"buckets": buckets}
-        if kind == "date_histogram":
-            calendar = not _is_fixed_iv(arg)
-            return {"buckets": [
-                {**_date_bucket_key(k, arg, calendar), "doc_count": int(n)}
-                for k, n in zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
-            ]}
-        # histogram: lower-edge keys
-        return {"buckets": [
-            {"key": float(k), "doc_count": int(n)}
-            for k, n in zip(hist["key"].to_pylist(), hist["n_docs"].to_pylist())
-        ]}
 
     def _count(self, params) -> dict:
         q = params["q"]

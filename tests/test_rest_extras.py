@@ -316,6 +316,12 @@ def test_pipeline_aggs_envelope_both_backends(root, ray_session):
             "pcts_m": {"percentiles_bucket": {"buckets_path": "per_min>ids",
                                               "percents": [50.0, 90.0]}},
             "ext_m": {"extended_stats_bucket": {"buckets_path": "per_min>ids"}},
+            # one doc per second bucket: docpart sums tie at the min
+            "min_p": {"min_bucket": {"buckets_path": "per_sec>parts"}},
+            "per_sec": {
+                "date_histogram": {"field": "warc_ts", "fixed_interval": "1s"},
+                "aggs": {"parts": {"sum": {"field": "docpart"}}},
+            },
             "per_min": {
                 "date_histogram": {"field": "warc_ts",
                                    "fixed_interval": "60s"},
@@ -356,16 +362,19 @@ def test_pipeline_aggs_envelope_both_backends(root, ray_session):
     )
     docs = pads.dataset(
         os.path.join(reader.index_dir, "docs"), partitioning="hive"
-    ).to_table(columns=["doc_id", "warc_ts"])
+    ).to_table(columns=["doc_id", "warc_ts", "docpart"])
     import datetime as _dtz
 
-    per = {}
-    for d, t in zip(docs["doc_id"].to_pylist(), docs["warc_ts"].to_pylist()):
+    per, per_sec = {}, {}
+    for d, t, part in zip(docs["doc_id"].to_pylist(),
+                          docs["warc_ts"].to_pylist(),
+                          docs["docpart"].to_pylist()):
         if int(d) in matched:
             ep = t.replace(tzinfo=_dtz.timezone.utc).timestamp()
             b = int(ep // 60) * 60
             n, s = per.get(b, (0, 0))
             per[b] = (n + 1, s + int(d))
+            per_sec[t.isoformat()] = per_sec.get(t.isoformat(), 0) + int(part)
     want = [(k, per[k]) for k in sorted(per)]
     got = aggs["per_min"]["buckets"]
     assert [g["key"] // 1000 for g in got] == [k for k, _ in want]
@@ -394,6 +403,10 @@ def test_pipeline_aggs_envelope_both_backends(root, ray_session):
     assert aggs["max_m"]["keys"] == [
         g["key_as_string"] for g, s in zip(got, sums) if s == mx
     ]
+    mn = min(per_sec.values())
+    tied = sorted(k for k, v in per_sec.items() if v == mn)
+    assert len(tied) > 1
+    assert aggs["min_p"] == {"value": float(mn), "keys": tied}
     assert aggs["stats_m"] == {
         "count": len(sums), "min": min(sums), "max": mx,
         "sum": sum(sums), "avg": sum(sums) / len(sums),
@@ -926,9 +939,10 @@ def test_aggs_envelope_fuzz_never_500s(root, ray_session):
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
+    from docs_indexer_ray.query.aggs import KINDS
     from docs_indexer_ray.serve_http import SearchServer
 
-    keys = st.sampled_from([
+    keys = st.sampled_from(list(dict.fromkeys([
         "terms", "stats", "date_histogram", "histogram", "range",
         "date_range", "cardinality", "percentiles", "filters",
         "significant_terms", "missing", "top_hits", "sum", "avg",
@@ -940,7 +954,8 @@ def test_aggs_envelope_fuzz_never_500s(root, ray_session):
         "field", "interval", "fixed_interval", "calendar_interval",
         "ranges", "from", "to", "size", "sort", "buckets_path",
         "lag", "window", "script", "percents", "meta", "x",
-    ])
+        "values", "separator", "min_doc_count", *KINDS,
+    ])))
     scalars = st.one_of(
         st.none(), st.booleans(), st.integers(-3, 60),
         st.sampled_from([
@@ -978,6 +993,25 @@ def test_aggs_envelope_fuzz_never_500s(root, ray_session):
         probe()
     finally:
         srv.stop()
+
+
+def test_unknown_agg_kind_400_names_every_kind(root, ray_session):
+    """An aggregation body with no known kind key is a 400 whose reason
+    lists every kind the registry accepts."""
+    from docs_indexer_ray.query.aggs import KINDS
+    from docs_indexer_ray.serve_http import SearchServer
+
+    srv = SearchServer(root, backend="local").start()
+    try:
+        code, r = _req(srv.port, "/_search", body={
+            "query": {"match": {"body": "node"}},
+            "aggs": {"a": {"nope": {}}},
+        })
+    finally:
+        srv.stop()
+    assert code == 400, r
+    named = r["error"]["reason"].rsplit("(", 1)[1].rstrip(")").split("|")
+    assert sorted(named) == sorted(KINDS)
 
 
 def test_search_body_fuzz_never_500s(root, ray_session):
