@@ -69,28 +69,32 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _query_service(args, reader=None):
+    """The query service a command runs on: the doc-range-sharded
+    actor fleet for ``--shards`` > 1, otherwise ONE in-process shard
+    over ``reader`` (opened here when not given) — the same protocol
+    either way, so each command makes one call."""
+    from .query.served import ShardedQueryService
+
+    if args.shards > 1:
+        return ShardedQueryService(args.index, n_shards=args.shards, chain=args.chain)
+    if reader is None:
+        from .query.reader import IndexReader
+
+        reader = IndexReader(args.index, chain=args.chain)
+    return ShardedQueryService.in_process(reader)
+
+
 def cmd_query(args) -> int:
     _ray_session()
-    from .functions.analyzer import Analyzer
-    from .query.bm25 import topk
     from .query.reader import IndexReader
 
     reader = IndexReader(args.index, chain=args.chain)
-    terms = Analyzer(reader.manifest["analyzer"] if args.chain is None else args.chain)(
-        args.q
-    )
-    if getattr(args, "shards", 0) and args.shards > 1:
-        # doc-range-sharded serving path: per-shard exact top-k +
-        # exact merge (global statistics), ≡ the local reader
-        from .query.served import ShardedQueryService
-
-        svc = ShardedQueryService(args.index, n_shards=args.shards, chain=args.chain)
-        try:
-            hits = svc.topk(args.q, k=args.k)
-        finally:
-            svc.shutdown()
-    else:
-        hits = topk(reader, terms, k=args.k)
+    svc = _query_service(args, reader)
+    try:
+        hits = svc.topk(args.q, k=args.k)
+    finally:
+        svc.shutdown()
     docs = reader.fetch_docs([d for d, _ in hits], columns=["doc_id", "url", "title"])
     meta = {r["doc_id"]: r for r in docs.to_pylist()}
     for rank, (doc_id, score) in enumerate(hits, 1):
@@ -113,35 +117,18 @@ def cmd_search(args) -> int:
     """Assembled _search response: query_string syntax, stored fields,
     highlighted snippet per hit — local reader or the sharded fleet."""
     _ray_session()
-    from .query.reader import IndexReader
-
     fields = tuple(args.fields.split(",")) if args.fields else ("url", "title")
-    if getattr(args, "shards", 0) and args.shards > 1:
-        from .query.served import ShardedQueryService
-
-        svc = ShardedQueryService(args.index, n_shards=args.shards, chain=args.chain)
-        try:
-            t = svc.search(
-                args.q,
-                k=args.k,
-                fields=fields,
-                highlight_field=args.highlight or None,
-                syntax=args.syntax,
-            )
-        finally:
-            svc.shutdown()
-    else:
-        from .query.search import search_response
-
-        reader = IndexReader(args.index, chain=args.chain)
-        t = search_response(
-            reader,
+    svc = _query_service(args)
+    try:
+        t = svc.search(
             args.q,
             k=args.k,
             fields=fields,
             highlight_field=args.highlight or None,
             syntax=args.syntax,
         )
+    finally:
+        svc.shutdown()
     for row in t.to_pylist():
         row["score"] = round(float(row["score"]), 6)
         print(json.dumps(row))
@@ -226,20 +213,11 @@ def cmd_knn(args) -> int:
             return 2
         vec = V[args.doc].tolist()
     dsl = {"knn": {args.name: {"vector": vec, "k": args.k}}}
-    if getattr(args, "shards", 0) and args.shards > 1:
-        from .query.served import ShardedQueryService
-
-        svc = ShardedQueryService(
-            args.index, n_shards=args.shards, chain=args.chain
-        )
-        try:
-            hits = svc.query_string(dsl, k=args.k)
-        finally:
-            svc.shutdown()
-    else:
-        from .query.qstring import query_string_topk
-
-        hits = query_string_topk(reader, dsl, k=args.k)
+    svc = _query_service(args, reader)
+    try:
+        hits = svc.query_string(dsl, k=args.k)
+    finally:
+        svc.shutdown()
     docs = reader.fetch_docs(
         [d for d, _ in hits], columns=["doc_id", "url", "title"]
     )

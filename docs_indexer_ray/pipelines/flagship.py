@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
 import pandas as pd
 
 from ..index.build import build_index
 from ..query.bm25 import topk
 from ..query.reader import IndexReader
-from ..stages.docid import assign_doc_ids, dedup_latest
-from ..stages.extract import ExtractAssemble
 from ..synth import pages_from_documents
 
 CACHE_ROOT = os.environ.get("DIXR_CACHE", "/tmp/dixr_cache")
@@ -28,21 +25,6 @@ CACHE_ROOT = os.environ.get("DIXR_CACHE", "/tmp/dixr_cache")
 
 def pages_dataset(sf_dir: str, expand: int = 1):
     return pages_from_documents(sf_dir, expand=expand)
-
-
-def docs_dataset(pages_ds):
-    """Phase-1 pipeline in memory: extract → dedup → dense doc ids.
-
-    Composition surface for arbitrary pages Datasets (tested in
-    pytest); the sf_dir entry points below go through
-    :func:`docs_store_dataset` instead — ONE code path with the real
-    build (`stages/docstore.py`), no mid-pipeline materialization."""
-    ds = pages_ds.map_batches(
-        ExtractAssemble(), batch_format="pyarrow", batch_size=256
-    )
-    ds = dedup_latest(ds).materialize()
-    ds, n_docs = assign_doc_ids(ds)
-    return ds, n_docs
 
 
 def docs_store_dataset(sf_dir: str, columns: list[str] | None = None):

@@ -679,10 +679,6 @@ class _TermIter:
         if self.pos >= len(self.ids):
             self._load_block(self.block + 1)
 
-    def score_current(self, avgdl: float, dl: float, k1: float, b: float) -> float:
-        tf = float(self.tfs[self.pos])
-        return self.idf * tf / (tf + k1 * (1.0 - b + b * (dl / avgdl)))
-
     def current_block_ub(self, up_to_doc: int) -> float:
         """Max block ub over blocks that could contain docs <= up_to_doc
         starting from the current block (block-max WAND refinement)."""

@@ -190,12 +190,12 @@ def match_doc_ids(reader, terms: list[str]) -> np.ndarray:
     OR); tombstoned docs (``index/deletes``) are excluded.
 
     LOCAL in-process decode through the reader's memoized postings
-    cache — this is the SERVING primitive (``/_count``, ``/_search``
-    ``with_total``, wildcard expansion inside query actors call it
-    per request), so it must stay sub-ms-warm and must never spawn
-    Ray tasks: a query evaluator may itself be a ``num_cpus=1``
-    actor, and blocking on subtasks from inside one deadlocks when
-    the fleet has reserved every CPU (nested-parallelism hazard).
+    cache — this is a SERVING primitive (wildcard and regexp
+    expansion inside query actors call it per request), so it must
+    stay sub-ms-warm and must never spawn Ray tasks: a query
+    evaluator may itself be a ``num_cpus=1`` actor, and blocking on
+    subtasks from inside one deadlocks when the fleet has reserved
+    every CPU (nested-parallelism hazard).
     The DATASET facet tier uses :func:`match_doc_bitmap` instead —
     range tasks, bitmap-scale driver traffic — for corpus-scale
     match sets."""

@@ -1283,31 +1283,3 @@ def query_string_topk(
 
     return rank_top_quantized(scores, matched, k, after=after)
 
-
-def query_string_topk_with_total(
-    reader,
-    qs: str,
-    k: int = 10,
-    default_operator: str = "or",
-    analyzer=None,
-    after: tuple[float, int] | None = None,
-) -> tuple[list[tuple[int, float]], int]:
-    """ONE dense evaluation → ``(top-k hits, TRUE live match count)``
-    — the ``/_search`` hot path needs both, and a separate ``/_count``
-    call re-parses and re-evaluates the same query over the whole
-    corpus.  ``total`` counts the MATCH mask over live docs (the
-    ``/_count`` semantics — a zero-score match, e.g. ``constant_score``
-    with boost 0, still counts), not ``scores > 0``."""
-    from .bm25 import _zero_deleted, rank_top_quantized
-
-    if analyzer is None:
-        from ..functions.analyzer import Analyzer
-
-        analyzer = Analyzer(reader.chain)
-    node = parse_query_string(qs, analyzer, default_operator)
-    scores, match = _eval(reader, node)
-    live = _zero_deleted(reader, np.where(match, 1.0, 0.0))
-    total = int(np.count_nonzero(live))
-    scores = _zero_deleted(reader, np.where(match, scores, 0.0))
-    matched = np.flatnonzero(scores > 0.0)
-    return rank_top_quantized(scores, matched, k, after=after), total

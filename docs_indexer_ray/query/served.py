@@ -550,9 +550,9 @@ class ShardedQueryService:
         ``sort``), then :meth:`fetch_phase` reads each hit from the
         shard that OWNS its doc range.  Returns the assembled response
         table ``(rank, doc_id, score, *fields[, snippet][,
-        sort_key])`` — pinned identical to the local
-        :func:`query.search.search_response` in every mode.  Paging
-        follows :func:`page_rank`."""
+        sort_key])``; on one in-process shard this is
+        :func:`query.search.search_response`.  Paging follows
+        :func:`page_rank`."""
         page = self.query_phase(
             query, syntax, default_operator, page_rank(k, from_, after, sort)
         )[0]
@@ -684,8 +684,8 @@ def live_matches(
     blocks that overlap the range; ``scores`` is ``None``), or the
     full query_string / DSL language with ``syntax=True`` — one range
     evaluation, whose dense ``scores`` the query phase ranks.  The
-    ONE match-set builder of the serving tier: the query phase, the
-    field-sort kernel and ``search_response``'s sort path use it."""
+    ONE match-set builder of the serving tier: the query phase ranks,
+    field-sorts, counts and aggregates this one set."""
     if syntax:
         from .qstring import _eval_range, parse_query_string
 

@@ -418,12 +418,11 @@ class SearchServer:
         the candidate-union size with relation ``gte`` (the true union
         is window-capped by design).  Highlight / sort / aggs / scroll
         don't compose with hybrid (refused loudly, like OpenSearch's
-        processor restrictions); pagination is offset-only.  The fetch
-        phase reads only the page's rows (row-group-pruned
-        ``fetch_docs``)."""
+        processor restrictions); pagination is offset-only.  The fused
+        page takes the backend's own fetch phase: each hit is read by
+        the shard that owns it (row-group-pruned ``fetch_docs``)."""
         from .query.dsl import dsl_to_node
         from .query.hybrid import rrf_fuse
-        from .query.search import assemble_hits
 
         for bad in ("sort", "highlight", "aggs", "aggregations",
                     "scroll", "search_after"):
@@ -438,7 +437,7 @@ class SearchServer:
         if len(legs) > 8:
             raise ValueError("hybrid supports at most 8 sub-queries")
         # ONE backend snapshot; validate every leg BEFORE any fan-out
-        svc, reader, analyzer = self._svc, self._reader, self._analyzer
+        svc, analyzer = self._svc, self._analyzer
         for leg in legs:
             dsl_to_node(leg, analyzer)
         k = int(spec.get("size", params.get("size", params.get("k", "10"))))
@@ -462,8 +461,8 @@ class SearchServer:
         page = list(
             zip(fused["doc_id"].to_pylist(), fused["rrf"].to_pylist())
         )
-        table = assemble_hits(
-            reader, page, fields, None, None, 160, rank_start=from_ + 1,
+        table = svc.fetch_phase(
+            page, None, fields, None, 160, False, rank_start=from_ + 1
         )
         took = int((time.perf_counter() - t0) * 1000)
         hits_out = []

@@ -172,12 +172,6 @@ def _records_to_tables(raw: bytes, max_rows: int = 4096, max_bytes: int = 64 << 
         yield flush()
 
 
-def _records_to_rows(raw: bytes) -> pa.Table:
-    """Whole-archive convenience wrapper (tests / small inputs)."""
-    tables = list(_records_to_tables(raw))
-    return pa.concat_tables(tables) if tables else PAGES_SCHEMA.empty_table()
-
-
 def read_warc(paths, *, lang: str | None = None):
     """``ray.data.Dataset`` in the pages shape from WARC/WET archives.
 

@@ -230,9 +230,16 @@ def test_cli_end_to_end(ray_session, tmp_path, capsys):
     built = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert built["n_docs"] == 25
 
-    assert main(["query", "--index", out, "--q", "node pools", "-k", "3"]) == 0
-    lines = [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+    runs = []
+    for shards in ("0", "2"):  # one in-process shard, then the actor fleet
+        assert main(["query", "--index", out, "--q", "node pools", "-k", "3",
+                     "--shards", shards]) == 0
+        runs.append(
+            [json.loads(x) for x in capsys.readouterr().out.strip().splitlines()]
+        )
+    lines = runs[0]
     assert lines and lines[0]["rank"] == 1 and lines[0]["url"]
+    assert runs[1] == lines
 
     assert main(["search", "--index", out, "--q", "node pools", "-k", "3",
                  "--highlight", "body"]) == 0

@@ -109,6 +109,86 @@ def test_search_response_from_and_after_pages(built):
         search_response(built, "node", k=3, from_=3, after=(1.0, 0))
 
 
+def test_search_response_pinned_to_reference_kernels(ray_session, tmp_path):
+    """search_response runs the served query-then-fetch; its page and
+    its total are pinned to the reference kernels outside the query
+    phase — query_string_topk / score_topk / topk_after for the
+    (doc_id, score) page, match_doc_ids or the dense ``_eval`` match
+    mask for the live match count — on every page kind, on a clean
+    build and again after tombstoning matching docs."""
+    import numpy as np
+    import ray.data
+
+    from docs_indexer_ray.index.build import build_index
+    from docs_indexer_ray.index.deletes import add_deletes
+    from docs_indexer_ray.query.bm25 import score_topk, topk_after
+    from docs_indexer_ray.query.facets import match_doc_ids
+    from docs_indexer_ray.query.qstring import (
+        _eval,
+        parse_query_string,
+        query_string_topk,
+    )
+    from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.query.search import search_response
+    from docs_indexer_ray.synth import rich_pages_table
+
+    root = str(tmp_path / "idx")
+    build_index(
+        ray.data.from_arrow(rich_pages_table(90, dup_every=0)),
+        root,
+        fingerprint="pin",
+        num_parts=4,
+        chain="simple",
+        field="body",
+    )
+    queries = {
+        False: ["node pools quotas", "page"],
+        True: ["node OR quotas OR helm", "(node AND pools) OR helm -quotas"],
+    }
+
+    def reference(reader, q, syntax, k, from_=0, after=None):
+        if syntax:
+            hits = query_string_topk(reader, q, k=from_ + k, after=after)[from_:]
+            _, match = _eval(reader, parse_query_string(q, reader.analyzer))
+            live = match.copy()
+            live[reader.deleted_ids()] = False
+            return hits, int(np.count_nonzero(live))
+        terms = reader.analyzer(q)
+        if after is not None:
+            hits = topk_after(reader, terms, after, k=k)
+        else:
+            hits = score_topk(reader, terms, k=from_ + k)[from_:]
+        return hits, len(match_doc_ids(reader, terms))
+
+    def check(reader):
+        for syntax, qs in queries.items():
+            for q in qs:
+                full, _ = reference(reader, q, syntax, 8)
+                assert len(full) == 8
+                cursor = (full[3][1], full[3][0])
+                for from_, after in ((0, None), (3, None), (0, cursor)):
+                    t, total = search_response(
+                        reader, q, k=4, fields=("url",), syntax=syntax,
+                        from_=from_, after=after, with_total=True,
+                    )
+                    want, want_total = reference(
+                        reader, q, syntax, 4, from_, after
+                    )
+                    got = list(zip(t["doc_id"].to_pylist(),
+                                   t["score"].to_pylist()))
+                    assert got == want, (q, syntax, from_, after)
+                    assert total == want_total, (q, syntax, from_, after)
+
+    clean = IndexReader(root)
+    check(clean)
+    matching = match_doc_ids(clean, clean.analyzer("node pools quotas helm"))
+    top = [d for d, _ in score_topk(clean, clean.analyzer("page"), k=2)]
+    add_deletes(root, sorted({*matching[::4].tolist(), *top}))
+    tombstoned = IndexReader(root)
+    assert len(tombstoned.deleted_ids()) >= 3
+    check(tombstoned)
+
+
 def test_sharded_pagination_matches_local(built, ray_session):
     """The fleet's from_/after pages are pinned to the local
     search_response in both modes — each shard applies the same global

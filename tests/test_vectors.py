@@ -204,16 +204,20 @@ def test_cli_attach_and_knn(built, ray_session, tmp_path, capsys):
     assert rc == 0
     meta = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert meta["count"] == len(rows)
-    rc = main(["knn", "--index", root, "--doc", "3", "-k", "5",
-               "--name", "cli_emb"])
-    out = capsys.readouterr().out
-    assert rc == 0
+    outs = []
+    for shards in ("0", "2"):  # one in-process shard, then the actor fleet
+        rc = main(["knn", "--index", root, "--doc", "3", "-k", "5",
+                   "--name", "cli_emb", "--shards", shards])
+        outs.append(capsys.readouterr().out)
+        assert rc == 0
+    out = outs[0]
     want = query_string_topk(
         IndexReader(root),
         {"knn": {"cli_emb": {"vector": vecs[3].tolist()}}}, k=5,
     )
     got_ids = [int(ln.split()[2]) for ln in out.strip().splitlines()]
     assert got_ids == [d for d, _ in want] and got_ids[0] == 3
+    assert outs[1] == out
     # a vectorless doc refuses loudly, not garbage neighbors
     rc = main(["knn", "--index", root, "--doc", "5", "--name", "cli_emb"])
     assert rc == 2
