@@ -303,12 +303,9 @@ def cmd_didyoumean(args) -> int:
 
 def cmd_merge(args) -> int:
     _ray_session()
-    from .index.merge import merge_indexes, merge_many
+    from .index.merge import merge_many
 
-    if len(args.delta) == 1:
-        man = merge_indexes(args.base, args.delta[0], args.out, prefix=args.prefix)
-    else:
-        man = merge_many([args.base, *args.delta], args.out, prefix=args.prefix)
+    man = merge_many([args.base, *args.delta], args.out, prefix=args.prefix)
     print(json.dumps({"fingerprint": man["fingerprint"], "n_docs": man["n_docs"]}))
     return 0
 

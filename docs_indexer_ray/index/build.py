@@ -180,13 +180,8 @@ def _build_segments_all_chains(
     sort-based groupby pays a global sort).  All chains' encode tasks
     run in one parallel wave.
     """
-    import sys
-
     import ray
     import ray.data
-
-    _dbg = os.environ.get("DIXR_TIMING")
-    _t = time.time()
 
     heavies: dict[str, set[str]] = {c: set() for c in chains}
     run_width = 1 << 60
@@ -194,8 +189,6 @@ def _build_segments_all_chains(
         heavies = _detect_heavy_terms_all(docs_dir, field, chains, heavy_df_ratio)
         n_salt_runs = min(n_salt_runs, num_parts)  # +run salt must stay injective
         run_width = max(1, -(-n_docs // n_salt_runs))  # ceil
-    if _dbg:
-        print(f"[t] heavy detect {time.time()-_t:.1f}s", file=sys.stderr); _t = time.time()
 
     spill_dirs: dict[str, str] = {}
     seg_dirs: dict[str, str] = {}
@@ -248,8 +241,6 @@ def _build_segments_all_chains(
         # natural batch granularity
         batch_size=None,
     ).take_all()
-    if _dbg:
-        print(f"[t] tokenize+spill {time.time()-_t:.1f}s", file=sys.stderr); _t = time.time()
 
     # reduce: one plain Ray task per (chain, partition) over exactly the
     # lineage file list (no Ray Data execution constant, no stale-spill
@@ -290,8 +281,6 @@ def _build_segments_all_chains(
                 for r in sorted(lineage_rows, key=lambda r: r["rpart"])
             ],
         }
-    if _dbg:
-        print(f"[t] encode {time.time()-_t:.1f}s", file=sys.stderr)
     return out
 
 
@@ -310,7 +299,6 @@ def build_index(
     salt_heavy: bool = True,
     heavy_df_ratio: float = 0.25,
     n_salt_runs: int = 8,
-    concurrency: int | None = None,
     skip_if_current: bool = True,
     publish: bool = True,
     docpart_boundaries: list[str] | None = None,
@@ -343,8 +331,6 @@ def build_index(
     cpus = int(ray.cluster_resources().get("CPU", 8))
     if num_parts is None:
         num_parts = max(8, 2 * cpus)
-    if concurrency is None:
-        concurrency = max(2, cpus - 2)
 
     bdir = mf.build_dir(out_root, prefix, fingerprint)
     seg_dir = os.path.join(bdir, "segments")

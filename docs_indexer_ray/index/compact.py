@@ -23,7 +23,7 @@ docs-store directory.  So:
   the re-crawl.
 
 Doc-id density invariant: doc ids are dense and ascending in docpart
-order (``stages/docid.py``), so the per-partition filter + subtract
+order (``stages/docstore.py``), so the per-partition filter + subtract
 preserves global order and density — the compacted store is
 indistinguishable from a fresh phase-1 output.
 """

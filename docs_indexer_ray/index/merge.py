@@ -77,7 +77,7 @@ from .segments import (
     write_segment,
 )
 
-__all__ = ["merge_indexes", "merge_many"]
+__all__ = ["merge_many"]
 
 
 def _load_home_rows(seg_dir: str, stats: dict, k: int) -> pa.Table | None:
@@ -436,25 +436,6 @@ def merge_many(
     if publish:
         mf.publish(out_root, f"{prefix}-{fingerprint}")
     return man
-
-
-def merge_indexes(
-    base_dir: str,
-    delta_dir: str,
-    out_root: str,
-    *,
-    prefix: str = "docs",
-    fingerprint: str | None = None,
-    publish: bool = True,
-):
-    """Merge two published builds (k=2 case of :func:`merge_many`)."""
-    return merge_many(
-        [base_dir, delta_dir],
-        out_root,
-        prefix=prefix,
-        fingerprint=fingerprint,
-        publish=publish,
-    )
 
 
 def _copy_docpart(src_dir: str, out_dir: str, id_offset: int) -> int:

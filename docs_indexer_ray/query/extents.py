@@ -49,14 +49,15 @@ a per-doc Python loop; the scalar per-doc enumeration lives in the
 test suite (``tests/extents_oracle.py``) as the randomized-test
 ORACLE.
 The common plain rules never reach this module at all — they lower
-straight onto the same kernels.  Per-doc locality means doc-range
-shards compose exactly, like every other positional leaf.
+straight onto the same kernels.  Every decode reads the reader's doc
+range ``[doc_lo, doc_hi)`` (a full reader is the one shard ``[0,
+n_docs)``), and per-doc locality means doc-range shards compose
+exactly, like every other positional leaf.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -124,12 +125,12 @@ def collect_terms(rule) -> set:
     raise TypeError(f"unknown extent rule {rule!r}")
 
 
-def _kernel_prefilter(reader, rule, full: bool) -> tuple:
-    """``(doc_ids, exact)`` — docs that COULD hold an interval of
-    ``rule``, computed by the VECTORIZED phrase/span kernels (never a
-    per-doc Python pass).  ``exact=True`` means membership is also
-    SUFFICIENT, so the caller can skip the per-doc enumeration
-    entirely:
+def _kernel_prefilter(reader, rule) -> tuple:
+    """``(doc_ids, exact)`` — docs of the reader's doc range that COULD
+    hold an interval of ``rule``, computed by the VECTORIZED
+    phrase/span kernels (never a per-doc Python pass).  ``exact=True``
+    means membership is also SUFFICIENT, so the caller can skip the
+    per-doc enumeration entirely:
 
     * ``term`` / ``match`` — the slop-walk / span-near kernels have
       exactly this algebra's gap rule (ordered: greedy chain with
@@ -144,12 +145,7 @@ def _kernel_prefilter(reader, rule, full: bool) -> tuple:
     * ``filter`` — positive relations intersect source ∧ filter
       (necessary), negative ones keep the source's set; never exact.
     """
-    from .phrase import (
-        match_phrase_slop,
-        match_phrase_slop_range,
-        span_near,
-        span_near_range,
-    )
+    from .phrase import match_phrase_slop, span_near
 
     def ids_of(hits):
         return np.array(sorted(d for d, _ in hits), np.int64)
@@ -158,26 +154,19 @@ def _kernel_prefilter(reader, rule, full: bool) -> tuple:
         tp = reader.postings(rule.term)
         if tp is None:
             return np.empty(0, np.int64), True
-        if full:
-            ids, _ = tp.decode_all()
-        else:
-            ids, _ = tp.decode_range(reader.doc_lo, reader.doc_hi)
+        ids, _ = tp.decode_range(reader.doc_lo, reader.doc_hi)
         return np.asarray(ids, np.int64), True
     if isinstance(rule, ExtMatch):
         slop = rule.max_gaps if rule.max_gaps >= 0 else (1 << 30)
         if rule.ordered:
-            hits = (match_phrase_slop(reader, rule.terms, slop=slop)
-                    if full else
-                    match_phrase_slop_range(reader, rule.terms, slop=slop))
+            hits = match_phrase_slop(reader, rule.terms, slop=slop)
         else:
-            hits = (span_near(reader, rule.terms, slop)
-                    if full else
-                    span_near_range(reader, rule.terms, slop))
+            hits = span_near(reader, rule.terms, slop)
         return ids_of(hits), True
     if isinstance(rule, ExtAnyOf):
         out, exact = None, True
         for s in rule.subs:
-            ids, ex = _kernel_prefilter(reader, s, full)
+            ids, ex = _kernel_prefilter(reader, s)
             exact &= ex
             out = ids if out is None else np.union1d(out, ids)
         return (out if out is not None else np.empty(0, np.int64)), exact
@@ -193,13 +182,11 @@ def _kernel_prefilter(reader, rule, full: bool) -> tuple:
             # ⇒ uncovered = width − n_terms ≤ max_gaps ⇔ the window
             # rule — decide it with the vectorized kernel outright
             terms = [s.term for s in rule.subs]
-            hits = (span_near(reader, terms, rule.max_gaps)
-                    if full else
-                    span_near_range(reader, terms, rule.max_gaps))
+            hits = span_near(reader, terms, rule.max_gaps)
             return ids_of(hits), True
         out, exact = None, True
         for s in rule.subs:
-            ids, ex = _kernel_prefilter(reader, s, full)
+            ids, ex = _kernel_prefilter(reader, s)
             exact &= ex
             out = ids if out is None else np.intersect1d(
                 out, ids, assume_unique=True
@@ -209,10 +196,10 @@ def _kernel_prefilter(reader, rule, full: bool) -> tuple:
         exact = exact and (not rule.ordered) and rule.max_gaps < 0
         return (out if out is not None else np.empty(0, np.int64)), exact
     if isinstance(rule, ExtFilter):
-        src, _ = _kernel_prefilter(reader, rule.source, full)
+        src, _ = _kernel_prefilter(reader, rule.source)
         if rule.relation in _NEGATIVE_RELATIONS:
             return src, False
-        flt, _ = _kernel_prefilter(reader, rule.filter, full)
+        flt, _ = _kernel_prefilter(reader, rule.filter)
         return np.intersect1d(src, flt, assume_unique=True), False
     raise TypeError(f"unknown extent rule {rule!r}")
 
@@ -409,23 +396,15 @@ def _seg_eval(rule, term_ivs):
     raise TypeError(f"unknown extent rule {rule!r}")
 
 
-def eval_intervals(reader, rule, lo: Optional[int] = None,
-                   hi: Optional[int] = None) -> np.ndarray:
-    """Matching GLOBAL doc ids of ``rule`` within ``[lo, hi)`` (full
-    corpus when unset), tombstones excluded, ascending.
+def eval_intervals(reader, rule) -> np.ndarray:
+    """Matching GLOBAL doc ids of ``rule`` within the reader's doc range
+    ``[doc_lo, doc_hi)``, tombstones excluded, ascending.
 
     Two phases: a VECTORIZED kernel prefilter narrows (and for several
     rule shapes fully decides — see :func:`_kernel_prefilter`) the
     candidate set; the undecided candidates run the segmented
     evaluator (:func:`_seg_eval`) all at once."""
-    full = lo is None and hi is None
-    if lo is None:
-        lo = 0
-    if hi is None:
-        hi = reader.n_docs
-
-    cand, exact = _kernel_prefilter(reader, rule, full)
-    cand = cand[(cand >= lo) & (cand < hi)]
+    cand, exact = _kernel_prefilter(reader, rule)
     if len(cand) == 0:
         return cand
     if exact:
@@ -439,11 +418,9 @@ def eval_intervals(reader, rule, lo: Optional[int] = None,
                 decoded[t] = (np.empty(0, np.int64), np.empty(0, np.int64),
                               np.zeros(1, np.int64))
                 continue
-            if full:
-                ids, _ = tp.decode_all()
-                flat, offs = tp.decode_all_positions()
-            else:
-                ids, _, flat, offs = tp.decode_range_positions(lo, hi)
+            ids, _, flat, offs = tp.decode_range_positions(
+                reader.doc_lo, reader.doc_hi
+            )
             decoded[t] = (np.asarray(ids, np.int64),
                           np.asarray(flat, np.int64),
                           np.asarray(offs, np.int64))

@@ -108,32 +108,15 @@ def _match_bits_range(
 ) -> np.ndarray:
     """Worker-side kernel: this doc range's slice of the match bitmap.
 
-    Runs INSIDE a Ray task — builds a doc-range shard reader, decodes
-    only the posting blocks overlapping ``[lo, hi)`` per term
-    (``TermPostings.decode_range`` binary-searches ``block_last``), ORs
-    into a ``(hi-lo)/8``-byte local bitmap, and clears tombstoned bits.
+    Runs INSIDE a Ray task — builds a doc-range shard reader, whose
+    :func:`match_doc_ids` decodes only the posting blocks overlapping
+    ``[lo, hi)``, and packs it into a ``(hi-lo)/8``-byte local bitmap.
     ``lo`` is byte-aligned (multiple of 8) so disjoint slices
     concatenate into the global bitmap with no driver-side OR."""
     from .reader import IndexReader
 
     r = IndexReader(index_dir, chain=chain, doc_range=(lo, hi))
-    bits = np.zeros((hi - lo + 7) >> 3, np.uint8)
-    for term in terms:
-        tp = r.postings(term)
-        if tp is None:
-            continue
-        ids, _ = tp.decode_range(lo, hi)
-        if len(ids):
-            d = ids.astype(np.int64) - lo
-            np.bitwise_or.at(bits, d >> 3, np.uint8(1) << (d & 7).astype(np.uint8))
-    dels = r.deleted_ids()
-    if len(dels):
-        dels = dels[(dels >= lo) & (dels < hi)].astype(np.int64) - lo
-        if len(dels):
-            np.bitwise_and.at(
-                bits, dels >> 3, ~(np.uint8(1) << (dels & 7).astype(np.uint8))
-            )
-    return bits
+    return _pack_bitmap_sized(match_doc_ids(r, terms) - lo, hi - lo)
 
 
 _match_bits_remote = None  # lazily-created ray.remote wrapper
@@ -186,8 +169,11 @@ def match_doc_bitmap(reader, terms: list[str], shards: int | None = None) -> Pac
 
 
 def match_doc_ids(reader, terms: list[str]) -> np.ndarray:
-    """Sorted LIVE doc ids containing ≥1 of ``terms`` (match-any /
-    OR); tombstoned docs (``index/deletes``) are excluded.
+    """Sorted LIVE GLOBAL doc ids in the reader's doc range containing
+    ≥1 of ``terms`` (match-any / OR); tombstoned docs
+    (``index/deletes``) are excluded.  A shard reader decodes only the
+    posting blocks overlapping its range; a full reader (the one shard
+    ``[0, n_docs)``) decodes whole lists.
 
     LOCAL in-process decode through the reader's memoized postings
     cache — this is a SERVING primitive (wildcard and regexp
@@ -203,7 +189,8 @@ def match_doc_ids(reader, terms: list[str]) -> np.ndarray:
     for term in set(terms):
         tp = reader.postings(term)
         if tp is not None:
-            parts.append(tp.decode_all()[0].astype(np.int64))
+            ids, _ = tp.decode_range(reader.doc_lo, reader.doc_hi)
+            parts.append(ids.astype(np.int64))
     if not parts:
         return np.empty(0, np.int64)
     out = np.unique(np.concatenate(parts))

@@ -13,6 +13,15 @@ Algorithm: decode each term's postings + positions once (reader-cached
 ``TermPostings``), intersect the doc-id lists, then per surviving doc
 intersect ``positions(term_i) + 1`` with ``positions(term_{i+1})`` —
 the classic positional-intersection phrase walk, vectorized per doc.
+
+Every primitive reads the doc range its reader holds, ``[doc_lo,
+doc_hi)``, through ``TermPostings.decode_range_positions``: a shard
+reader (``served.py``) decodes only its overlapping posting blocks —
+O(its share) of the positional data — and a full reader is the one
+shard ``[0, n_docs)``, whose decode is the whole-list one.  Positional
+matching is per-doc local, so results over disjoint ranges concatenate
+to exactly the full-reader answer (as a Lucene query runs per segment
+over that segment's docs).
 """
 
 from __future__ import annotations
@@ -23,15 +32,11 @@ from .reader import IndexReader
 
 __all__ = [
     "match_phrase",
-    "match_phrase_range",
     "match_phrase_slop",
-    "match_phrase_slop_range",
     "phrase_topk",
     "rescore_topk",
     "span_first",
-    "span_first_range",
     "span_near",
-    "span_near_range",
 ]
 
 
@@ -64,10 +69,26 @@ def _gather_segments(flat, offs, j):
     return flat[idx], np.repeat(np.arange(len(j), dtype=np.int64), lens)
 
 
+def _decode_positions(reader, terms: list[str]) -> list | None:
+    """One ``(sorted_ids, flat_positions, posting_offsets)`` triple per
+    term over the reader's doc range, or ``None`` when a term is absent
+    or has no posting in the range (no doc can match then)."""
+    tps = [reader.postings(t) for t in terms]
+    if any(tp is None for tp in tps):
+        return None
+    decoded = []
+    for tp in tps:
+        ids, _, flat, offs = tp.decode_range_positions(reader.doc_lo, reader.doc_hi)
+        if len(ids) == 0:
+            return None
+        decoded.append((ids, flat, offs))
+    return decoded
+
+
 def _phrase_walk(decoded) -> list[tuple[int, int]]:
-    """The positional-intersection walk shared by the full-reader and
-    doc-range-shard phrase paths: ``decoded`` is one ``(sorted_ids,
-    flat_positions, posting_offsets)`` triple per query term.
+    """The positional-intersection walk: ``decoded`` is one
+    ``(sorted_ids, flat_positions, posting_offsets)`` triple per query
+    term.
 
     Fully vectorized: phrase freq per doc is ``|∩ᵢ (posᵢ − i)|``, so
     each term's positions over the common docs become SEGMENTED KEYS
@@ -104,42 +125,11 @@ def _phrase_walk(decoded) -> list[tuple[int, int]]:
 
 
 def match_phrase(reader: IndexReader, terms: list[str]) -> list[tuple[int, int]]:
-    """All ``(doc_id, phrase_freq)`` with freq ≥ 1, doc_id ascending."""
-    if not terms:
+    """All ``(doc_id, phrase_freq)`` with freq ≥ 1 in the reader's doc
+    range, doc_id ascending."""
+    decoded = _decode_positions(reader, terms)
+    if not decoded:
         return []
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
-        return []
-    decoded = []
-    for tp in tps:
-        ids, _ = tp.decode_all()
-        flat, offs = tp.decode_all_positions()
-        decoded.append((ids, flat, offs))
-    return _drop_deleted(reader, _phrase_walk(decoded))
-
-
-def match_phrase_range(
-    reader: IndexReader, terms: list[str]
-) -> list[tuple[int, int]]:
-    """:func:`match_phrase` restricted to the reader's doc-id range —
-    the SHARD primitive (``served.py::ShardedQueryService.match_phrase``):
-    positional matching is per-doc local, so per-shard results over
-    disjoint ranges union to exactly the full-reader answer, and each
-    shard decodes only its overlapping posting blocks
-    (``TermPostings.decode_range_positions``) — O(its share) of the
-    positional data, the same division the BM25 shard tier gets."""
-    if not terms:
-        return []
-    lo, hi = reader.doc_lo, reader.doc_hi
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
-        return []
-    decoded = []
-    for tp in tps:
-        ids, _, flat, offs = tp.decode_range_positions(lo, hi)
-        if len(ids) == 0:
-            return []
-        decoded.append((ids, flat, offs))
     return _drop_deleted(reader, _phrase_walk(decoded))
 
 
@@ -161,50 +151,15 @@ def match_phrase_slop(
     the SMALLEST next-term position after the current one
     (``np.searchsorted``) — greedy minimizes the final position, so
     the window test is exact for each start."""
-    if not terms:
-        return []
     if len(terms) == 1:
         tp = reader.postings(terms[0])
         if tp is None:
             return []
-        ids, tfs = tp.decode_all()
+        ids, tfs = tp.decode_range(reader.doc_lo, reader.doc_hi)
         return _drop_deleted(reader, [(int(d), int(f)) for d, f in zip(ids, tfs)])
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
+    decoded = _decode_positions(reader, terms)
+    if not decoded:
         return []
-    decoded = []
-    for tp in tps:
-        ids, _ = tp.decode_all()
-        flat, offs = tp.decode_all_positions()
-        decoded.append((ids, flat, offs))
-    return _drop_deleted(reader, _slop_walk(decoded, len(terms), slop))
-
-
-def match_phrase_slop_range(
-    reader: IndexReader, terms: list[str], slop: int = 0
-) -> list[tuple[int, int]]:
-    """:func:`match_phrase_slop` restricted to the reader's doc-id
-    range — the shard primitive for sloppy phrases: each shard decodes
-    only its overlapping posting blocks (positions included), same
-    division as :func:`match_phrase_range`."""
-    if not terms:
-        return []
-    lo, hi = reader.doc_lo, reader.doc_hi
-    if len(terms) == 1:
-        tp = reader.postings(terms[0])
-        if tp is None:
-            return []
-        ids, tfs = tp.decode_range(lo, hi)
-        return _drop_deleted(reader, [(int(d), int(f)) for d, f in zip(ids, tfs)])
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
-        return []
-    decoded = []
-    for tp in tps:
-        ids, _, flat, offs = tp.decode_range_positions(lo, hi)
-        if len(ids) == 0:
-            return []
-        decoded.append((ids, flat, offs))
     return _drop_deleted(reader, _slop_walk(decoded, len(terms), slop))
 
 
@@ -265,39 +220,10 @@ def span_first(
     tp = reader.postings(term)
     if tp is None or end <= 0:
         return []
-    ids, _ = tp.decode_all()
-    flat, offs = tp.decode_all_positions()
+    ids, _, flat, offs = tp.decode_range_positions(reader.doc_lo, reader.doc_hi)
     # per-doc early-occurrence count without a per-doc Python loop:
     # positions are sorted within each doc's segment, so the count is
     # one (flat < end) mask + one reduceat over the segment offsets
-    early = (flat < end).astype(np.int64)
-    counts = (
-        np.add.reduceat(early, offs[:-1])
-        if len(flat)
-        else np.zeros(len(ids), np.int64)
-    )
-    counts[offs[:-1] == offs[1:]] = 0  # reduceat quirk: empty segments
-    keep = np.flatnonzero(counts)
-    out = [(int(d), int(c)) for d, c in zip(ids[keep].tolist(), counts[keep].tolist())]
-    return _drop_deleted(reader, out)
-
-
-def span_first_range(
-    reader: IndexReader, term: str, end: int
-) -> list[tuple[int, int]]:
-    """:func:`span_first` restricted to the reader's doc-id range —
-    the shard primitive: decodes ONLY the term's posting blocks
-    overlapping ``[doc_lo, doc_hi)`` (positions included,
-    ``TermPostings.decode_range_positions``), so a doc-range shard
-    pays O(its share) of the positional data like the phrase/span_near
-    range paths — this closes the last full-decode fallback on the
-    sharded positional tier."""
-    tp = reader.postings(term)
-    if tp is None or end <= 0:
-        return []
-    ids, _, flat, offs = tp.decode_range_positions(reader.doc_lo, reader.doc_hi)
-    if len(ids) == 0:
-        return []
     early = (flat < end).astype(np.int64)
     counts = (
         np.add.reduceat(early, offs[:-1])
@@ -330,51 +256,15 @@ def span_near(
     intersect before any position work (same shape as
     :func:`match_phrase`)."""
     terms = list(dict.fromkeys(terms))  # distinct, order-preserving
-    if not terms:
-        return []
     if len(terms) == 1:
         tp = reader.postings(terms[0])
         if tp is None:
             return []
-        ids, _ = tp.decode_all()
+        ids, _ = tp.decode_range(reader.doc_lo, reader.doc_hi)
         return _drop_deleted(reader, [(int(d), 1) for d in ids])
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
+    decoded = _decode_positions(reader, terms)
+    if not decoded:
         return []
-    decoded = []
-    for tp in tps:
-        ids, _ = tp.decode_all()
-        flat, offs = tp.decode_all_positions()
-        decoded.append((ids, flat, offs))
-    return _drop_deleted(reader, _span_near_walk(decoded, len(terms), slop))
-
-
-def span_near_range(
-    reader: IndexReader, terms: list[str], slop: int = 0
-) -> list[tuple[int, int]]:
-    """:func:`span_near` restricted to the reader's doc-id range — the
-    shard primitive for unordered spans, same block-pruned positional
-    decode as :func:`match_phrase_range`; disjoint-range results
-    concatenate to exactly the full-reader answer."""
-    terms = list(dict.fromkeys(terms))
-    if not terms:
-        return []
-    lo, hi = reader.doc_lo, reader.doc_hi
-    if len(terms) == 1:
-        tp = reader.postings(terms[0])
-        if tp is None:
-            return []
-        ids, _ = tp.decode_range(lo, hi)
-        return _drop_deleted(reader, [(int(d), 1) for d in ids])
-    tps = [reader.postings(t) for t in terms]
-    if any(tp is None for tp in tps):
-        return []
-    decoded = []
-    for tp in tps:
-        ids, _, flat, offs = tp.decode_range_positions(lo, hi)
-        if len(ids) == 0:
-            return []
-        decoded.append((ids, flat, offs))
     return _drop_deleted(reader, _span_near_walk(decoded, len(terms), slop))
 
 

@@ -681,33 +681,21 @@ def _decay_weights(reader, node: _FuncScore) -> np.ndarray:
     return np.where(np.isnan(w), 1.0, w)
 
 
-def _span_match_mask(reader, node, lo: int, hi: int) -> np.ndarray:
+def _span_match_mask(reader, node) -> np.ndarray:
     """Range-local bool mask for the span leaves (``_SpanNear`` /
-    ``_SpanFirst``).  Both decode only the range-overlapping position
-    blocks on a shard reader (``span_near_range`` /
-    ``span_first_range``) — O(the shard's share) of the positional
-    data, same cost class as the phrase range path."""
-    from .phrase import span_first, span_first_range, span_near, span_near_range
+    ``_SpanFirst``): position ``i`` is doc ``doc_lo + i``.  Both span
+    kernels decode only the position blocks of the reader's doc range
+    — O(a shard's share) of the positional data."""
+    from .phrase import span_first, span_near
 
-    n_local = max(0, hi - lo)
-    match = np.zeros(n_local, bool)
-    full = lo == 0 and hi == reader.n_docs
+    lo = reader.doc_lo
+    match = np.zeros(max(0, reader.doc_hi - lo), bool)
     if isinstance(node, _SpanNear):
-        hits = (
-            span_near(reader, node.terms, node.slop)
-            if full
-            else span_near_range(reader, node.terms, node.slop)
-        )
-        docs = [d for d, _ in hits if lo <= d < hi]
+        hits = span_near(reader, node.terms, node.slop)
     else:
-        hits = (
-            span_first(reader, node.term, node.end)
-            if full
-            else span_first_range(reader, node.term, node.end)
-        )
-        docs = [d for d, _ in hits if lo <= d < hi]
-    if docs:
-        match[np.asarray(docs, np.int64) - lo] = True
+        hits = span_first(reader, node.term, node.end)
+    if hits:
+        match[np.asarray([d for d, _ in hits], np.int64) - lo] = True
     return match
 
 
@@ -760,7 +748,7 @@ def _eval_knn(reader, node: _Knn) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_terms_set(reader, node: _TermsSet) -> tuple[np.ndarray, np.ndarray]:
-    """Shared full/shard kernel for :class:`_TermsSet` — per-doc term
+    """The one kernel for :class:`_TermsSet` — per-doc term
     coverage count + summed BM25 of the present terms, then the
     per-doc (or constant) minimum-should-match gate.  Range-local by
     construction: postings decode only the reader's doc range and
@@ -772,12 +760,11 @@ def _eval_terms_set(reader, node: _TermsSet) -> tuple[np.ndarray, np.ndarray]:
     avgdl = reader.avgdl or 1.0
     counts = np.zeros(n_local, np.int64)
     scores = np.zeros(n_local, np.float64)
-    full = (lo, hi) == (0, reader.n_docs)
     for term in dict.fromkeys(node.terms):  # duplicates count once
         tp = reader.postings(term)
         if tp is None:
             continue
-        ids, tfs = tp.decode_all() if full else tp.decode_range(lo, hi)
+        ids, tfs = tp.decode_range(lo, hi)
         if not len(ids):
             continue
         loc = (ids - np.uint64(lo)).astype(np.int64)
@@ -879,7 +866,7 @@ def _eval(reader, node) -> tuple[np.ndarray, np.ndarray]:
         s = np.where(m, s * _decay_weights(reader, node) * node.boost, 0.0)
         return s, m
     if isinstance(node, (_SpanNear, _SpanFirst)):
-        match = _span_match_mask(reader, node, 0, n)
+        match = _span_match_mask(reader, node)
         return np.where(match, node.boost, 0.0), match
     if isinstance(node, _IntervalsExpr):
         from .extents import eval_intervals
@@ -994,7 +981,7 @@ def _eval_range(reader, node) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_eval` restricted to the reader's doc-id range — the
     SHARD primitive: arrays are shard-sized (``hi - lo``, local index
     space) and every leaf decodes only its overlapping posting blocks
-    (``decode_range`` / ``match_phrase_range``) while keeping GLOBAL
+    (``decode_range`` / ``phrase.match_phrase``) while keeping GLOBAL
     statistics (n_docs, df, avgdl), so per-shard scores are identical
     to the unsharded ones and a cross-shard top-k merge is exact."""
     from .bm25 import _k_factor, bm25_idf
@@ -1042,13 +1029,13 @@ def _eval_range(reader, node) -> tuple[np.ndarray, np.ndarray]:
         s = np.where(m, s * _decay_weights(reader, node) * node.boost, 0.0)
         return s, m
     if isinstance(node, (_SpanNear, _SpanFirst)):
-        match = _span_match_mask(reader, node, lo, hi)
+        match = _span_match_mask(reader, node)
         return np.where(match, node.boost, 0.0), match
     if isinstance(node, _IntervalsExpr):
         from .extents import eval_intervals
 
         match = np.zeros(n_local, bool)
-        docs = eval_intervals(reader, node.rule, lo, hi)
+        docs = eval_intervals(reader, node.rule)
         match[docs - lo] = True
         return np.where(match, node.boost, 0.0), match
     if isinstance(node, _MoreLikeThis):
@@ -1069,12 +1056,12 @@ def _eval_range(reader, node) -> tuple[np.ndarray, np.ndarray]:
                 )
         return scores, scores > 0.0
     if isinstance(node, _Phrase):
-        from .phrase import match_phrase_range, match_phrase_slop_range
+        from .phrase import match_phrase, match_phrase_slop
 
         if node.slop == 0:
-            hits = match_phrase_range(reader, node.terms)
+            hits = match_phrase(reader, node.terms)
         else:
-            hits = match_phrase_slop_range(reader, node.terms, slop=node.slop)
+            hits = match_phrase_slop(reader, node.terms, slop=node.slop)
         scores = np.zeros(n_local, np.float64)
         match = np.zeros(n_local, bool)
         if hits:

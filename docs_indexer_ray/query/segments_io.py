@@ -184,13 +184,14 @@ class TermPostings:
         self, lo: int, hi: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(doc_ids, tfs, flat_positions, posting_offsets)`` restricted
-        to ``lo <= doc_id < hi`` — the shard-PHRASE primitive: decodes
+        to ``lo <= doc_id < hi`` — the positional primitive: decodes
         ONLY the blocks overlapping the range (positions included), so
         a doc-range shard pays O(its share) of the positional data,
-        not O(cf).  Memoized alongside :meth:`decode_range` (a shard
-        reader asks one fixed range for its lifetime)."""
-        from ..functions.codec import decode_positions_block
-
+        not O(cf).  Memoized alongside :meth:`decode_range` (a reader
+        asks one fixed range for its lifetime).  A range covering the
+        whole list (a full reader, the one shard over ``[0, n_docs)``)
+        is :meth:`decode_all`'s memoized arrays plus
+        :meth:`decode_all_positions`."""
         if not self.has_positions:
             raise ValueError(
                 f"term {self.term!r}: index was built without positions "
@@ -202,6 +203,19 @@ class TermPostings:
         hit = self._range_memo.get(key)
         if hit is not None:
             return hit
+        if self.n_blocks and lo <= 0 and hi > int(self.block_last[-1]):
+            out = (*self.decode_all(), *self.decode_all_positions())
+        else:
+            out = self._decode_range_positions(lo, hi)
+        if len(self._range_memo) < 8:
+            self._range_memo[key] = out
+        return out
+
+    def _decode_range_positions(
+        self, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        from ..functions.codec import decode_positions_block
+
         empty = (
             np.empty(0, np.uint64),
             np.empty(0, np.uint64),
@@ -232,15 +246,12 @@ class TermPostings:
         flat = np.concatenate(flat_parts)
         lens = tfs.astype(np.int64)
         keep = (ids >= lo) & (ids < hi)
-        out = (
+        return (
             ids[keep],
             tfs[keep],
             flat[np.repeat(keep, lens)],
             np.concatenate(([0], np.cumsum(lens[keep]))),
         )
-        if len(self._range_memo) < 8:
-            self._range_memo[key] = out
-        return out
 
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:
         """Fully decoded (doc_ids, tfs); memoized — the reader caches

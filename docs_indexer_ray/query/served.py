@@ -34,7 +34,10 @@ n_shards=…)`` spawns Ray actors, and
 :meth:`ShardedQueryService.in_process` wraps an already-open reader as
 ONE in-process shard over ``[0, n_docs)`` — the reference's
 ``number_of_shards: 1`` index, and the REST server's local backend.
-Only the service's dispatch knows which kind of shard it talks to.
+Only the service's dispatch knows which kind of shard it talks to: the
+posting primitives below (``phrase``, ``extents``, ``qstring``,
+``facets.match_doc_ids``) each read ``[reader.doc_lo,
+reader.doc_hi)``, and on a full reader that range is the whole index.
 """
 
 from __future__ import annotations
@@ -125,9 +128,9 @@ class ShardQueryActor:
         """This shard's exact phrase matches (doc_id, phrase_freq) —
         range-limited positional decode, tombstones dropped by the
         phrase module's shared delete filter."""
-        from .phrase import match_phrase_range
+        from .phrase import match_phrase
 
-        return match_phrase_range(self.reader, self.analyzer(query))
+        return match_phrase(self.reader, self.analyzer(query))
 
     def query_phase(
         self,
@@ -246,13 +249,6 @@ class ShardQueryActor:
 
             return op_partial(op, lambda _: pa.array([], pa.string()))
         return op_partial(op, col)
-
-    def span_near_partial(self, terms: list[str], slop: int) -> list[tuple[int, int]]:
-        """This shard's unordered span matches ``(doc_id, min_window)``
-        — block-pruned positional decode, same division as phrases."""
-        from .phrase import span_near_range
-
-        return span_near_range(self.reader, terms, slop=slop)
 
     def fetch_partial(
         self,
@@ -621,13 +617,6 @@ class ShardedQueryService:
             cols["sort_key"] = keys
         return pa.table(cols)
 
-    def span_near(self, terms: list[str], slop: int = 0) -> list[tuple[int, int]]:
-        """Unordered span query across the fleet — per-doc-local
-        matching over disjoint ranges concatenates (doc asc) to
-        exactly the full-reader ``phrase.span_near``."""
-        parts = self._fan("span_near_partial", list(terms), slop)
-        return [hit for part in parts for hit in part]
-
     def filtered_topk(
         self, query: str, predicate: tuple, k: int = 10
     ) -> list[tuple[int, float]]:
@@ -640,21 +629,6 @@ class ShardedQueryService:
 
         parts = self._fan("filtered_topk_partial", query, predicate, k)
         return merge_shard_topk(parts, k)
-
-    def topk_many(
-        self, queries: list[str], k: int = 10
-    ) -> list[list[tuple[int, float]]]:
-        from .bm25 import merge_shard_topk
-
-        actors = self._actors
-        parts = self._gather(
-            [(a, "topk_partial", (q, k)) for q in queries for a in actors]
-        )
-        n = len(actors)
-        return [
-            merge_shard_topk(parts[i * n:(i + 1) * n], k)
-            for i in range(len(queries))
-        ]
 
     def shutdown(self) -> None:
         if not self.remote:
@@ -679,36 +653,28 @@ def live_matches(
     WITHIN the range (position ``i`` is doc ``doc_lo + i``) that match
     and are live under the shard-local tombstone mask ``live``.
 
-    Match-any (OR) over the analyzed terms by default (the
-    ``facets.match_doc_ids`` semantics, decoding only the posting
-    blocks that overlap the range; ``scores`` is ``None``), or the
-    full query_string / DSL language with ``syntax=True`` — one range
-    evaluation, whose dense ``scores`` the query phase ranks.  The
-    ONE match-set builder of the serving tier: the query phase ranks,
-    field-sorts, counts and aggregates this one set."""
+    Match-any (OR) over the analyzed terms by default
+    (``facets.match_doc_ids`` over the reader's range, which drops
+    tombstones even without ``live``; ``scores`` is ``None``), or the
+    full query_string / DSL language with
+    ``syntax=True`` — one range evaluation, whose dense ``scores`` the
+    query phase ranks.  The ONE match-set builder of the serving tier:
+    the query phase ranks, field-sorts, counts and aggregates this one
+    set."""
     if syntax:
         from .qstring import _eval_range, parse_query_string
 
         node = parse_query_string(query, reader.analyzer, default_operator)
         scores, match = _eval_range(reader, node)
-        if live is not None:
-            match = match & live
-        return scores, np.flatnonzero(match)
-    lo, hi = reader.doc_lo, reader.doc_hi
-    parts = []
-    for term in set(reader.analyzer(query)):
-        tp = reader.postings(term)
-        if tp is None:
-            continue
-        ids, _ = tp.decode_range(lo, hi)
-        if len(ids):
-            parts.append(ids.astype(np.int64) - lo)
-    if not parts:
-        return None, np.empty(0, np.int64)
-    matched = np.unique(np.concatenate(parts))
+        matched = np.flatnonzero(match)
+    else:
+        from .facets import match_doc_ids
+
+        scores = None
+        matched = match_doc_ids(reader, reader.analyzer(query)) - reader.doc_lo
     if live is not None:
         matched = matched[live[matched]]
-    return None, matched
+    return scores, matched
 
 
 def page_rank(

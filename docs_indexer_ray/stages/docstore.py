@@ -29,7 +29,8 @@ sort shuffle, no ``materialize()``:
    partitions are url *ranges*) into dense doc-id offsets — the only
    barrier, O(num_parts) driver state.
 4. **Finalize round** — per partition: keep the max ``(warc_ts,
-   body)`` row per url (one sort-indices + one gather), assign
+   body)`` row per url, a null sorting lowest (one sort-indices + one
+   gather), assign
    ``doc_id = offset + arange`` and atomically write
    ``docs/docpart=K/part.parquet``.  Spill → final file in one read,
    one gather, one write; an object-store round-trip here would cost
@@ -211,7 +212,10 @@ def _finalize_part(
     # gather the winners straight from the unsorted table — no Python
     # string materialization, no sort-then-filter double copy.  The
     # winners stay in sorted-url order, which the dense-id rank needs.
-    order = pc.sort_indices(t, sort_keys=sort_keys)
+    # nulls sort FIRST so a null warc_ts (missing crawl header) always
+    # loses to a real timestamp under keep-last — pyarrow's default
+    # at_end placement made the unknown-age row the winner
+    order = pc.sort_indices(t, sort_keys=sort_keys, null_placement="at_start")
     urls_sorted = pc.take(t["url"], order).combine_chunks()
     n = len(urls_sorted)
     is_last = np.empty(n, dtype=bool)
@@ -251,16 +255,8 @@ def build_docs_store(
     rule) are kept, tagged in ``extract_error``, and counted."""
     import ray
 
-    import sys
-    import time as _time
-
-    _dbg = os.environ.get("DIXR_TIMING")
-    _t = _time.time()
-
     if boundaries is None:
         boundaries = sample_url_boundaries(pages_ds, num_parts, sample_mod)
-    if _dbg:
-        print(f"[t] boundaries {_time.time()-_t:.1f}s", file=sys.stderr); _t=_time.time()
 
     # docpart resume is only valid against the same boundary plan
     # (num_parts defaults scale with cluster size) — wipe stale-config
@@ -284,8 +280,6 @@ def build_docs_store(
         batch_size=batch_size,
     ).take_all()
     spill_files = sorted({os.path.join(spill_dir, r["file"]) for r in lineage})
-    if _dbg:
-        print(f"[t] extract+spill {_time.time()-_t:.1f}s", file=sys.stderr); _t=_time.time()
 
     n_parts_total = len(boundaries) + 1
     count_task = ray.remote(num_cpus=1)(_count_part)
@@ -293,8 +287,6 @@ def build_docs_store(
     counts = ray.get(
         [count_task.remote(files_ref, k, docs_dir) for k in range(n_parts_total)]
     )
-    if _dbg:
-        print(f"[t] count round {_time.time()-_t:.1f}s", file=sys.stderr); _t=_time.time()
 
     counts.sort(key=lambda r: r["docpart"])
     offsets: dict[int, int] = {}
@@ -312,6 +304,4 @@ def build_docs_store(
         ]
     )
     n_errors = int(sum(r["n_err"] for r in fin))
-    if _dbg:
-        print(f"[t] finalize round {_time.time()-_t:.1f}s", file=sys.stderr)
     return n_docs, n_errors

@@ -698,11 +698,10 @@ def test_dsl_span_queries(built):
 
 
 def test_span_first_range_unions_to_full(built):
-    """``span_first_range`` (block-pruned per-shard positional decode)
-    over disjoint doc ranges concatenates to exactly the full-reader
-    ``span_first`` — no full-decode fallback left on the sharded
-    positional tier."""
-    from docs_indexer_ray.query.phrase import span_first, span_first_range
+    """``span_first`` on doc-range shard readers (block-pruned per-shard
+    positional decode) concatenates over disjoint ranges to exactly the
+    full reader's ``span_first``."""
+    from docs_indexer_ray.query.phrase import span_first
     from docs_indexer_ray.query.reader import IndexReader
 
     full = span_first(built, "node", 3)
@@ -712,12 +711,11 @@ def test_span_first_range_unions_to_full(built):
     got = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         shard = IndexReader(built.index_dir, doc_range=(lo, hi))
-        got.extend(span_first_range(shard, "node", 3))
-    assert sorted(got) == sorted(full)
-    # empty/edge cases mirror span_first
-    shard = IndexReader(built.index_dir, doc_range=(0, n))
-    assert span_first_range(shard, "zzz_not_a_term", 3) == []
-    assert span_first_range(shard, "node", 0) == []
+        got.extend(span_first(shard, "node", 3))
+    assert got == full
+    # empty/edge cases on a shard reader
+    assert span_first(shard, "zzz_not_a_term", 3) == []
+    assert span_first(shard, "node", 0) == []
 
 
 def test_dsl_span_inside_scoring_bool_pins_constant_score(built):

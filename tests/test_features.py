@@ -424,12 +424,13 @@ def test_flagship_search_uses_requested_chain(multi_index):
     assert search(out, "node pools", k=5, chain="trigram") == want
 
 
-def test_dedup_latest_null_ts_loses(ray_session):
+def test_dedup_latest_null_ts_loses(ray_session, tmp_path):
     """A null warc_ts duplicate must never beat a real timestamp under
-    keep-last (pyarrow's default at_end placement made null greatest)."""
+    the docs store's keep-last dedup (pyarrow's default at_end
+    placement made null greatest)."""
     import ray.data
 
-    from docs_indexer_ray.stages.docid import dedup_latest
+    from docs_indexer_ray.stages.docstore import build_docs_store
 
     t = pa.table(
         {
@@ -437,12 +438,21 @@ def test_dedup_latest_null_ts_loses(ray_session):
             "warc_ts": pa.array([None, 1_000_000, 5], pa.int64()).cast(
                 pa.timestamp("us")
             ),
-            "body": pa.array(["stale-unknown-age", "fresh", "only"]),
+            "html": pa.array(
+                [wrap_html(b) for b in ("stale-unknown-age", "fresh", "only")],
+                pa.binary(),
+            ),
+            "text": pa.array(["stale-unknown-age", "fresh", "only"]),
+            "lang": pa.array(["en"] * 3),
         }
     )
-    got = dedup_latest(ray.data.from_arrow(t)).to_pandas().set_index("url")
+    docs = str(tmp_path / "docs")
+    n_docs, _ = build_docs_store(
+        ray.data.from_arrow(t), str(tmp_path / "spill"), docs, num_parts=2
+    )
+    got = pq.read_table(docs, partitioning=None).to_pandas().set_index("url")
+    assert n_docs == len(got) == 2
     assert got.loc["https://x/a/", "body"] == "fresh"
-    assert len(got) == 2
 
 
 def test_read_jsonl_tolerates_empty_shard(ray_session, tmp_path):

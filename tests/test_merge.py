@@ -16,7 +16,7 @@ import pytest
 
 from docs_indexer_ray.functions.analyzer import Analyzer
 from docs_indexer_ray.index.build import build_index
-from docs_indexer_ray.index.merge import merge_indexes
+from docs_indexer_ray.index.merge import merge_many
 from docs_indexer_ray.query.bm25 import score_topk
 from docs_indexer_ray.query.reader import IndexReader
 from docs_indexer_ray.synth import rich_pages_table
@@ -62,7 +62,7 @@ def test_merge_equals_full_build(ray_session, tmp_path, salt):
     build_index(ray.data.from_arrow(half_b), str(tmp_path / "b"), fingerprint="b", **kw)
     build_index(ray.data.from_arrow(pages), str(tmp_path / "full"), fingerprint="f", **kw)
 
-    man = merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+    man = merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
     assert man["n_docs"] == 60
 
     merged = _results_by_url(str(tmp_path / "m"))
@@ -89,7 +89,7 @@ def test_merge_stats_add(ray_session, tmp_path):
         num_parts=8,
         salt_heavy=False,
     )
-    man = merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+    man = merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
     reader = IndexReader(str(tmp_path / "m"))
     assert reader.n_docs == 40
     # every doc has a norm after the merge (carriers survived the shift)
@@ -139,7 +139,7 @@ def test_merge_carries_extra_chains(ray_session, tmp_path):
     )
     build_index(ray.data.from_arrow(pages), str(tmp_path / "full"), fingerprint="f", **kw)
 
-    man = merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+    man = merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
     assert "trigram" in man["chains"]
 
     merged = IndexReader(str(tmp_path / "m"), chain="trigram")
@@ -169,7 +169,7 @@ def test_merge_chain_mismatch_raises(ray_session, tmp_path):
         salt_heavy=False,
     )
     with pytest.raises(ValueError, match="chains"):
-        merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+        merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
 
 
 def test_merge_preserves_positions(ray_session, tmp_path):
@@ -189,7 +189,7 @@ def test_merge_preserves_positions(ray_session, tmp_path):
         ray.data.from_arrow(pages.slice(20)), str(tmp_path / "b"), fingerprint="b", **kw
     )
     build_index(ray.data.from_arrow(pages), str(tmp_path / "full"), fingerprint="f", **kw)
-    merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+    merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
 
     def by_url(root, phrase):
         urls = _url_map(__import__("docs_indexer_ray.index.manifest", fromlist=["m"]).current_build(root))
@@ -223,7 +223,7 @@ def test_merge_positions_mismatch_raises(ray_session, tmp_path):
         fingerprint="b", store_positions=False, **kw
     )
     with pytest.raises(ValueError, match="store_positions"):
-        merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"), str(tmp_path / "m"))
+        merge_many([str(tmp_path / "a"), str(tmp_path / "b")], str(tmp_path / "m"))
 
 
 def test_merge_carry_deletes_shifts_tombstones(ray_session, tmp_path):

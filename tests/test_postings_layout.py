@@ -355,3 +355,68 @@ def test_older_layout_build_fails_loudly(salted, tmp_path):
     assert all(
         os.path.exists(segment_path(reader._seg_dir, k)) for k in range(reader.num_parts)
     )
+
+
+@pytest.fixture(scope="module")
+def salted_positions(ray_session, tmp_path_factory):
+    import ray.data
+
+    from docs_indexer_ray.index.build import build_index
+
+    root = str(tmp_path_factory.mktemp("layout") / "pos")
+    build_index(
+        ray.data.from_arrow(_pages()), root,
+        fingerprint="laypos", num_parts=8, salt_heavy=True,
+        heavy_df_ratio=0.2, n_salt_runs=4, block_size=4, chain="simple",
+        field="body", store_positions=True,
+    )
+    return root
+
+
+def test_decode_range_positions_is_a_slice_of_the_full_decode(salted_positions):
+    """``decode_range_positions(lo, hi)`` equals the ``[lo, hi)`` slice
+    of ``decode_all()`` + ``decode_all_positions()`` for empty,
+    in-block, block- and run-straddling, whole-list and out-of-bounds
+    ranges of a salted heavy term; the whole list shares
+    ``decode_all()``'s arrays."""
+    reader = IndexReader(salted_positions)
+    tp = next(
+        tp for tp in map(reader.postings, sorted(reader.heavy))
+        if len(tp._runs) >= 2
+    )
+    ids, tfs = tp.decode_all()
+    flat, offs = tp.decode_all_positions()
+    ids64 = ids.astype(np.int64)
+
+    def want(lo, hi):
+        j = np.flatnonzero((ids64 >= lo) & (ids64 < hi))
+        pos = [flat[offs[i]:offs[i + 1]] for i in j]
+        return (
+            ids[j], tfs[j],
+            np.concatenate(pos) if pos else np.empty(0, flat.dtype),
+            np.concatenate(([0], np.cumsum(offs[j + 1] - offs[j]))),
+        )
+
+    blocks = [tp.decode_block(b)[0].astype(np.int64) for b in range(tp.n_blocks)]
+    big = next(b for b in blocks if b[-1] - b[0] >= 2)
+    rb = int(np.flatnonzero(np.diff(tp._run_of_block))[0]) + 1  # first run-2 block
+    assert tp.n_blocks >= 4 and 2 <= rb < tp.n_blocks
+    first, last = int(ids64[0]), int(ids64[-1])
+    ranges = {
+        "empty": (int(big[1]), int(big[1])),
+        "inverted": (int(big[1]) + 1, int(big[1])),
+        "inside one block": (int(big[0]) + 1, int(big[-1])),
+        "straddling blocks": (int(blocks[0][1]), int(blocks[2][-1])),
+        "straddling runs": (int(blocks[rb - 1][-1]), int(blocks[rb][0]) + 1),
+        "whole list": (0, reader.n_docs),
+        "beyond both ends": (-7, last + 100),
+        "below the first id": (0, first),
+        "above the last id": (last + 1, last + 100),
+    }
+    for name, (lo, hi) in ranges.items():
+        got = tp.decode_range_positions(lo, hi)
+        for g, w in zip(got, want(lo, hi)):
+            assert np.array_equal(g, w), name
+    whole = tp.decode_range_positions(0, reader.n_docs)
+    assert whole[0] is ids and whole[1] is tfs  # decode_all's arrays, shared
+    assert tp.decode_range_positions(0, reader.n_docs) is whole  # memoized

@@ -300,7 +300,7 @@ def test_merge_carries_vector_sidecars(ray_session, tmp_path):
     import ray.data
 
     from docs_indexer_ray.index.build import build_index
-    from docs_indexer_ray.index.merge import merge_indexes
+    from docs_indexer_ray.index.merge import merge_many
     from docs_indexer_ray.index.vectors import (
         attach_vectors,
         carry_sidecars,
@@ -343,8 +343,8 @@ def test_merge_carries_vector_sidecars(ray_session, tmp_path):
     attach_vectors(str(tmp_path / "a"), _emb(0, 30), id_col="doc_id",
                    name="solo", num_parts=8)
 
-    merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"),
-                  str(tmp_path / "m"))
+    merge_many([str(tmp_path / "a"), str(tmp_path / "b")],
+               str(tmp_path / "m"))
     from docs_indexer_ray.index import manifest as mf
 
     bdir = mf.current_build(str(tmp_path / "m"))
@@ -383,8 +383,8 @@ def test_merge_carries_vector_sidecars(ray_session, tmp_path):
     }))
     attach_vectors(str(tmp_path / "b"), bad, id_col="doc_id", name="solo")
     with pytest.raises(ValueError, match="dim"):
-        merge_indexes(str(tmp_path / "a"), str(tmp_path / "b"),
-                      str(tmp_path / "m2"))
+        merge_many([str(tmp_path / "a"), str(tmp_path / "b")],
+                   str(tmp_path / "m2"))
 
 
 def test_knn_filter_spelling(built, ray_session):

@@ -393,9 +393,8 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
         reader = IndexReader(str(tmp_path / "sidx"))
         an = Analyzer("english")
         queries = ["node pools", "quota namespace limit", "helm upgrade", "page"]
-        got = svc.topk_many(queries, k=10)
-        for q, hits in zip(queries, got):
-            assert hits == topk(reader, an(q), k=10), q
+        for q in queries:
+            assert svc.topk(q, k=10) == topk(reader, an(q), k=10), q
         # phrase round-trips through both replicas
         for _ in range(2):
             ph = svc.match_phrase("node pools")
@@ -458,9 +457,8 @@ def test_sharded_service_matches_local_reader(ray_session, tmp_path, n_shards):
         an = Analyzer("english")
         queries = ["node pools", "quota namespace limit", "helm upgrade", "page",
                    "the cluster"]
-        got = svc.topk_many(queries, k=10)
-        for q, hits in zip(queries, got):
-            assert hits == score_topk(reader, an(q), k=10), q
+        for q in queries:
+            assert svc.topk(q, k=10) == score_topk(reader, an(q), k=10), q
         # k larger than any single shard's hit count still merges right
         assert svc.topk("page", k=50) == score_topk(reader, an("page"), k=50)
     finally:
@@ -508,15 +506,32 @@ def test_sharded_phrase_matches_local_reader(ray_session, tmp_path, n_shards):
     finally:
         svc.shutdown()
 
-    # unordered spans on the fleet ≡ local span_near
+    # unordered spans: a DSL span_near through the fleet's query phase
+    # matches the full reader's span_near docs, and span_near on shard
+    # readers concatenates to the full reader's output, windows included
     from docs_indexer_ray.query.phrase import span_near
 
+    edges = np.linspace(0, reader.n_docs, n_shards + 1).astype(int)
+    shards = [
+        IndexReader(root, doc_range=(int(lo), int(hi)))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
     svc = ShardedQueryService(root, n_shards=n_shards)
     try:
         for terms, slop in [(["node", "pools"], 2), (["per", "namespace"], 0)]:
-            got = svc.span_near(an(" ".join(terms)), slop=slop)
-            assert got == span_near(reader, an(" ".join(terms)), slop=slop)
-            assert got  # non-trivial
+            want = span_near(reader, an(" ".join(terms)), slop=slop)
+            assert want  # non-trivial
+            dsl = {"span_near": {
+                "clauses": [{"span_term": {"body": t}} for t in terms],
+                "slop": slop, "in_order": False,
+            }}
+            _, _, (ids,) = svc.query_phase(dsl, True, ops=[("ids",)])
+            assert ids.tolist() == [d for d, _ in want]
+            got = [
+                hit for shard in shards
+                for hit in span_near(shard, an(" ".join(terms)), slop=slop)
+            ]
+            assert got == want
     finally:
         svc.shutdown()
 
