@@ -30,6 +30,7 @@ them all.
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pyarrow as pa
@@ -42,6 +43,8 @@ from ..stages.tokenize import term_part
 from .segments_io import TermPostings
 
 __all__ = ["IndexReader", "prefix_upper_bound"]
+
+_MISS = object()  # postings-cache sentinel: a cached None is an absent term
 
 
 def prefix_upper_bound(prefix: str) -> str | None:
@@ -124,6 +127,14 @@ class IndexReader:
         # real engine); bounded FIFO — query sets re-hit the same terms
         self._postings_cache: dict[str, TermPostings | None] = {}
         self._cache_cap = 4096
+        # decoded docs-store columns by (row group, column name): the
+        # store is immutable for this reader's lifetime, so a page's
+        # repeat fetch reads no file; bounded FIFO by decoded bytes
+        self._docs_cache: dict[tuple[int, str], pa.ChunkedArray] = {}
+        self._docs_cache_bytes = 0
+        self._docs_cache_cap = 64 << 20
+        # server threads share a reader: both caches evict under it
+        self._cache_lock = threading.Lock()
 
         # norms: dl per doc_id (0 for docs that analyzed to no tokens);
         # a doc_range shard holds only its slice
@@ -177,13 +188,17 @@ class IndexReader:
 
     def postings(self, term: str) -> TermPostings | None:
         """Full postings + block metadata for one term (None if absent)."""
-        if term in self._postings_cache:
-            return self._postings_cache[term]
+        cache = self._postings_cache
+        tp = cache.get(term, _MISS)
+        if tp is not _MISS:
+            return tp
         rows = self._term_rows(term)
         tp = TermPostings.from_rows(term, rows) if rows else None
-        if len(self._postings_cache) >= self._cache_cap:
-            self._postings_cache.pop(next(iter(self._postings_cache)))
-        self._postings_cache[term] = tp
+        with self._cache_lock:
+            if term not in cache:
+                if len(cache) >= self._cache_cap:
+                    cache.pop(next(iter(cache)))
+                cache[term] = tp
         return tp
 
     def decode_all(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -238,6 +253,38 @@ class IndexReader:
             self._docs_rgs = rgs
         return rgs
 
+    def _row_group_columns(self, g: int, names: list[str]) -> dict:
+        """``{name: decoded column}`` of docs-store row group ``g`` (its
+        index in :meth:`_docs_row_groups`).  Only the columns the
+        reader's cache lacks are read from the file; they are kept,
+        oldest evicted first, while the cached bytes stay within
+        ``_docs_cache_cap``.  A row group whose requested columns
+        decode to more than the cap is read for this call and not
+        kept."""
+        cache = self._docs_cache
+        cols = {c: cache.get((g, c)) for c in names}
+        missing = [c for c, a in cols.items() if a is None]
+        if not missing:
+            return cols
+        pf, i = self._docs_row_groups()[g][:2]
+        t = pf.read_row_group(i, columns=missing)
+        fresh = {c: t[c] for c in missing}
+        cols.update(fresh)
+        size = {c: a.get_total_buffer_size() for c, a in cols.items()}
+        cap = self._docs_cache_cap
+        if sum(size.values()) > cap:
+            return cols
+        with self._cache_lock:
+            for c, a in fresh.items():
+                if (g, c) in cache:  # a racing thread kept it first
+                    continue
+                while self._docs_cache_bytes + size[c] > cap:
+                    old = cache.pop(next(iter(cache)))
+                    self._docs_cache_bytes -= old.get_total_buffer_size()
+                cache[(g, c)] = a
+                self._docs_cache_bytes += size[c]
+        return cols
+
     def fetch_docs(self, doc_ids: list[int], columns: list[str] | None = None):
         """Stored-field lookup (D9): rows from the docs store by id.
         The derivable catch-all ``text`` is synthesized on demand when
@@ -250,12 +297,18 @@ class IndexReader:
         row ``d - first``.  The row-group map comes from the footers
         once per reader (:meth:`_docs_row_groups` checks the density
         from the ``doc_id`` statistics and raises naming the file
-        otherwise); each call then reads only the row groups holding a
-        requested id, only the requested columns, and ``take``s the
-        rows.  Rows come back like a ``doc_id`` filter over the
-        dataset: fragment order, ascending id within a fragment,
-        duplicates once, unknown ids dropped, typed by the dataset
-        schema (hive partition values included)."""
+        otherwise).  Each call touches only the row groups holding a
+        requested id and only the requested columns, and ``take``s the
+        rows from the reader's decoded columns
+        (:meth:`_row_group_columns`): a column is read and decoded
+        from the file once per reader, not once per call.  Every
+        writer keeps pyarrow's default row-group size, so a docs-store
+        file is one row group and a hit decodes its whole partition's
+        requested columns on the reader's first touch.  Rows come back
+        like a ``doc_id`` filter over the dataset: fragment order,
+        ascending id within a fragment, duplicates once, unknown ids
+        dropped, typed by the dataset schema (hive partition values
+        included)."""
         import pyarrow.dataset as pads
 
         dset = self._docs_dataset()
@@ -290,19 +343,19 @@ class IndexReader:
             owner = by_first[np.maximum(j, 0)]
             hit = (j >= 0) & (ids < firsts[owner] + sizes[owner])
             ids, owner = ids[hit], owner[hit]
-            for g in np.unique(owner):  # ascending = fragment order
-                pf, i, first, _, keys, have = rgs[g]
+            for g in np.unique(owner).tolist():  # ascending = fragment order
+                _, _, first, _, keys, have = rgs[g]
                 pos = pa.array(ids[owner == g] - first)
-                t = pf.read_row_group(
-                    i, columns=[c for c in schema.names if c in have and c not in keys]
-                ).take(pos)
+                cols = self._row_group_columns(
+                    g, [c for c in schema.names if c in have and c not in keys]
+                )
                 # conform to the dataset schema like a scan does: hive
                 # partition values win over the file's column, columns
                 # the file lacks are null
                 pieces.append(pa.table(
                     [
                         pa.array([keys[f.name]] * len(pos), f.type) if f.name in keys
-                        else t[f.name].cast(f.type) if f.name in have
+                        else cols[f.name].take(pos).cast(f.type) if f.name in have
                         else pa.nulls(len(pos), f.type)
                         for f in schema
                     ],

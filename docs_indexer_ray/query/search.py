@@ -14,12 +14,15 @@ purpose).  This module rebuilds the response surface on the engine:
   query's live match set (full ``query_string`` syntax or a plain
   analyzed term query, BM25 or a field ``sort``); phase 2 fetches
   stored fields for the k hits only (a positional
-  ``IndexReader.fetch_docs`` read of only the row groups holding them
-  — never a corpus read) and highlights the densest snippet per hit
-  from the query's POSITIVE terms (``qstring.positive_terms`` —
-  prohibited terms never light up).  On an actor fleet each hit's
-  fetch goes to the shard OWNING its doc range — document bodies
-  never leave their shard; only k assembled rows travel.
+  ``IndexReader.fetch_docs`` of only the row groups holding them,
+  each decoded once per reader and then served from the reader's
+  decoded-column cache; a docs-store file is one row group, so a
+  hit's first touch decodes its partition's requested columns) and
+  highlights the densest snippet per hit from the query's POSITIVE
+  terms (``qstring.positive_terms`` — prohibited terms never light
+  up).  On an actor fleet each hit's fetch goes to the shard OWNING
+  its doc range — document bodies never leave their shard; only k
+  assembled rows travel.
 * :func:`fetch_rows` — the fetch-phase kernel every shard runs; its
   snippets normalize tokens through the reader's memoized
   ``IndexReader.analyzer``.

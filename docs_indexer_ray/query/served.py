@@ -178,7 +178,7 @@ class ShardQueryActor:
         import pyarrow as pa
 
         scores, matched = live_matches(
-            self.reader, query, syntax, default_operator, self._live
+            self.reader, query, self._live, syntax, default_operator
         )
         if rank is None:
             page = None
@@ -644,19 +644,20 @@ class ShardedQueryService:
 def live_matches(
     reader,
     query,
+    live: np.ndarray | None,
     syntax: bool = False,
     default_operator: str = "or",
-    live: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The query's live match set over the reader's doc range →
     ``(scores, matched)``: ``matched`` are the sorted doc offsets
     WITHIN the range (position ``i`` is doc ``doc_lo + i``) that match
-    and are live under the shard-local tombstone mask ``live``.
+    and are live under the shard-local tombstone mask ``live``
+    (``sortq.live_mask(reader)``: ``None`` when no tombstone falls in
+    the range).
 
     Match-any (OR) over the analyzed terms by default
-    (``facets.match_doc_ids`` over the reader's range, which drops
-    tombstones even without ``live``; ``scores`` is ``None``), or the
-    full query_string / DSL language with
+    (``facets.match_doc_ids`` over the reader's range; ``scores`` is
+    ``None``), or the full query_string / DSL language with
     ``syntax=True`` — one range evaluation, whose dense ``scores`` the
     query phase ranks.  The ONE match-set builder of the serving tier:
     the query phase ranks, field-sorts, counts and aggregates this one

@@ -1,7 +1,8 @@
 """Positional stored-field fetch (``IndexReader.fetch_docs``) pinned to
 the ``doc_id`` filter scan it replaced — on a fresh build, on a merge
 with many docparts (lexicographic fragment order != id order) and after
-a compaction — plus the fetch phase's reader-owned highlight memo."""
+a compaction, cold and from the reader's decoded-column cache — plus
+the fetch phase's reader-owned highlight memo."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import os
 import shutil
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 import pytest
@@ -115,7 +117,10 @@ def compacted(ray_session, tmp_path_factory):
 def test_fetch_matches_filter_scan(request, which):
     from docs_indexer_ray.query.reader import IndexReader
 
-    _assert_matches_oracle(IndexReader(request.getfixturevalue(which)))
+    reader = IndexReader(request.getfixturevalue(which))
+    _assert_matches_oracle(reader)  # cold
+    assert reader._docs_cache
+    _assert_matches_oracle(reader)  # warm: every page from the cache
 
 
 def test_merged_fragment_order_is_not_id_order(merged):
@@ -131,15 +136,17 @@ def test_merged_fragment_order_is_not_id_order(merged):
 
 
 def _count_row_group_reads(monkeypatch):
-    reads = []
+    """``(row groups read, columns of each read)``, in call order."""
+    reads, columns = [], []
     real = pq.ParquetFile.read_row_group
 
     def counting(self, i, *a, **kw):
         reads.append(i)
+        columns.append(kw.get("columns"))
         return real(self, i, *a, **kw)
 
     monkeypatch.setattr(pq.ParquetFile, "read_row_group", counting)
-    return reads
+    return reads, columns
 
 
 def _rewrite_first_docpart(root, rewrite):
@@ -168,18 +175,140 @@ def test_fetch_reads_only_row_groups_with_hits(fresh, tmp_path, monkeypatch):
     path = _rewrite_first_docpart(
         root, lambda t, p: pq.write_table(t, p, row_group_size=2)
     )
-    reader = IndexReader(root)
-    _assert_matches_oracle(reader)
+    _assert_matches_oracle(IndexReader(root))
     first = pq.read_table(path, columns=["doc_id"])["doc_id"][0].as_py()
 
-    reads = _count_row_group_reads(monkeypatch)
+    reader = IndexReader(root)  # cold: the oracle warmed its own reader
+    reads, _ = _count_row_group_reads(monkeypatch)
     got = reader.fetch_docs([first + 3, first + 2], ["doc_id", "url"])
     assert got["doc_id"].to_pylist() == [first + 2, first + 3]
     assert reads == [1]  # rows 2..3 of the file = its second row group
     reads.clear()
+    assert reader.fetch_docs([first + 2, first + 3], ["doc_id", "url"]).equals(got)
+    assert reads == []  # the repeat takes from the decoded row group
     reader.fetch_docs([], ["doc_id"])
     reader.fetch_docs([-5, reader.n_docs], ["doc_id"])
     assert reads == []
+
+
+def test_repeat_page_reads_nothing_and_reload_starts_cold(fresh, monkeypatch):
+    from docs_indexer_ray.query.reader import IndexReader
+
+    reader = IndexReader(fresh)
+    page = [reader.n_docs - 1, 0, reader.n_docs // 2, 5]
+    cols = ["doc_id", "url", "title", "body"]
+    reads, _ = _count_row_group_reads(monkeypatch)
+    first = reader.fetch_docs(page, cols)
+    cold = len(reads)
+    assert cold >= 2  # the page spans row groups
+    reads.clear()
+    assert reader.fetch_docs(page, cols).equals(first)
+    assert reader.fetch_docs(page[:2], ["title", "doc_id"]).equals(
+        first.filter(pc.is_in(first["doc_id"], pa.array(page[:2])))
+        .select(["title", "doc_id"])
+    )
+    assert reads == []
+    # a reload opens a new reader: it decodes again
+    assert IndexReader(fresh).fetch_docs(page, cols).equals(first)
+    assert len(reads) == cold
+
+
+def test_new_column_of_a_cached_row_group_reads_only_that_column(
+    fresh, monkeypatch
+):
+    from docs_indexer_ray.query.reader import IndexReader
+
+    reader = IndexReader(fresh)
+    reads, columns = _count_row_group_reads(monkeypatch)
+    reader.fetch_docs([3], ["doc_id", "url"])
+    assert len(reads) == 1 and sorted(columns[0]) == ["doc_id", "url"]
+    reads.clear(), columns.clear()
+    got = reader.fetch_docs([3, 4], ["url", "title", "doc_id"])
+    assert columns == [["title"]]
+    assert got.equals(_oracle(reader, [3, 4], ["url", "title", "doc_id"]))
+
+
+def test_docs_cache_stays_within_its_byte_cap(fresh, monkeypatch):
+    from docs_indexer_ray.query.reader import IndexReader
+
+    def cached_bytes(r):
+        return sum(a.get_total_buffer_size() for a in r._docs_cache.values())
+
+    probe = IndexReader(fresh)
+    n_groups = len(probe._docs_row_groups())
+    probe.fetch_docs(range(probe.n_docs), ["doc_id", "url"])
+    full = cached_bytes(probe)
+    assert len(probe._docs_cache) == 2 * n_groups
+
+    # room for about half the groups: pages evict oldest first and the
+    # cached bytes never exceed the cap
+    reader = IndexReader(fresh)
+    reader._docs_cache_cap = full // 2
+    for start in range(0, reader.n_docs, 7):
+        page = list(range(start, reader.n_docs, 11))[:10]
+        assert reader.fetch_docs(page, ["doc_id", "url"]).equals(
+            _oracle(reader, page, ["doc_id", "url"])
+        )
+        assert reader._docs_cache_bytes == cached_bytes(reader)
+        assert 0 < reader._docs_cache_bytes <= reader._docs_cache_cap
+    assert len(reader._docs_cache) < 2 * n_groups
+    _assert_matches_oracle(reader)
+
+    # a row group whose requested columns exceed the cap is read per
+    # call and never kept; what was cached stays
+    reader = IndexReader(fresh)
+    reader.fetch_docs([0], ["doc_id"])
+    kept = dict(reader._docs_cache)
+    reader._docs_cache_cap = reader._docs_cache_bytes + 1
+    reads, _ = _count_row_group_reads(monkeypatch)
+    for _ in range(2):
+        got = reader.fetch_docs([0], ["doc_id", "body"])
+        assert got.equals(_oracle(reader, [0], ["doc_id", "body"]))
+    assert len(reads) == 2
+    assert reader._docs_cache == kept
+
+
+def test_docs_cache_eviction_under_threads(fresh):
+    """Server threads fill and evict one reader's docs cache at once:
+    every page still equals a single thread's, and the byte count stays
+    exact and within the cap."""
+    import sys
+    import threading
+
+    from docs_indexer_ray.query.reader import IndexReader
+
+    cols = ["doc_id", "url", "title"]
+    pages = [list(range(s, 90, 9)) for s in range(9)]
+    want = [IndexReader(fresh).fetch_docs(p, cols) for p in pages]
+    reader = IndexReader(fresh)
+    reader.fetch_docs([0], cols)
+    reader._docs_cache_cap = 3 * reader._docs_cache_bytes
+    errors = []
+
+    def work(w):
+        try:
+            for r in range(30):
+                i = (w * 7 + r) % len(pages)
+                assert reader.fetch_docs(pages[i], cols).equals(want[i])
+        except Exception as e:  # reported by the assertion below
+            errors.append(repr(e))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(w,)) for w in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert reader._docs_cache_bytes == sum(
+        a.get_total_buffer_size() for a in reader._docs_cache.values()
+    )
+    assert reader._docs_cache_bytes <= reader._docs_cache_cap
 
 
 def test_docpart_missing_a_column_reads_nulls(fresh, tmp_path):

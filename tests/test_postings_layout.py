@@ -310,6 +310,38 @@ def test_threads_share_one_reader(salted):
     assert bad == []
 
 
+def test_postings_cache_eviction_is_thread_safe(salted):
+    """Server threads evict from one reader's full postings cache at
+    once: no thread's lookup fails, and the cache stays at its cap."""
+    terms = IndexReader(salted).term_dictionary()[0].tolist()[:40]
+    shared = IndexReader(salted)
+    shared._cache_cap = 2
+    errors: list = []
+
+    def worker(seed: int) -> None:
+        rng = random.Random(seed)
+        try:
+            for _ in range(3000):
+                t = rng.choice(terms)
+                assert shared.postings(t).term == t
+        except Exception as e:  # reported by the assertion below
+            errors.append(repr(e))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads' evictions finely
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=300)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(shared._postings_cache) <= 2
+
+
 def test_dropped_readers_close_their_files(salted):
     from docs_indexer_ray.stages.tokenize import term_part
 

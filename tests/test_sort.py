@@ -69,7 +69,7 @@ def _brute_order(reader, query, col, desc):
 
 def test_sort_rows_range_matches_bruteforce(built):
     from docs_indexer_ray.query.served import live_matches
-    from docs_indexer_ray.query.sortq import sort_rows_range
+    from docs_indexer_ray.query.sortq import live_mask, sort_rows_range
 
     for col, desc in (("warc_ts", True), ("warc_ts", False),
                       ("extras", True), ("extras", False)):
@@ -77,7 +77,7 @@ def test_sort_rows_range_matches_bruteforce(built):
         # plain/stub pages WITHOUT (null extras) — the mixed case
         q = "node pools" if col == "warc_ts" else "node page quotas"
         want = _brute_order(built, q, col, desc)
-        _, matched = live_matches(built, q)
+        _, matched = live_matches(built, q, live_mask(built))
         got = sort_rows_range(built, matched, col, desc=desc, n=len(want) + 5)
         assert len(matched) == len(want)
         assert got["doc_id"].to_pylist() == [d for d, _ in want], (col, desc)
@@ -310,10 +310,10 @@ def test_sort_cursor_type_coercion_and_string_sort(built, ray_session):
     # numeric-looking string cursor against the string column: the
     # kernel coerces to str instead of erroring
     from docs_indexer_ray.query.served import live_matches
-    from docs_indexer_ray.query.sortq import sort_rows_range
+    from docs_indexer_ray.query.sortq import live_mask, sort_rows_range
 
     rows = sort_rows_range(
-        built, live_matches(built, "node")[1], "url",
+        built, live_matches(built, "node", live_mask(built))[1], "url",
         desc=False, n=5, after=(123, -1),
     )
     assert rows.num_rows > 0  # "123" < any https url → everything after
