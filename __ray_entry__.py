@@ -1263,28 +1263,26 @@ def q_bm25_knn_rrf(sf_dir: str) -> pa.Table:
 def q_bm25_topk_filtered(sf_dir: str) -> pa.Table:
     """Filtered BM25 (Lucene filtered-query semantics: GLOBAL
     statistics, post-scoring keyword/date predicate): same terms as
-    ``bm25_topk`` restricted to docs with ``warc_ts >= cutoff``.
-
-    Served through the doc-range-sharded fleet: each shard builds and
-    memoizes its OWN slice of the allowed bitmap from its docs-store
-    range (parquet row-group-pruned scan) — the corpus-scale filter
-    state is distributed with the shards, never materialized on the
-    driver; the cross-shard top-k merge stays exact."""
+    ``bm25_topk`` restricted to docs with ``warc_ts >= cutoff`` — the
+    local kernel ``bm25.filtered_topk`` over the reader's memoized
+    stored-field mask.  The fleet's filter path (a DSL ``bool`` with a
+    ``range`` filter) is oracled by ``dsl_range_sharded`` against this
+    same SQL."""
     import datetime as _dt
 
+    from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.served import ShardedQueryService
+    from docs_indexer_ray.query.bm25 import filtered_topk
+    from docs_indexer_ray.query.reader import IndexReader
 
     _, root = ensure_index(sf_dir, chain="simple", field="body")
-    svc = ShardedQueryService(root, n_shards=4, chain="simple")
-    try:
-        hits = svc.filtered_topk(
-            " ".join(_BM25_TERMS),
-            ("warc_ts", ">=", _dt.datetime(2025, 1, 1, 0, 5, 0)),
-            k=10,
-        )
-    finally:
-        svc.shutdown()
+    reader = IndexReader(root)
+    allowed = np.flatnonzero(
+        reader.stored_mask("warc_ts", ">=", _dt.datetime(2025, 1, 1, 0, 5, 0))
+    )
+    hits = filtered_topk(
+        reader, Analyzer("simple")(" ".join(_BM25_TERMS)), allowed, k=10
+    )
     return pa.table(
         {
             "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
@@ -2717,12 +2715,16 @@ def q_search_page_sharded(sf_dir: str) -> pa.Table:
 
 
 def q_match_phrase_sharded(sf_dir: str) -> pa.Table:
-    """Same phrase as ``match_phrase`` but served through the fleet
-    (``ShardedQueryService.match_phrase``): each shard decodes only
-    its overlapping posting blocks (positions included) and the
-    disjoint-range partials concatenate — the SQL oracle checks the
+    """Same phrase as ``match_phrase`` but over four doc-range shard
+    readers: each decodes only its overlapping posting blocks
+    (positions included) and the disjoint-range results concatenate.
+    The fleet's DSL ``match_phrase`` query phase (``("ids",)`` op) must
+    return exactly those doc ids, so the SQL oracle checks the
     DISTRIBUTED phrase path through the driver gate."""
+    from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.pipelines.flagship import ensure_index
+    from docs_indexer_ray.query.phrase import match_phrase
+    from docs_indexer_ray.query.reader import IndexReader
     from docs_indexer_ray.query.served import ShardedQueryService
 
     _, root = ensure_index(
@@ -2730,9 +2732,22 @@ def q_match_phrase_sharded(sf_dir: str) -> pa.Table:
     )
     svc = ShardedQueryService(root, n_shards=4)
     try:
-        hits = svc.match_phrase("table hash")
+        _, _, (ids,) = svc.query_phase(
+            {"match_phrase": {"body": "table hash"}}, True, ops=[("ids",)]
+        )
     finally:
         svc.shutdown()
+    terms = Analyzer("simple")("table hash")
+    edges = np.linspace(0, IndexReader(root).n_docs, 5).astype(np.int64)
+    hits = [
+        hit
+        for lo, hi in zip(edges[:-1], edges[1:])
+        for hit in match_phrase(
+            IndexReader(root, doc_range=(int(lo), int(hi))), terms
+        )
+    ]
+    if ids.tolist() != [d for d, _ in hits]:
+        raise AssertionError("fleet match_phrase ids differ from the shards'")
     return pa.table(
         {
             "doc_id": pa.array([d for d, _ in hits], pa.int64()),

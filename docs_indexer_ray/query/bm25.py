@@ -85,7 +85,6 @@ def score_topk_range(
     k: int = 10,
     k1: float = K1,
     b: float = B,
-    allowed_mask: np.ndarray | None = None,
     after: tuple[float, int] | None = None,
 ) -> list[tuple[int, float]]:
     """Exact top-k within the reader's doc-id range shard
@@ -93,13 +92,7 @@ def score_topk_range(
     shard-sized and each posting list decodes only its overlapping
     blocks (``TermPostings.decode_range``).  Scores use GLOBAL
     N/avgdl/df, so they are identical to the unsharded scores and a
-    cross-shard top-k merge is exact.
-
-    ``allowed_mask`` (optional, bool, shard-local index space ``doc -
-    lo``) keeps only masked docs — the sharded half of Lucene
-    filtered-query semantics: the filter never changes idf/avgdl, and
-    because each shard holds only ITS range's slice of the bitmap, the
-    filter state is corpus-distributed instead of driver-resident."""
+    cross-shard top-k merge is exact."""
     lo, hi = reader.doc_lo, reader.doc_hi
     scores = np.zeros(max(0, hi - lo), dtype=np.float64)
     avgdl = reader.avgdl if reader.avgdl > 0 else 1.0
@@ -116,12 +109,7 @@ def score_topk_range(
         scores[(doc_ids - np.uint64(lo)).astype(np.int64)] += (
             idf * tf / (tf + _k_factor(dl, avgdl, k1, b))
         )
-    if allowed_mask is not None:
-        scores[~allowed_mask] = 0.0
-    # soft deletes apply here like on every other ranked surface —
-    # direct callers must not get tombstoned docs back just because
-    # they didn't hand-build a live mask (the shard actors do, which
-    # makes this a harmless double-mask for them)
+    # soft deletes apply here like on every other ranked surface
     dels = reader.deleted_ids()
     if len(dels):
         in_rng = dels[(dels >= lo) & (dels < hi)]
@@ -589,35 +577,39 @@ def topk_after(
     return _rank_top(scores, k)
 
 
-def topk(reader, terms: list[str], k: int = 10, k1: float = K1, b: float = B):
-    """Adaptive top-k: block-max WAND for selective queries (skipping
-    pays), vectorized TAAT for dense ones.  Both produce identical
-    rankings; this picks the faster plan, the way Lucene switches
-    between exhaustive and skipping strategies.
+def topk(
+    reader,
+    terms: list[str],
+    k: int = 10,
+    k1: float = K1,
+    b: float = B,
+    after: tuple[float, int] | None = None,
+) -> list[tuple[int, float]]:
+    """The BM25 top-k planner over ``[reader.doc_lo, reader.doc_hi)``
+    (a full reader is the shard ``[0, n_docs)``): block-max WAND
+    (:func:`wand_topk` with the reader's ``doc_range``) when skipping
+    beats the range-sized dense pass, :func:`score_topk_range`
+    otherwise.  WAND replays the dense accumulation exactly, so both
+    plans return identical hits and a fleet mixing them merges exactly.
 
-    Cost model (measured on this engine): TAAT ≈ a·n_docs (zeros +
-    flatnonzero floor, ~5 ns/doc) + b·Σdf (~17 ns/posting, all numpy);
-    WAND visits ≤ Σdf cursor positions at interpreter speed
-    (~6 µs each).  Crossover ⇒ WAND only when Σdf ≲ n_docs/1000 — the
-    regime it exists for at 10^12 docs, where TAAT's per-doc floor is
-    the catastrophe and skipping is everything."""
-    if reader.has_deletes:
-        # soft deletes: rank only live docs, scores untouched (global
-        # statistics keep pre-delete values until compaction — Lucene
-        # tombstone semantics).  Dense path with the tombstones zeroed;
-        # WAND's skip structure has no delete awareness, so deletes
-        # force TAAT (deletes are transient — compaction restores WAND).
-        scores = _zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b))
-        scores[reader.deleted_ids()] = 0.0
-        return _rank_top(scores, k)
-    sum_df = 0
-    for t in set(terms):
-        tp = reader.postings(t)
-        if tp is not None:
-            sum_df += tp.df
-    if sum_df <= max(1024, reader.n_docs // 1024):
-        return wand_topk(reader, terms, k, k1, b)
-    return score_topk(reader, terms, k, k1, b)
+    Rule: WAND only when there is no ``after`` cursor, no tombstone in
+    the range (WAND's skip structure has no delete awareness) and the
+    range's expected postings ``Σdf · (hi − lo) / n_docs ≤ (hi − lo) //
+    1024`` — dense costs ~5 ns per doc of the range, a WAND cursor step
+    ~6 µs.  There is no floor: the ROADMAP direction 2 table (600 to
+    200,000 docs, long-tail queries) has WAND never beating the dense
+    pass, so below ~1M docs only the rarest terms take it."""
+    lo, hi = reader.doc_lo, reader.doc_hi
+    dels = reader.deleted_ids()
+    if after is None and np.searchsorted(dels, lo) == np.searchsorted(dels, hi):
+        sum_df = 0
+        for t in set(terms):
+            tp = reader.postings(t)
+            if tp is not None:
+                sum_df += tp.df
+        if sum_df * (hi - lo) / max(1, reader.n_docs) <= (hi - lo) // 1024:
+            return wand_topk(reader, terms, k, k1, b, doc_range=(lo, hi))
+    return score_topk_range(reader, terms, k, k1, b, after=after)
 
 
 class _TermIter:

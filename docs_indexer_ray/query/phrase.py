@@ -341,9 +341,9 @@ def rescore_topk(
     trick), ``math.log`` per window doc."""
     import math
 
-    from .bm25 import wand_topk
+    from .bm25 import topk
 
-    base = wand_topk(reader, terms, k=window)
+    base = topk(reader, terms, k=window)
     if not base:
         return []
     pf = dict(match_phrase(reader, phrase))

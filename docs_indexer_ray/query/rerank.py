@@ -82,9 +82,9 @@ def rerank_topk(
     window docs' stored fields are fetched; BM25 order breaks no ties
     (the cross-encoder owns the final ranking, OpenSearch
     ``rescore``-with-``query_weight: 0`` semantics)."""
-    from .bm25 import wand_topk
+    from .bm25 import topk
 
-    base = wand_topk(reader, terms, k=window)
+    base = topk(reader, terms, k=window)
     if not base:
         return []
     ids = [int(d) for d, _ in base]

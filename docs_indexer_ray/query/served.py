@@ -8,16 +8,20 @@ answering queries from warm state — the actor-pool rule for stateful
 stages applied to the read path (SURVEY §7 step 7).
 
 * :class:`ShardQueryActor` — one shard over ``[lo, hi)``: its norms
-  slice + range-limited posting decode (``IndexReader(doc_range=…)``
-  + ``bm25.score_topk_range``).  A ``_search`` is OpenSearch's
-  query-then-fetch: :meth:`ShardQueryActor.query_phase` evaluates the
-  query's live match set ONCE (:func:`live_matches`) and returns this
-  shard's ranked page, its match count and every aggregation partial
-  of the request from it — the column aggregations through
-  ``facets.op_partial``, the engine's one set of aggregation kernels
-  (the Dataset facets run the same kernels per docs-store block);
-  ``fetch_partial`` then reads the stored fields of the hits the
-  shard owns.
+  slice + range-limited posting decode (``IndexReader(doc_range=…)``).
+  It serves three verbs: ``ping``, ``query_phase`` and
+  ``fetch_partial``.  A ``_search`` is OpenSearch's query-then-fetch:
+  :meth:`ShardQueryActor.query_phase` evaluates the query's live match
+  set ONCE (:func:`live_matches`) and returns this shard's ranked page
+  (plain text through the one BM25 top-k planner, ``bm25.topk``), its
+  match count and every aggregation partial of the request from it —
+  the column aggregations through ``facets.op_partial``, the engine's
+  one set of aggregation kernels (the Dataset facets run the same
+  kernels per docs-store block); ``fetch_partial`` then reads the
+  stored fields of the hits the shard owns.  Phrase matches and
+  filtered relevance are DSL bodies of the same query phase
+  (``match_phrase`` with an ``("ids",)`` op, a ``bool`` with a
+  ``filter``).
 * :class:`ShardedQueryService` — the coordinator: fans each call out
   to one replica per shard and merges.  BM25 scores are globally
   comparable because N/avgdl/df are global statistics, so every
@@ -26,8 +30,8 @@ stages applied to the read path (SURVEY §7 step 7).
   in parallel.  :meth:`ShardedQueryService.query_phase` is one
   fan-out (page merge, count sum, ``facets.merge_partials`` per op) and
   :meth:`ShardedQueryService.fetch_phase` routes each hit to its
-  owning shard; ``_search``, ``_count`` and :meth:`search` are built
-  from those two.
+  owning shard; ``_search``, ``_count``, :meth:`topk`,
+  :meth:`query_string` and :meth:`search` are built from those two.
 
 The same service runs two ways: ``ShardedQueryService(root,
 n_shards=…)`` spawns Ray actors, and
@@ -49,8 +53,9 @@ __all__ = ["ShardQueryActor", "ShardedQueryService", "live_matches", "page_rank"
 
 class ShardQueryActor:
     """One doc-range shard: norms slice + range-limited posting decode,
-    loaded once.  Returns its shard's exact top-k (global statistics →
-    globally comparable scores)."""
+    loaded once.  Its pages are exact over its range (global statistics
+    → globally comparable scores), so the coordinator's merges are
+    exact."""
 
     def __init__(self, index_root: str, lo: int, hi: int, chain: str | None = None):
         from .reader import IndexReader
@@ -80,58 +85,6 @@ class ShardQueryActor:
         shard's ``(doc_lo, doc_hi)`` — no reader work."""
         return (int(self.reader.doc_lo), int(self.reader.doc_hi))
 
-    def topk_partial(
-        self,
-        query: str,
-        k: int = 10,
-        after: tuple[float, int] | None = None,
-    ) -> list[tuple[int, float]]:
-        """This shard's exact top-k — the local tier's adaptive
-        planner applied per shard: block-max WAND (``wand_topk`` with
-        ``doc_range`` — cursors skip straight to the shard) when the
-        query is selective enough that skipping beats the shard-sized
-        dense pass, vectorized TAAT otherwise.  WAND replays the dense
-        scorer's float accumulation exactly, so either plan merges
-        bit-identically across shards.  Tombstones and cursors force
-        TAAT (same rule as the local planner)."""
-        from .bm25 import score_topk_range, wand_topk
-
-        terms = self.analyzer(query)
-        lo, hi = self.reader.doc_lo, self.reader.doc_hi
-        if after is None and self._live is None:
-            n = max(1, self.reader.n_docs)
-            sum_df = 0
-            for t in set(terms):
-                tp = self.reader.postings(t)
-                if tp is not None:
-                    sum_df += tp.df
-            # expected range-local postings ≈ global df × range share;
-            # the measured crossover (~5 ns/doc dense floor vs ~6 µs
-            # per WAND cursor step) is df_range ≲ shard/1024 — NO
-            # lower floor here: on a sub-1M-doc shard the dense pass
-            # is already sub-ms and the floor only misroutes (measured
-            # 0.54 ms dense vs 0.96 ms WAND at shard=125k, df=1005)
-            est = sum_df * (hi - lo) / n
-            if est <= (hi - lo) // 1024:
-                return wand_topk(
-                    self.reader, terms, k=k, doc_range=(lo, hi)
-                )
-        return score_topk_range(
-            self.reader,
-            terms,
-            k=k,
-            allowed_mask=self._live,
-            after=after,
-        )
-
-    def phrase_partial(self, query: str) -> list[tuple[int, int]]:
-        """This shard's exact phrase matches (doc_id, phrase_freq) —
-        range-limited positional decode, tombstones dropped by the
-        phrase module's shared delete filter."""
-        from .phrase import match_phrase
-
-        return match_phrase(self.reader, self.analyzer(query))
-
     def query_phase(
         self,
         query,
@@ -153,8 +106,8 @@ class ShardQueryActor:
         * ``("score", k, after)`` → this shard's top-k ``(doc_id,
           score)`` under a ``(score, doc_id)`` cursor.  With
           ``syntax`` the quantized ranking of the match set's own
-          scores; plain text keeps the WAND/TAAT planner of
-          :meth:`topk_partial`.
+          scores; plain text runs the ``bm25.topk`` planner (WAND or
+          dense TAAT) over the shard's range.
         * ``("field", col, desc, n, after)`` → the top-``n``
           ``(doc_id, key)`` table in field order
           (``sortq.sort_rows_range`` over the matched offsets).
@@ -190,7 +143,9 @@ class ShardQueryActor:
                 self.reader, matched, col_name, desc=desc, n=n, after=after
             )
         elif not syntax:
-            page = self.topk_partial(query, rank[1], rank[2])
+            from .bm25 import topk
+
+            page = topk(self.reader, self.analyzer(query), rank[1], after=rank[2])
         else:
             from .bm25 import rank_top_quantized
 
@@ -281,21 +236,6 @@ class ShardQueryActor:
         return fetch_rows(
             self.reader, doc_ids, fields, highlight_field, terms, width,
             *hl_tags,
-        )
-
-    def filtered_topk_partial(
-        self, query: str, predicate: tuple, k: int = 10
-    ) -> list[tuple[int, float]]:
-        from .bm25 import score_topk_range
-
-        mask = self.reader.stored_mask(*predicate)
-        if self._live is not None:
-            mask = mask & self._live
-        return score_topk_range(
-            self.reader,
-            self.analyzer(query),
-            k=k,
-            allowed_mask=mask,
         )
 
 
@@ -451,20 +391,10 @@ class ShardedQueryService:
         k: int = 10,
         after: tuple[float, int] | None = None,
     ) -> list[tuple[int, float]]:
-        from .bm25 import merge_shard_topk
-
-        parts = self._fan("topk_partial", query, k, after)
-        return merge_shard_topk(parts, k)
-
-    def match_phrase(self, query: str) -> list[tuple[int, int]]:
-        """Exact phrase query across the fleet: positional matching is
-        per-doc local, so the per-shard results over disjoint doc
-        ranges concatenate (doc asc) to exactly the full-reader
-        ``match_phrase`` — each shard decoded only its overlapping
-        posting blocks, dividing the positional-decode cost by the
-        fleet the same way the BM25 tier divides dense TAAT."""
-        parts = self._fan("phrase_partial", query)
-        return [hit for part in parts for hit in part]
+        """Plain-text BM25 top-k on the fleet: the query phase's
+        relevance page, each shard ranked by ``bm25.topk`` over its
+        doc range (so the merge equals the full reader's ``topk``)."""
+        return self.query_phase(query, False, "or", ("score", k, after))[0]
 
     def query_string(
         self,
@@ -616,19 +546,6 @@ class ShardedQueryService:
         if keys is not None:
             cols["sort_key"] = keys
         return pa.table(cols)
-
-    def filtered_topk(
-        self, query: str, predicate: tuple, k: int = 10
-    ) -> list[tuple[int, float]]:
-        """Filtered relevance query, fully distributed: each shard
-        builds (once) and applies its own slice of the allowed bitmap
-        — no corpus-scale id set ever reaches the caller.  Scores use
-        global statistics (Lucene filtered-query semantics), so the
-        cross-shard merge stays exact."""
-        from .bm25 import merge_shard_topk
-
-        parts = self._fan("filtered_topk_partial", query, predicate, k)
-        return merge_shard_topk(parts, k)
 
     def shutdown(self) -> None:
         if not self.remote:

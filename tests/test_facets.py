@@ -53,9 +53,10 @@ def test_filtered_topk_matches_post_filtered_dense(built):
 
 
 def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factory):
-    """The distributed filtered path (per-shard allowed bitmaps built
-    from each shard's docs-store slice, exact cross-shard merge) must
-    equal the local filtered_topk over a driver-built allowed set."""
+    """The distributed filtered path — a DSL ``bool`` must+filter on
+    the fleet's query phase (per-shard allowed bitmaps built from each
+    shard's docs-store slice, exact cross-shard merge) — must rank the
+    local filtered_topk's hits over an allowed set built from the docs store."""
     import pyarrow.dataset as pads
     import os
 
@@ -76,8 +77,8 @@ def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factor
     stamps = dict(zip(ids, t["warc_ts"].to_pylist()))
     ts_cut = sorted(stamps.values())[len(stamps) // 2]
     cases = [
-        (("url", ">=", cut), [d for d, u in urls.items() if u >= cut]),
-        (("warc_ts", ">=", ts_cut.isoformat()),
+        (("url", cut), [d for d, u in urls.items() if u >= cut]),
+        (("warc_ts", ts_cut.isoformat()),
          [d for d, v in stamps.items() if v >= ts_cut]),
     ]
 
@@ -85,15 +86,18 @@ def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factor
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        for predicate, allowed in cases:
+        for (col, gte), allowed in cases:
             assert 0 < len(allowed) < len(ids)
             allowed = np.sort(allowed).astype(np.int64)
             local = filtered_topk(reader, Analyzer("simple")(query), allowed, k=5)
             assert local
-            sharded = svc.filtered_topk(query, predicate, k=5)
+            dsl = {"bool": {"must": [{"match": {"body": query}}],
+                            "filter": [{"range": {col: {"gte": gte}}}]}}
+            sharded = svc.query_string(dsl, k=5)
             # memoized mask path: a second identical query hits the cache
-            again = svc.filtered_topk(query, predicate, k=5)
-            assert [(d, pytest.approx(s)) for d, s in local] == sharded == again
+            again = svc.query_string(dsl, k=5)
+            assert [d for d, _ in local] == [d for d, _ in sharded]
+            assert sharded == again
     finally:
         svc.shutdown()
 

@@ -420,6 +420,30 @@ def test_score_topk_range_excludes_tombstones(ray_session, tmp_path):
     assert victim not in {d for d, _ in got}
 
 
+def test_rerank_and_rescore_drop_tombstones(ray_session, tmp_path):
+    """Retrieve-then-rerank and rescore retrieve through the planner,
+    so a tombstoned top hit never comes back from either."""
+    from docs_indexer_ray.index.deletes import add_deletes
+    from docs_indexer_ray.query.phrase import rescore_topk
+    from docs_indexer_ray.query.rerank import CrossEncoderStub, rerank_topk
+    import ray.data
+
+    root = str(tmp_path / "rrdel")
+    build_index(ray.data.from_arrow(rich_pages_table(40)), root,
+                fingerprint="rr", num_parts=4, chain="simple", field="body",
+                store_positions=True)
+    terms = ["node", "pools"]
+    victim = score_topk(IndexReader(root), terms, k=1)[0][0]
+    add_deletes(root, [victim])
+    reader = IndexReader(root)
+    stub = CrossEncoderStub(fake=True)
+    for hits in (
+        rerank_topk(reader, terms, stub, window=20, k=20),
+        rescore_topk(reader, terms, terms, window=20, k=20),
+    ):
+        assert hits and victim not in {d for d, _ in hits}
+
+
 def test_reader_ignores_stale_tmp_segment_files(ray_session, tmp_path):
     """A crashed encode task's '<file>.parquet.tmp-<pid>' leftovers
     must not be read as segment data (truncated → reader crash;
@@ -480,27 +504,83 @@ def test_wand_range_equals_dense_range(small_block_index, tmp_path_factory):
         )
 
 
-def test_shard_planner_picks_wand_for_selective(small_block_index, ray_session):
-    """The fleet's per-shard planner (est range-local df ≤ shard/1024,
-    no floor — measured crossover): on this tiny corpus every shard
-    takes the dense path, and the service's merged ranking stays exact
-    whichever plan fires (plan equivalence itself is pinned by
-    test_wand_range_equals_dense_range)."""
-    import os
-
-    from docs_indexer_ray.query.bm25 import score_topk
-    from docs_indexer_ray.query.served import ShardedQueryService
-
-    reader = small_block_index
-    terms, dfs = reader.term_dictionary()
+def test_shard_planner_picks_wand_for_selective(ray_session, tmp_path, monkeypatch):
+    """``bm25.topk`` is the one WAND/TAAT planner, on a full reader and
+    on every shard of a fleet: WAND when ``Σdf · (hi − lo) / n_docs ≤
+    (hi − lo) // 1024``, dense TAAT otherwise, and dense for a range
+    holding a tombstone or under an ``after`` cursor.  Every plan
+    returns ``score_topk``'s hits."""
     import numpy as np
+    import pyarrow as pa
+    import ray.data
 
-    rare = str(terms[int(np.argmin(dfs))])
-    root = os.path.dirname(reader.index_dir)
-    svc = ShardedQueryService(root, n_shards=3)
+    from docs_indexer_ray.index.deletes import add_deletes
+    from docs_indexer_ray.query import bm25
+    from docs_indexer_ray.query.served import ShardedQueryService, ShardQueryActor
+
+    # 2,048 docs, a word in two of them: Σdf = 2 fits the full reader's
+    # cut-off (2,048 // 1024) and each 1,024-doc shard's (1 expected)
+    t = rich_pages_table(2048, dup_every=0)
+    html, text = t["html"].to_pylist(), t["text"].to_pylist()
+    for i in (100, 1500):
+        html[i] = html[i].replace(b"</body>", b"<p>zyzzyva</p></body>")
+        text[i] += "\nzyzzyva\n"
+    t = t.set_column(t.schema.get_field_index("html"), "html", pa.array(html, pa.binary()))
+    t = t.set_column(t.schema.get_field_index("text"), "text", pa.array(text))
+    root = str(tmp_path / "plan")
+    build_index(ray.data.from_arrow(t), root, fingerprint="pl", num_parts=2,
+                chain="simple", field="body")
+
+    plans = []
+    wand, dense = bm25.wand_topk, bm25.score_topk_range
+    monkeypatch.setattr(bm25, "wand_topk",
+                        lambda *a, **kw: plans.append("wand") or wand(*a, **kw))
+    monkeypatch.setattr(bm25, "score_topk_range",
+                        lambda *a, **kw: plans.append("dense") or dense(*a, **kw))
+
+    def planned(run):
+        plans.clear()
+        return run(), list(plans)
+
+    def fleet(n_shards):
+        # in-process shards, so their planner calls run under the spies
+        svc = ShardedQueryService.in_process(IndexReader(root))
+        svc._bounds = np.linspace(0, svc._bounds[-1], n_shards + 1).astype(np.int64)
+        svc._groups = [[ShardQueryActor(root, int(lo), int(hi))]
+                       for lo, hi in zip(svc._bounds[:-1], svc._bounds[1:])]
+        return svc
+
+    full = IndexReader(root)
+    assert full.n_docs == 2048 and full.term_df("zyzzyva") == 2
+    svc = fleet(2)
+    for q, plan in (("zyzzyva", "wand"), ("node pools", "dense")):
+        want = score_topk(full, q.split(), k=10)
+        assert want
+        assert planned(lambda: bm25.topk(full, q.split(), k=10)) == (want, [plan])
+        assert planned(lambda: svc.topk(q, k=10)) == (want, [plan, plan])
+    # an after cursor forces dense on every range
+    first, second = score_topk(full, ["zyzzyva"], k=2)
+    after = (first[1], first[0])
+    assert planned(lambda: bm25.topk(full, ["zyzzyva"], k=5, after=after)) == (
+        [second], ["dense"])
+    assert planned(lambda: svc.topk("zyzzyva", k=5, after=after)) == (
+        [second], ["dense", "dense"])
+
+    # a tombstone forces dense on the range that holds it, only there
+    victim = second[0]
+    add_deletes(root, [victim])
+    full, svc = IndexReader(root), fleet(2)
+    assert score_topk(full, ["zyzzyva"], k=10) == [first]
+    assert planned(lambda: bm25.topk(full, ["zyzzyva"], k=10)) == ([first], ["dense"])
+    want_plans = ["dense" if lo <= victim < hi else "wand"
+                  for lo, hi in zip(svc._bounds[:-1], svc._bounds[1:])]
+    assert "wand" in want_plans
+    assert planned(lambda: svc.topk("zyzzyva", k=10)) == ([first], want_plans)
+
+    # the Ray fleet merges the same pages
+    ray_svc = ShardedQueryService(root, n_shards=2)
     try:
-        for q in (rare, "node pools " + rare, "the node pools quota"):
-            want = score_topk(reader, Analyzer(reader.chain)(q), k=12)
-            assert svc.topk(q, k=12) == want, q
+        for q in ("zyzzyva", "node pools", "zyzzyva node"):
+            assert ray_svc.topk(q, k=10) == score_topk(full, q.split(), k=10), q
     finally:
-        svc.shutdown()
+        ray_svc.shutdown()

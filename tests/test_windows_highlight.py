@@ -365,6 +365,15 @@ def test_did_you_mean_transposition_fallback(ray_session, tmp_path):
     assert cands and cands[0][0] == "pools"
 
 
+def _fleet_phrase_ids(svc, q: str) -> list[int]:
+    """The doc ids of a DSL ``match_phrase`` through the fleet's query
+    phase (``("ids",)`` op)."""
+    _, _, (ids,) = svc.query_phase(
+        {"match_phrase": {"body": q}}, True, ops=[("ids",)]
+    )
+    return ids.tolist()
+
+
 def test_query_service_matches_local_reader(ray_session, tmp_path):
     """A one-shard fleet with two replicas, and the in-process one-shard
     service over the local reader, return exactly the local reader's
@@ -396,9 +405,9 @@ def test_query_service_matches_local_reader(ray_session, tmp_path):
         for q in queries:
             assert svc.topk(q, k=10) == topk(reader, an(q), k=10), q
         # phrase round-trips through both replicas
+        ph = match_phrase(reader, an("node pools"))
         for _ in range(2):
-            ph = svc.match_phrase("node pools")
-            assert ph and ph == match_phrase(reader, an("node pools"))
+            assert ph and _fleet_phrase_ids(svc, "node pools") == [d for d, _ in ph]
         # assembled _search response from a replica ≡ the local one
         from docs_indexer_ray.query.search import search_response
 
@@ -496,28 +505,35 @@ def test_sharded_phrase_matches_local_reader(ray_session, tmp_path, n_shards):
     an = Analyzer("simple")
     queries = ["node pools", "per namespace", "the node pools", "node"]
 
-    svc = ShardedQueryService(root, n_shards=n_shards)
-    try:
-        reader = IndexReader(root)
+    def shard_readers():
+        n = IndexReader(root).n_docs
+        edges = np.linspace(0, n, n_shards + 1).astype(int)
+        return [
+            IndexReader(root, doc_range=(int(lo), int(hi)))
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+
+    def check_phrases(svc, reader, shards):
+        # the fleet's DSL match_phrase ids, and match_phrase on shard
+        # readers concatenated (freqs included), equal the full reader's
         for q in queries:
-            assert svc.match_phrase(q) == match_phrase(reader, an(q)), q
-        local = match_phrase(reader, an("node pools"))
-        assert local  # non-trivial
-    finally:
-        svc.shutdown()
+            want = match_phrase(reader, an(q))
+            assert _fleet_phrase_ids(svc, q) == [d for d, _ in want], q
+            got = [hit for shard in shards for hit in match_phrase(shard, an(q))]
+            assert got == want, q
+
+    reader, shards = IndexReader(root), shard_readers()
+    local = match_phrase(reader, an("node pools"))
+    assert local  # non-trivial
 
     # unordered spans: a DSL span_near through the fleet's query phase
     # matches the full reader's span_near docs, and span_near on shard
     # readers concatenates to the full reader's output, windows included
     from docs_indexer_ray.query.phrase import span_near
 
-    edges = np.linspace(0, reader.n_docs, n_shards + 1).astype(int)
-    shards = [
-        IndexReader(root, doc_range=(int(lo), int(hi)))
-        for lo, hi in zip(edges[:-1], edges[1:])
-    ]
     svc = ShardedQueryService(root, n_shards=n_shards)
     try:
+        check_phrases(svc, reader, shards)
         for terms, slop in [(["node", "pools"], 2), (["per", "namespace"], 0)]:
             want = span_near(reader, an(" ".join(terms)), slop=slop)
             assert want  # non-trivial
@@ -541,9 +557,8 @@ def test_sharded_phrase_matches_local_reader(ray_session, tmp_path, n_shards):
     svc = ShardedQueryService(root, n_shards=n_shards)
     try:
         reader = IndexReader(root)
-        want = match_phrase(reader, an("node pools"))
-        assert victim not in {d for d, _ in want}
-        assert svc.match_phrase("node pools") == want
+        assert victim not in {d for d, _ in match_phrase(reader, an("node pools"))}
+        check_phrases(svc, reader, shard_readers())
     finally:
         svc.shutdown()
 
@@ -665,7 +680,7 @@ def test_replicated_sharded_service_matches_local(ray_session, tmp_path):
         # several calls rotate replicas; all must agree
         for _ in range(4):
             assert svc.topk("node pools", k=10) == want
-        assert svc.match_phrase("node pools") and svc.query_phase("node")[1] > 0
+        assert _fleet_phrase_ids(svc, "node pools") and svc.query_phase("node")[1] > 0
         resp = svc.search("node pools", k=3, highlight_field="body")
         assert resp.num_rows == 3 and "<em>" in resp["snippet"][0].as_py()
     finally:
