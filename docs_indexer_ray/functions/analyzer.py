@@ -76,15 +76,26 @@ def strip_possessive(token: str) -> str:
 
 _MISS = object()
 
+#: entries one chain's memo may hold (about 40 MB at worst): a memo that
+#: reaches it is cleared before its next insert (racing threads may each
+#: add one entry past it)
+_MEMO_CAP = 1 << 18
+# the process's memos, one dict per chain, shared by every Analyzer of
+# that chain: surface token -> analysis output (stem, or None for a
+# dropped token; only ``english`` uses it) and surface token ->
+# normalize() output.  Both are pure functions of (chain, token).
+_ANALYSIS: dict[str, dict] = {}
+_NORMALIZE: dict[str, dict] = {}
 
-def _analyze_english(text: str, _cache: dict) -> list[str]:
+
+def _analyze_english(text: str, memo: dict) -> list[str]:
     """Hot path: ONE memo lookup per token occurrence — the memo maps
     the RAW surface token straight to its final output (stem, or None
     for stopwords/empties), so possessive-strip + lowercase + stop
-    check + stemming run once per distinct surface form per actor."""
+    check + stemming run once per distinct surface form per process."""
     out = []
     append = out.append
-    get = _cache.get
+    get = memo.get
     for tok in _TOKEN_RE.findall(text):
         r = get(tok, _MISS)
         if r is _MISS:
@@ -93,7 +104,9 @@ def _analyze_english(text: str, _cache: dict) -> list[str]:
                 t = _POSSESSIVE_RE.sub("", t)
             t = t.lower()
             r = None if t in STOPWORDS_EN else (porter_stem(t) or None)
-            _cache[tok] = r
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[tok] = r
         if r is not None:
             append(r)
     return out
@@ -112,40 +125,46 @@ def _shingles(tokens: list[str], lo: int, hi: int) -> list[str]:
     return out
 
 
-def analyze(text: str, chain: str = "english", _cache: dict | None = None) -> list[str]:
-    """One-shot analysis; prefer the ``Analyzer`` class in hot stages."""
-    return Analyzer(chain)(text) if _cache is None else Analyzer(chain, _cache)(text)
+def analyze(text: str, chain: str = "english") -> list[str]:
+    """One-shot analysis; same output (and memo) as ``Analyzer(chain)``."""
+    return Analyzer(chain)(text)
 
 
 class Analyzer:
-    """Callable analyzer with a per-instance stem memo.
+    """Callable analyzer over its chain's per-process memos.
 
-    Instantiate once per actor (``__init__`` of a map_batches class) so
-    the stem cache amortizes across batches — per the actor-pool rule
-    for stateful stages.
+    Every instance of a chain shares the module's memos for that chain,
+    so a surface form is stemmed once per process whichever instance
+    (a reader's, a per-call one, a Ray task's) meets it first; building
+    an ``Analyzer`` is cheap.  A pickled instance rebinds to the
+    unpickling process's memos.
     """
 
     CHAINS = ("english", "standard", "simple", "trigram", "reverse", "edge")
 
-    def __init__(self, chain: str = "english", cache: dict | None = None):
+    def __init__(self, chain: str = "english"):
         if chain not in self.CHAINS:
             raise ValueError(f"unknown analyzer chain: {chain!r}")
         self.chain = chain
-        self._cache: dict[str, str] = cache if cache is not None else {}
-        # surface token -> normalize() result; a separate dict from the
-        # analysis memo because stopwords differ (None there, a stem here)
-        self._norm: dict[str, str] = {}
+        self._cache: dict[str, str | None] = _ANALYSIS.setdefault(chain, {})
+        # a separate dict from the analysis memo because stopwords
+        # differ (None there, a stem here)
+        self._norm: dict[str, str] = _NORMALIZE.setdefault(chain, {})
+
+    def __reduce__(self):
+        return (Analyzer, (self.chain,))
 
     def normalize(self, token: str) -> str:
         """Map ONE surface token to the analyzer-space form query terms
         are matched against (the highlighter's per-token step),
-        memoized per instance: each distinct surface form is stemmed
-        once.  Unlike analysis, stopwords are NOT dropped — they map to
-        their stem, so a body ``are`` still lights up for a query
+        memoized per chain and process: each distinct surface form is
+        stemmed once.  Unlike analysis, stopwords are NOT dropped — they
+        map to their stem, so a body ``are`` still lights up for a query
         ``ar``.  ``trigram``/``edge`` normalize to the lowered unigram:
         the chains emit it among their terms (edge n-grams include the
         full token up to length 15)."""
-        r = self._norm.get(token)
+        memo = self._norm
+        r = memo.get(token)
         if r is None:
             c = self.chain
             if c == "english":
@@ -154,8 +173,18 @@ class Analyzer:
                 r = token.lower()[::-1]
             else:  # standard / simple / trigram / edge
                 r = token.lower()
-            self._norm[token] = r
+            if len(memo) >= _MEMO_CAP:
+                memo.clear()
+            memo[token] = r
         return r
+
+    def normalize_all(self, tokens: list[str]) -> tuple[str, ...]:
+        """:meth:`normalize` of every token: one C-level pass over the
+        memo, or the per-token path when any token misses."""
+        try:
+            return tuple(map(self._norm.__getitem__, tokens))
+        except KeyError:
+            return tuple(map(self.normalize, tokens))
 
     def __call__(self, text: str) -> list[str]:
         c = self.chain

@@ -30,6 +30,7 @@ them all.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -40,6 +41,7 @@ from ..functions.analyzer import Analyzer
 from ..index import manifest as mf
 from ..index.segments import SegmentFile, check_layout, read_segment, segment_path
 from ..stages.tokenize import term_part
+from . import highlight
 from .segments_io import TermPostings
 
 __all__ = ["IndexReader", "prefix_upper_bound"]
@@ -58,6 +60,15 @@ def prefix_upper_bound(prefix: str) -> str | None:
     while up and ord(up[-1]) == 0x10FFFF:
         up = up[:-1]
     return up[:-1] + chr(ord(up[-1]) + 1) if up else None
+
+
+def _as_column(chunks: list, typ: pa.DataType) -> pa.ChunkedArray:
+    """One page column typed ``typ`` from its per-row-group chunks,
+    cast once as a whole (per chunk only where files disagree)."""
+    if len({c.type for c in chunks}) > 1:
+        chunks = [c.cast(typ) for c in chunks]
+    col = pa.chunked_array(chunks, chunks[0].type if chunks else typ)
+    return col if col.type == typ else col.cast(typ)
 
 
 class _ShardNorms:
@@ -112,8 +123,8 @@ class IndexReader:
             stats = extras[chain]
             seg_dirname = f"segments-{chain}"
         self.chain = chain or self.manifest.get("analyzer")
-        # the ONE analyzer of this reader: query analysis and snippet
-        # normalization share its memos for the reader's lifetime
+        # the reader's analyzer: query analysis and snippet term vectors
+        # (its memos are the chain's, shared by the whole process)
         self.analyzer = Analyzer(self.chain)
         self.n_docs = int(self.manifest["n_docs"])
         self.avgdl = float(stats["avgdl"])
@@ -127,12 +138,15 @@ class IndexReader:
         # real engine); bounded FIFO — query sets re-hit the same terms
         self._postings_cache: dict[str, TermPostings | None] = {}
         self._cache_cap = 4096
-        # decoded docs-store columns by (row group, column name): the
-        # store is immutable for this reader's lifetime, so a page's
-        # repeat fetch reads no file; bounded FIFO by decoded bytes
-        self._docs_cache: dict[tuple[int, str], pa.ChunkedArray] = {}
+        # decoded docs-store columns by (row group, column name) and
+        # hits' term vectors by (field, doc id), each kept with the
+        # bytes it is charged: the store is immutable for this reader's
+        # lifetime, so a page's repeat fetch reads no file and analyzes
+        # no text; one FIFO bounded by the charged bytes
+        self._docs_cache: dict[tuple, tuple[object, int]] = {}
         self._docs_cache_bytes = 0
         self._docs_cache_cap = 64 << 20
+        self._projections: dict = {}  # fetch columns -> (schema, synth)
         # server threads share a reader: both caches evict under it
         self._cache_lock = threading.Lock()
 
@@ -253,16 +267,31 @@ class IndexReader:
             self._docs_rgs = rgs
         return rgs
 
+    def _keep(self, fresh: dict) -> None:
+        """Keep ``{key: (value, charged bytes)}`` in the decoded-docs
+        cache, evicting the oldest entries while the cached bytes would
+        exceed ``_docs_cache_cap``; an entry a racing thread kept first
+        is left as it is."""
+        cache, cap = self._docs_cache, self._docs_cache_cap
+        with self._cache_lock:
+            for key, entry in fresh.items():
+                if key in cache:
+                    continue
+                while self._docs_cache_bytes + entry[1] > cap:
+                    self._docs_cache_bytes -= cache.pop(next(iter(cache)))[1]
+                cache[key] = entry
+                self._docs_cache_bytes += entry[1]
+
     def _row_group_columns(self, g: int, names: list[str]) -> dict:
         """``{name: decoded column}`` of docs-store row group ``g`` (its
         index in :meth:`_docs_row_groups`).  Only the columns the
         reader's cache lacks are read from the file; they are kept,
-        oldest evicted first, while the cached bytes stay within
-        ``_docs_cache_cap``.  A row group whose requested columns
-        decode to more than the cap is read for this call and not
-        kept."""
+        charged their decoded buffer bytes, while the cached bytes stay
+        within ``_docs_cache_cap``.  A row group whose requested
+        columns decode to more than the cap is read for this call and
+        not kept."""
         cache = self._docs_cache
-        cols = {c: cache.get((g, c)) for c in names}
+        cols = {c: cache.get((g, c), (None,))[0] for c in names}
         missing = [c for c, a in cols.items() if a is None]
         if not missing:
             return cols
@@ -271,19 +300,58 @@ class IndexReader:
         fresh = {c: t[c] for c in missing}
         cols.update(fresh)
         size = {c: a.get_total_buffer_size() for c, a in cols.items()}
-        cap = self._docs_cache_cap
-        if sum(size.values()) > cap:
-            return cols
-        with self._cache_lock:
-            for c, a in fresh.items():
-                if (g, c) in cache:  # a racing thread kept it first
-                    continue
-                while self._docs_cache_bytes + size[c] > cap:
-                    old = cache.pop(next(iter(cache)))
-                    self._docs_cache_bytes -= old.get_total_buffer_size()
-                cache[(g, c)] = a
-                self._docs_cache_bytes += size[c]
+        if sum(size.values()) <= self._docs_cache_cap:
+            self._keep({(g, c): (a, size[c]) for c, a in fresh.items()})
         return cols
+
+    def term_vector(self, field: str, doc_id: int, text: str) -> tuple:
+        """``highlight.term_vector(text, self.analyzer)`` of stored
+        field ``field`` of doc ``doc_id`` (``text`` is that field's
+        value), built once per reader and kept in the decoded-docs
+        cache, charged its containers' bytes (the stem strings belong
+        to the chain's normalize memo)."""
+        entry = self._docs_cache.get((field, doc_id))
+        if entry is not None:
+            return entry[0]
+        vec = highlight.term_vector(text, self.analyzer)
+        size = sum(map(sys.getsizeof, vec))
+        if size <= self._docs_cache_cap:
+            self._keep({(field, doc_id): (vec, size)})
+        return vec
+
+    def _projection(self, columns: list[str] | None) -> tuple:
+        """``(schema, synthesize text?)`` of a fetch of ``columns``,
+        memoized per reader.  The schema is arrow's own projection (and
+        its unknown-column error) of a dataset scan reading these
+        columns, or the synthesized ``text``'s stored inputs."""
+        key = None if columns is None else tuple(columns)
+        proj = self._projections.get(key)
+        if proj is None:
+            import pyarrow.dataset as pads
+
+            dset = self._docs_dataset()
+            synth = (
+                columns is not None
+                and "text" in columns
+                and "text" not in dset.schema.names
+            )
+            read_cols = columns
+            if synth:
+                from ..stages.extract import SYNTHESIS_INPUT_COLUMNS
+
+                read_cols = list(
+                    dict.fromkeys(
+                        [c for c in columns if c != "text"]
+                        + list(SYNTHESIS_INPUT_COLUMNS)
+                    )
+                )
+            schema = pads.Scanner.from_batches(
+                iter(()), schema=dset.schema, columns=read_cols
+            ).projected_schema
+            if len(self._projections) >= 256:  # _source lists are caller-chosen
+                self._projections.clear()
+            proj = self._projections[key] = (schema, synth)
+        return proj
 
     def fetch_docs(self, doc_ids: list[int], columns: list[str] | None = None):
         """Stored-field lookup (D9): rows from the docs store by id.
@@ -304,37 +372,17 @@ class IndexReader:
         from the file once per reader, not once per call.  Every
         writer keeps pyarrow's default row-group size, so a docs-store
         file is one row group and a hit decodes its whole partition's
-        requested columns on the reader's first touch.  Rows come back
-        like a ``doc_id`` filter over the dataset: fragment order,
-        ascending id within a fragment, duplicates once, unknown ids
-        dropped, typed by the dataset schema (hive partition values
+        requested columns on the reader's first touch.  The page is
+        assembled per column: each column's per-group ``take``s are
+        joined and cast to the dataset type once.  Rows come back like
+        a ``doc_id`` filter over the dataset: fragment order, ascending
+        id within a fragment, duplicates once, unknown ids dropped,
+        typed by the dataset schema (hive partition values
         included)."""
-        import pyarrow.dataset as pads
-
-        dset = self._docs_dataset()
-        synth = (
-            columns is not None
-            and "text" in columns
-            and "text" not in dset.schema.names
-        )
-        read_cols = columns
-        if synth:
-            from ..stages.extract import SYNTHESIS_INPUT_COLUMNS
-
-            read_cols = list(
-                dict.fromkeys(
-                    [c for c in columns if c != "text"]
-                    + list(SYNTHESIS_INPUT_COLUMNS)
-                )
-            )
-        # arrow's own projection: the schema (and the unknown-column
-        # error) of a dataset scan with these columns
-        schema = pads.Scanner.from_batches(
-            iter(()), schema=dset.schema, columns=read_cols
-        ).projected_schema
+        schema, synth = self._projection(columns)
         ids = np.unique(np.asarray([int(d) for d in doc_ids], dtype=np.int64))
         rgs = self._docs_row_groups() if len(ids) else []
-        pieces = []
+        chunks: dict[str, list] = {f.name: [] for f in schema}
         if rgs:
             firsts = np.array([r[2] for r in rgs], dtype=np.int64)
             sizes = np.array([r[3] for r in rgs], dtype=np.int64)
@@ -352,16 +400,16 @@ class IndexReader:
                 # conform to the dataset schema like a scan does: hive
                 # partition values win over the file's column, columns
                 # the file lacks are null
-                pieces.append(pa.table(
-                    [
-                        pa.array([keys[f.name]] * len(pos), f.type) if f.name in keys
-                        else cols[f.name].take(pos).cast(f.type) if f.name in have
-                        else pa.nulls(len(pos), f.type)
-                        for f in schema
-                    ],
-                    schema=schema,
-                ))
-        out = pa.concat_tables(pieces) if pieces else schema.empty_table()
+                for f in schema:
+                    chunks[f.name].extend(
+                        [pa.array([keys[f.name]] * len(pos), f.type)]
+                        if f.name in keys
+                        else cols[f.name].take(pos).chunks if f.name in have
+                        else [pa.nulls(len(pos), f.type)]
+                    )
+        out = pa.table(
+            [_as_column(chunks[f.name], f.type) for f in schema], schema=schema
+        )
         if synth:
             from ..stages.extract import synthesize_text
 

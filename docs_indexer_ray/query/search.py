@@ -23,9 +23,12 @@ purpose).  This module rebuilds the response surface on the engine:
   up).  On an actor fleet each hit's fetch goes to the shard OWNING
   its doc range — document bodies never leave their shard; only k
   assembled rows travel.
-* :func:`fetch_rows` — the fetch-phase kernel every shard runs; its
-  snippets normalize tokens through the reader's memoized
-  ``IndexReader.analyzer``.
+* :func:`fetch_rows` — the fetch-phase kernel every shard runs.  A
+  hit's highlight text is analyzed once per reader into a term vector
+  (stems + character offsets, ``IndexReader.term_vector``) kept in the
+  reader's decoded-docs cache; every later request matches its terms
+  against the stored vector, the way OpenSearch highlights from
+  ``with_positions_offsets`` term vectors.
 
 Output schema: ``rank (int64), doc_id (int64), score (float64),
 *fields, snippet (string, when highlighting)``.
@@ -54,8 +57,9 @@ def fetch_rows(
     stored ``fields`` (+ ``snippet``: the densest highlighted
     ``width``-char window of ``highlight_field`` over the
     analyzer-space ``terms``) for ``doc_ids``, in ``fetch_docs`` row
-    order.  Snippets normalize through ``reader.analyzer``, whose memo
-    outlives the request.  Run by every shard's ``fetch_partial``
+    order.  Each hit's snippet matches its term vector, which the
+    reader builds once (``IndexReader.term_vector``) and keeps beside
+    its decoded columns.  Run by every shard's ``fetch_partial``
     (``served.ShardQueryActor``); an empty ``doc_ids`` still reads
     zero rows, so the columns keep the STORE's types."""
     need = list(dict.fromkeys([*fields, *([highlight_field] if highlight_field else [])]))
@@ -65,12 +69,14 @@ def fetch_rows(
         cols[f] = t[f].combine_chunks()
     if highlight_field is not None:
         snippet = highlight.best_snippet  # looked up per call (tracing wraps it)
+        vector = reader.term_vector
         terms = terms or set()
+        texts = [x or "" for x in t[highlight_field].to_pylist()]
         cols["snippet"] = pa.array(
             [
-                snippet(x or "", "", reader.analyzer, width=width,
-                        pre=pre, post=post, terms=terms)
-                for x in t[highlight_field].to_pylist()
+                snippet(x, "", reader.analyzer, width=width, pre=pre, post=post,
+                        terms=terms, vector=vector(highlight_field, d, x))
+                for d, x in zip(cols["doc_id"].to_pylist(), texts)
             ],
             pa.string(),
         )

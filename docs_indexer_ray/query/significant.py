@@ -168,21 +168,6 @@ def _fg_of_chunk(
     return fg
 
 
-#: per-worker-process analyzer cache for the docs-mode partials — a
-#: fresh Analyzer per batch would reset the Porter stem memo every
-#: batch (functions/analyzer.py's instantiate-once rule)
-_AN_CACHE: dict = {}
-
-
-def _cached_analyzer(chain: str):
-    an = _AN_CACHE.get(chain)
-    if an is None:
-        from ..functions.analyzer import Analyzer
-
-        an = _AN_CACHE[chain] = Analyzer(chain)
-    return an
-
-
 def _fg_by_retokenize(reader, bits_ref) -> pa.Table:
     """Foreground dfs via MATCHED-DOC re-analysis — the OpenSearch
     fielddata strategy for SELECTIVE queries: instead of decoding
@@ -227,7 +212,7 @@ def _fg_by_retokenize(reader, bits_ref) -> pa.Table:
             from ..stages.extract import synthesize_text
 
             t = synthesize_text(t)
-        an = _cached_analyzer(chain)
+        an = Analyzer(chain)
         counts: dict[str, int] = {}
         for body in t[body_field].to_pylist():
             for term in set(an(body or "")):

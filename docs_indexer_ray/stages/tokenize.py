@@ -2,9 +2,10 @@
 
 Replaces the analysis half of what OpenSearch did for the reference
 (D1–D3 of SURVEY.md §2.2; analyzer config ``/root/reference/common.py:4-31``,
-``mappings/hugo.json``).  Runs as a ``map_batches`` **callable class**
-so the analyzer (compiled regexes + Porter stem memo) is built once per
-actor, per the actor-pool rule for stateful stages.
+``mappings/hugo.json``).  Runs as a ``map_batches`` callable: Ray
+ships the instance to each task, and every task's analyzer uses its
+worker process's per-chain stem memo (``functions/analyzer.py``), so
+a surface form is stemmed once per worker process, not once per task.
 
 Per input row the whole analysis happens inside the batch function:
 

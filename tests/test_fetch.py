@@ -2,7 +2,8 @@
 the ``doc_id`` filter scan it replaced — on a fresh build, on a merge
 with many docparts (lexicographic fragment order != id order) and after
 a compaction, cold and from the reader's decoded-column cache — plus
-the fetch phase's reader-owned highlight memo."""
+the fetch phase's term vectors (one per hit per reader) and its
+process-wide stem memo."""
 
 from __future__ import annotations
 
@@ -228,12 +229,31 @@ def test_new_column_of_a_cached_row_group_reads_only_that_column(
     assert got.equals(_oracle(reader, [3, 4], ["url", "title", "doc_id"]))
 
 
+def _cached_bytes(reader):
+    """The reader's cached bytes summed from its entries, each checked
+    against what it holds: a column its decoded buffers, a term vector
+    its containers."""
+    import sys
+
+    total = 0
+    for value, charged in reader._docs_cache.values():
+        if isinstance(value, pa.ChunkedArray):
+            assert charged == value.get_total_buffer_size()
+        else:
+            assert charged == sum(map(sys.getsizeof, value))
+        total += charged
+    return total
+
+
+def _vector_keys(reader):
+    return [k for k in reader._docs_cache if isinstance(k[0], str)]
+
+
 def test_docs_cache_stays_within_its_byte_cap(fresh, monkeypatch):
     from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.query.search import fetch_rows
 
-    def cached_bytes(r):
-        return sum(a.get_total_buffer_size() for a in r._docs_cache.values())
-
+    cached_bytes = _cached_bytes
     probe = IndexReader(fresh)
     n_groups = len(probe._docs_row_groups())
     probe.fetch_docs(range(probe.n_docs), ["doc_id", "url"])
@@ -267,21 +287,43 @@ def test_docs_cache_stays_within_its_byte_cap(fresh, monkeypatch):
     assert len(reads) == 2
     assert reader._docs_cache == kept
 
+    # hits' term vectors share the budget: highlighted pages evict the
+    # oldest columns and vectors alike, the charged bytes stay exact
+    # and within the cap, and every page equals an uncapped reader's
+    uncapped = IndexReader(fresh)
+    terms = set(uncapped.analyzer("node pools quota cluster"))
+    pages = [list(range(s, uncapped.n_docs, 9)) for s in range(9)]
+    want = [fetch_rows(uncapped, p, ("url",), "body", terms, 80) for p in pages]
+    assert len(_vector_keys(uncapped)) == uncapped.n_docs
+    reader = IndexReader(fresh)
+    reader._docs_cache_cap = uncapped._docs_cache_bytes // 2
+    for _ in range(2):
+        for p, w in zip(pages, want):
+            assert fetch_rows(reader, p, ("url",), "body", terms, 80).equals(w)
+            assert reader._docs_cache_bytes == cached_bytes(reader)
+            assert 0 < reader._docs_cache_bytes <= reader._docs_cache_cap
+    assert 0 < len(_vector_keys(reader)) < reader.n_docs
+
 
 def test_docs_cache_eviction_under_threads(fresh):
-    """Server threads fill and evict one reader's docs cache at once:
-    every page still equals a single thread's, and the byte count stays
-    exact and within the cap."""
+    """Server threads fill and evict one reader's docs cache at once,
+    columns and hits' term vectors alike: every page still equals a
+    single thread's, and the byte count stays exact and within the
+    cap."""
     import sys
     import threading
 
     from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.query.search import fetch_rows
 
     cols = ["doc_id", "url", "title"]
     pages = [list(range(s, 90, 9)) for s in range(9)]
     want = [IndexReader(fresh).fetch_docs(p, cols) for p in pages]
+    uncapped = IndexReader(fresh)
+    terms = set(uncapped.analyzer("node pools quota cluster"))
+    want_hl = [fetch_rows(uncapped, p, ("url",), "body", terms, 80) for p in pages]
     reader = IndexReader(fresh)
-    reader.fetch_docs([0], cols)
+    fetch_rows(reader, [0], ("url", "title"), "body", terms, 80)
     reader._docs_cache_cap = 3 * reader._docs_cache_bytes
     errors = []
 
@@ -289,7 +331,11 @@ def test_docs_cache_eviction_under_threads(fresh):
         try:
             for r in range(30):
                 i = (w * 7 + r) % len(pages)
-                assert reader.fetch_docs(pages[i], cols).equals(want[i])
+                if (w + r) % 2:
+                    got = fetch_rows(reader, pages[i], ("url",), "body", terms, 80)
+                    assert got.equals(want_hl[i])
+                else:
+                    assert reader.fetch_docs(pages[i], cols).equals(want[i])
         except Exception as e:  # reported by the assertion below
             errors.append(repr(e))
 
@@ -305,10 +351,9 @@ def test_docs_cache_eviction_under_threads(fresh):
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert reader._docs_cache_bytes == sum(
-        a.get_total_buffer_size() for a in reader._docs_cache.values()
-    )
+    assert reader._docs_cache_bytes == _cached_bytes(reader)
     assert reader._docs_cache_bytes <= reader._docs_cache_cap
+    assert _vector_keys(reader)
 
 
 def test_docpart_missing_a_column_reads_nulls(fresh, tmp_path):
@@ -345,15 +390,19 @@ def test_non_dense_docpart_raises(fresh, tmp_path):
     assert path in str(e.value)
 
 
-def test_fetch_phase_stems_each_surface_token_once_per_reader(fresh, monkeypatch):
-    """The fetch-phase kernel normalizes through the reader's analyzer:
-    the first page stems each distinct surface token once, a repeat on
-    the same reader stems nothing, and a new reader (a reload) starts
-    cold."""
+def test_fetch_phase_stems_each_surface_token_once_per_process(fresh, monkeypatch):
+    """The fetch-phase kernel normalizes through its chain's process-wide
+    memo and each hit's term vector: the first page stems each distinct
+    surface token once, a repeat on the same reader stems nothing and
+    builds no vector, and a new reader (a reload) stems nothing but
+    builds its own vectors."""
     import docs_indexer_ray.functions.analyzer as an_mod
+    import docs_indexer_ray.query.highlight as hl
     from docs_indexer_ray.query.reader import IndexReader
     from docs_indexer_ray.query.search import fetch_rows
 
+    monkeypatch.setattr(an_mod, "_ANALYSIS", {})
+    monkeypatch.setattr(an_mod, "_NORMALIZE", {})
     reader = IndexReader(fresh)
     assert reader.chain == "english"
     terms = set(reader.analyzer("node pools quota"))
@@ -363,23 +412,31 @@ def test_fetch_phase_stems_each_surface_token_once_per_reader(fresh, monkeypatch
 
     real, calls = an_mod.porter_stem, []
     monkeypatch.setattr(an_mod, "porter_stem", lambda t: calls.append(t) or real(t))
+    real_tv, built = hl.term_vector, []
+    monkeypatch.setattr(
+        hl, "term_vector", lambda text, an: built.append(text) or real_tv(text, an)
+    )
     first = fetch_rows(reader, ids, ("url",), "body", terms, 160)
     assert len(calls) == len(distinct)
+    assert sorted(built) == sorted(b or "" for b in bodies)
     assert any("<em>" in s for s in first["snippet"].to_pylist())
-    calls.clear()
+    calls.clear(), built.clear()
     assert fetch_rows(reader, ids, ("url",), "body", terms, 160).equals(first)
-    assert calls == []
+    assert calls == [] and built == []
     assert fetch_rows(IndexReader(fresh), ids, ("url",), "body", terms, 160).equals(first)
-    assert len(calls) == len(distinct)
+    assert calls == []
+    assert len(built) == len(ids)
 
 
-def test_concurrent_fetch_phase_on_one_cold_reader(fresh):
+def test_concurrent_fetch_phase_on_one_cold_reader(fresh, monkeypatch):
     """Server threads share one reader: concurrent first fetches (the
-    row-group map, the shared file handles) and snippets (the normalize
-    memo) on a cold reader return what a single thread gets."""
+    row-group map, the shared file handles) and snippets (term vectors,
+    and the chain's normalize memo, emptied first) on a cold reader
+    return what a single thread gets."""
     import sys
     import threading
 
+    import docs_indexer_ray.functions.analyzer as an_mod
     from docs_indexer_ray.query.reader import IndexReader
     from docs_indexer_ray.query.search import fetch_rows
 
@@ -388,6 +445,7 @@ def test_concurrent_fetch_phase_on_one_cold_reader(fresh):
     pages = [list(range(s, want_reader.n_docs, 5)) for s in range(5)]
     want = [fetch_rows(want_reader, p, ("url",), "body", terms, 80) for p in pages]
 
+    monkeypatch.setattr(an_mod, "_NORMALIZE", {})
     reader = IndexReader(fresh)
     got, errors = {}, []
 

@@ -144,10 +144,15 @@ def test_match_spans_reverse_chain():
 
 
 def _oracle_spans(text, terms, chain):
-    """The highlighter's per-token step before the reader memo: every
-    token occurrence re-normalized from scratch, tokenized with
-    TOKEN_RE for every chain."""
-    from docs_indexer_ray.functions.analyzer import TOKEN_RE, strip_possessive
+    """The highlighter's per-token step with no memo and no term
+    vector: every token occurrence re-normalized from scratch —
+    tokenized with TOKEN_RE, or with SIMPLE_RE over the lowered text
+    for the simple and edge chains."""
+    from docs_indexer_ray.functions.analyzer import (
+        SIMPLE_RE,
+        TOKEN_RE,
+        strip_possessive,
+    )
     from docs_indexer_ray.functions.porter import porter_stem
 
     def norm(token):
@@ -157,8 +162,11 @@ def _oracle_spans(text, terms, chain):
             return token.lower()[::-1]
         return token.lower()
 
-    return [(m.start(), m.end()) for m in TOKEN_RE.finditer(text)
-            if norm(m.group(0)) in terms]
+    if chain in ("simple", "edge"):
+        tokens = SIMPLE_RE.finditer(text.lower())
+    else:
+        tokens = TOKEN_RE.finditer(text)
+    return [(m.start(), m.end()) for m in tokens if norm(m.group(0)) in terms]
 
 
 EDGE_TEXTS = [
@@ -169,25 +177,51 @@ EDGE_TEXTS = [
     ("Are ARE are", "are ar"),
     ("", "anything"),
     ("don't stop u.s.a 3.14 café’s", "café don't u.s.a"),
+    ("see foo_bar and x.foo Foo", "foo"),  # [a-z0-9]+ splits in simple/edge
 ]
 
 
-@pytest.mark.parametrize("chain", ["english", "standard", "reverse", "trigram"])
-def test_best_snippet_matches_per_token_oracle(chain, monkeypatch):
-    """The memoized highlighter is byte-identical to re-normalizing
-    every token: corpus bodies and edge tokens, two widths, on ONE
-    analyzer whose memo warms as it goes."""
-    import docs_indexer_ray.query.highlight as hl
+def _fresh_memos(monkeypatch):
+    import docs_indexer_ray.functions.analyzer as an_mod
+
+    monkeypatch.setattr(an_mod, "_ANALYSIS", {})
+    monkeypatch.setattr(an_mod, "_NORMALIZE", {})
+    return an_mod
+
+
+def _snippet_cases():
     from docs_indexer_ray.synth import rich_pages_table
 
     bodies = rich_pages_table(40, dup_every=0)["text"].to_pylist()
     queries = ["node pools quota", "the cluster", "helm upgrade changelog",
                " ".join(bodies[3].split()[2:6])]
-    cases = [(b, q) for b in bodies for q in queries] + EDGE_TEXTS
+    return [(b, q) for b in bodies for q in queries] + EDGE_TEXTS
+
+
+@pytest.mark.parametrize("chain", Analyzer.CHAINS)
+def test_best_snippet_matches_per_token_oracle(chain, monkeypatch):
+    """The highlighter is byte-identical to re-normalizing every token:
+    corpus bodies and edge tokens, two widths, through ``match_spans``
+    and through term vectors — built on a cold memo, then rebuilt on
+    the warm one, each vector reused by every query of its text (the
+    reader's cached path)."""
+    import docs_indexer_ray.query.highlight as hl
+
+    _fresh_memos(monkeypatch)
+    cases = _snippet_cases()
     an = Analyzer(chain)
-    got = [
-        best_snippet(b, q, an, width=w) for b, q in cases for w in (40, 160)
-    ]
+    assert an._norm == {}
+
+    def through_vectors():
+        vecs = {b: hl.term_vector(b, an) for b, _ in cases}
+        return [
+            best_snippet(b, q, an, width=w, vector=vecs[b])
+            for b, q in cases for w in (40, 160)
+        ]
+
+    cold = through_vectors()
+    warm = through_vectors()
+    plain = [best_snippet(b, q, an, width=w) for b, q in cases for w in (40, 160)]
     monkeypatch.setattr(
         hl, "match_spans", lambda text, terms, _an: _oracle_spans(text, terms, chain)
     )
@@ -195,16 +229,19 @@ def test_best_snippet_matches_per_token_oracle(chain, monkeypatch):
         hl.best_snippet(b, q, Analyzer(chain), width=w)
         for b, q in cases for w in (40, 160)
     ]
-    assert got == want
-    assert any("<em>" in x for x in got)
+    assert cold == want
+    assert warm == want
+    assert plain == want
+    assert any("<em>" in x for x in want)
 
 
 def test_highlight_stems_each_surface_token_once(monkeypatch):
-    """A second highlight of the same text on the same analyzer stems
-    nothing; the first stems each distinct surface token once."""
-    import docs_indexer_ray.functions.analyzer as an_mod
+    """A second highlight of the same text on the same chain stems
+    nothing, whichever analyzer instance asks; the first stems each
+    distinct surface token once."""
     from docs_indexer_ray.synth import rich_pages_table
 
+    an_mod = _fresh_memos(monkeypatch)
     text = " ".join(rich_pages_table(10, dup_every=0)["text"].to_pylist())
     real, calls = an_mod.porter_stem, []
     monkeypatch.setattr(an_mod, "porter_stem", lambda t: calls.append(t) or real(t))
@@ -215,7 +252,36 @@ def test_highlight_stems_each_surface_token_once(monkeypatch):
     assert len(calls) == len(set(an_mod.TOKEN_RE.findall(text)))
     calls.clear()
     assert best_snippet(text, "node pools", an) == first
+    assert best_snippet(text, "node pools", Analyzer("english")) == first
     assert calls == []
+
+
+@pytest.mark.parametrize("chain", Analyzer.CHAINS)
+def test_small_memo_cap_changes_no_output(chain, monkeypatch):
+    """A memo that reaches its cap is cleared, so analysis, term vectors
+    and snippets are the same with a tiny cap, and no memo ever holds
+    more than the cap."""
+    import docs_indexer_ray.query.highlight as hl
+
+    cases = _snippet_cases()[::7]
+
+    def run():
+        an = Analyzer(chain)
+        out = []
+        for b, q in cases:
+            vec = hl.term_vector(b, an)
+            out.append((an(b), vec, best_snippet(b, q, an, width=60),
+                        best_snippet(b, q, an, width=60, vector=vec)))
+            assert len(an._cache) <= an_mod._MEMO_CAP
+            assert len(an._norm) <= an_mod._MEMO_CAP
+        return out
+
+    an_mod = _fresh_memos(monkeypatch)
+    want = run()
+    an_mod = _fresh_memos(monkeypatch)
+    monkeypatch.setattr(an_mod, "_MEMO_CAP", 8)
+    assert run() == want
+    assert 0 < len(Analyzer(chain)._norm) <= 8
 
 
 def test_highlight_memo_is_per_chain():
