@@ -41,6 +41,7 @@ __all__ = [
     "tokenize_simple",
     "strip_possessive",
     "analyze",
+    "english_term",
     "Analyzer",
 ]
 
@@ -88,25 +89,38 @@ _ANALYSIS: dict[str, dict] = {}
 _NORMALIZE: dict[str, dict] = {}
 
 
+def english_term(tok: str, memo: dict):
+    """The english chain's output for ONE surface token — its stem, or
+    None for a stopword or an empty stem — from ``memo``, computed and
+    stored there on a miss: the chain's one token rule, shared by
+    :func:`_analyze_english` and the offset-aware twin
+    (``query/termvectors.analyze_with_spans``)."""
+    r = memo.get(tok, _MISS)
+    if r is _MISS:
+        t = tok
+        if "'" in t or "’" in t:  # regex only when it can match
+            t = _POSSESSIVE_RE.sub("", t)
+        t = t.lower()
+        r = None if t in STOPWORDS_EN else (porter_stem(t) or None)
+        if len(memo) >= _MEMO_CAP:
+            memo.clear()
+        memo[tok] = r
+    return r
+
+
 def _analyze_english(text: str, memo: dict) -> list[str]:
     """Hot path: ONE memo lookup per token occurrence — the memo maps
     the RAW surface token straight to its final output (stem, or None
     for stopwords/empties), so possessive-strip + lowercase + stop
-    check + stemming run once per distinct surface form per process."""
+    check + stemming run once per distinct surface form per process
+    (:func:`english_term` on a miss)."""
     out = []
     append = out.append
     get = memo.get
     for tok in _TOKEN_RE.findall(text):
         r = get(tok, _MISS)
         if r is _MISS:
-            t = tok
-            if "'" in t or "’" in t:  # regex only when it can match
-                t = _POSSESSIVE_RE.sub("", t)
-            t = t.lower()
-            r = None if t in STOPWORDS_EN else (porter_stem(t) or None)
-            if len(memo) >= _MEMO_CAP:
-                memo.clear()
-            memo[tok] = r
+            r = english_term(tok, memo)
         if r is not None:
             append(r)
     return out

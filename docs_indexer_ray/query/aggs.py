@@ -15,9 +15,7 @@ import datetime as _dt
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .facets import _CALENDAR_UNITS, interpolate_quantiles, is_fixed_interval
+from . import facets
 
 
 class RenderCtx(NamedTuple):
@@ -75,24 +73,32 @@ def _date_bucket_key(k, arg) -> dict:
     """A date bucket's epoch-ms ``key`` and ISO ``key_as_string``: a
     fixed-interval key is the bucket ordinal, a calendar key is
     already the civil bucket start in epoch-us."""
-    epoch_s = int(k) * int(arg) if is_fixed_interval(arg) else int(k) // 1_000_000
+    fixed = facets.is_fixed_interval(arg)
+    epoch_s = int(k) * int(arg) if fixed else int(k) // 1_000_000
     return {
         "key": epoch_s * 1000,
         "key_as_string": _dt.datetime.utcfromtimestamp(epoch_s).isoformat(),
     }
 
 
-def _extended_stats(n: int, mn: float, mx: float, s: float, ss: float) -> dict:
-    """OpenSearch ``extended_stats`` with the POPULATION variance."""
-    mean = s / n
-    # ss/n - mean^2 can land slightly NEGATIVE from float
-    # cancellation; clamp so variance and std agree
-    var = max(ss / n - mean * mean, 0.0)
-    return {
-        "count": n, "min": mn, "max": mx, "sum": s, "avg": mean,
-        "sum_of_squares": ss, "variance": var,
-        "std_deviation": var ** 0.5 if var > 0 else 0.0,
-    }
+def _numeric(reader, field: str, kind: str, dates: bool = False) -> str:
+    """``field``, refused unless numeric (a timestamp too with
+    ``dates``, read as epoch-us): a 400 naming the field and the
+    aggregation, raised before any shard call — never a cast error
+    inside a shard."""
+    import pyarrow.types as pt
+
+    schema = reader._docs_dataset().schema
+    typ = schema.field(field).type if field in schema.names else None
+    if typ is not None and not (
+        pt.is_integer(typ) or pt.is_floating(typ) or pt.is_decimal(typ)
+        or (dates and pt.is_temporal(typ))
+    ):
+        raise ValueError(
+            f"field [{field}] of type [{typ}] is not supported for "
+            f"aggregation [{kind}]"
+        )
+    return field
 
 
 def _stats(r: dict) -> dict:
@@ -198,7 +204,7 @@ class TermsStats(Terms):
     metric: str
 
     def ops(self, reader, analyzer):
-        return [("terms_stats", self.field, self.val)]
+        return [("terms_stats", self.field, _numeric(reader, self.val, self.metric))]
 
     def render(self, got, ctx):
         buckets = []
@@ -216,9 +222,10 @@ class TermsStats(Terms):
 class Stats(Agg):
     field: str
     keys = ("stats",)
+    dates = True  # a timestamp summarizes its epoch-us values
 
     def ops(self, reader, analyzer):
-        return [("stats", self.field)]
+        return [("stats", _numeric(reader, self.field, self.keys[0], self.dates))]
 
     def render(self, got, ctx):
         return _stats(got[0].to_pylist()[0])
@@ -269,7 +276,8 @@ class Histogram(_Hist):
     def ops(self, reader, analyzer):
         if self.sub is None:
             return super().ops(reader, analyzer)
-        return [("bucket_sums", self.field, self.hist, self.arg, self.val)]
+        val = _numeric(reader, self.val, "sum", dates=True)
+        return [("bucket_sums", self.field, self.hist, self.arg, val)]
 
     def render(self, got, ctx):
         t = got[0]
@@ -277,35 +285,21 @@ class Histogram(_Hist):
             return {"buckets": [
                 {**self.key(k), "doc_count": int(n)} for k, n in _key_counts(t)
             ]}
-        # each pipeline is an O(n_buckets) coordinator pass
-        # (OpenSearch's own reduce-side placement)
-        sums = [float(s) for s in t["sm"].to_pylist()]
-        cums = np.cumsum(sums)
+        # each pipeline is an O(n_buckets) coordinator pass over the
+        # exact int64 sums (OpenSearch's own reduce-side placement)
+        sums = t["sm"].to_numpy(zero_copy_only=False)
+        pipes = [(pname, facets.parent_pipeline(pkind, sums, lag, window))
+                 for pname, pkind, _, lag, window in self.pipes]
         buckets = []
-        for i, (k, n) in enumerate(zip(t["key"].to_pylist(), t["n"].to_pylist())):
-            b = {**self.key(k), "doc_count": int(n), self.sub: {"value": sums[i]}}
-            for pname, pkind, _, lag, window in self.pipes:
-                if pkind == "cumulative_sum":
-                    b[pname] = {"value": float(cums[i])}
-                elif pkind == "derivative":
-                    if i >= 1:
-                        b[pname] = {"value": sums[i] - sums[i - 1]}
-                elif pkind == "moving_fn":
-                    # trailing window incl. current, partial heads
-                    lo_i = max(0, i - max(1, window) + 1)
-                    b[pname] = {
-                        "value": float(sum(sums[lo_i:i + 1])) / (i - lo_i + 1)
-                    }
-                else:  # serial_diff
-                    lag = max(1, lag)
-                    if i >= lag:
-                        b[pname] = {"value": sums[i] - sums[i - lag]}
+        for i, (k, n, s) in enumerate(zip(
+            t["key"].to_pylist(), t["n"].to_pylist(), sums.tolist()
+        )):
+            b = {**self.key(k), "doc_count": int(n), self.sub: {"value": float(s)}}
+            for pname, vals in pipes:
+                if vals[i] is not None:
+                    b[pname] = {"value": float(vals[i])}
             buckets.append(b)
         return {"buckets": buckets}
-
-
-# parent pipelines of a date_histogram's sum metric
-_PIPES = ("cumulative_sum", "derivative", "serial_diff", "moving_fn")
 
 
 @dataclass
@@ -334,7 +328,7 @@ class DateHistogram(Histogram):
             iv_cal = {
                 "1w": "week", "1M": "month", "1q": "quarter", "1y": "year",
             }.get(str(iv), str(iv))
-            if iv_cal in _CALENDAR_UNITS:
+            if iv_cal in facets._CALENDAR_UNITS:
                 arg = iv_cal
         field = dh["field"]
         arg = arg if arg is not None else _interval_seconds(iv)
@@ -350,10 +344,11 @@ class DateHistogram(Histogram):
                 continue
             # the MATCHED pipeline key, not the first dict key (bodies
             # may carry "meta" etc.)
-            pkind = next((k for k in _PIPES if k in sspec), None)
+            pkind = next((k for k in facets.PARENT_PIPELINES if k in sspec), None)
             if pkind is None:
                 raise ValueError(
-                    f"date_histogram sub-agg must be sum|{'|'.join(_PIPES)}"
+                    "date_histogram sub-agg must be "
+                    f"sum|{'|'.join(facets.PARENT_PIPELINES)}"
                     f": {sspec!r}"
                 )
             body = sspec[pkind]
@@ -709,38 +704,11 @@ class SignificantTerms(Agg):
 
 
 @dataclass
-class _ValueHist(Agg):
-    """Folds of one exact value-count histogram: percentiles,
-    percentile_ranks and extended_stats of a field share one op."""
+class Percentiles(Agg):
+    """Exact percentiles of a numeric field: ``quantile_cont`` over its
+    merged value-count histogram."""
 
     field: str
-
-    def ops(self, reader, analyzer):
-        # the histogram is numeric: a date or keyword field is refused
-        # here, before any shard call
-        import pyarrow.types as pt
-
-        schema = reader._docs_dataset().schema
-        col = self.field
-        typ = schema.field(col).type if col in schema.names else None
-        if typ is not None and not (
-            pt.is_integer(typ) or pt.is_floating(typ) or pt.is_decimal(typ)
-        ):
-            raise ValueError(
-                f"field [{col}] of type [{typ}] is not supported for "
-                f"aggregation [{self.keys[0]}]"
-            )
-        return [("hist", col, "values", None)]
-
-    @staticmethod
-    def _values_counts(hist) -> tuple:
-        v = hist["key"].to_numpy(zero_copy_only=False).astype(np.float64)
-        c = hist["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return v, c, int(c.sum())
-
-
-@dataclass
-class Percentiles(_ValueHist):
     percents: list
     keys = ("percentiles",)
 
@@ -750,19 +718,24 @@ class Percentiles(_ValueHist):
         return cls(name, pc["field"],
                    pc.get("percents", [1, 5, 25, 50, 75, 95, 99]))
 
+    def ops(self, reader, analyzer):
+        return [("hist", _numeric(reader, self.field, self.keys[0]), "values", None)]
+
     def render(self, got, ctx):
-        hist = got[0]
-        qs = [float(x) for x in self.percents]
-        if hist.num_rows == 0:
-            return {"values": {f"{x}": None for x in qs}}
-        v = hist["key"].to_numpy(zero_copy_only=False)
-        c = hist["n_docs"].to_numpy(zero_copy_only=False)
-        out = interpolate_quantiles(v, np.asarray(c, np.int64), qs)
+        h, qs = got[0], [float(x) for x in self.percents]
+        out = facets.interpolate_quantiles(
+            h["key"].to_numpy(zero_copy_only=False),
+            h["n_docs"].to_numpy(zero_copy_only=False), qs,
+        )
         return {"values": {f"{x}": val for x, val in zip(qs, out)}}
 
 
 @dataclass
-class PercentileRanks(_ValueHist):
+class PercentileRanks(Agg):
+    """The shared ``facets.rank_ops`` plan and ``rank_pcts`` fold; keys
+    in request order."""
+
+    field: str
     values: list
     keys = ("percentile_ranks",)
 
@@ -774,29 +747,28 @@ class PercentileRanks(_ValueHist):
             raise ValueError(f"percentile_ranks needs values: {pr!r}")
         return cls(name, pr["field"], [float(v) for v in vals])
 
+    def ops(self, reader, analyzer):
+        return facets.rank_ops(_numeric(reader, self.field, self.keys[0]), self.values)
+
     def render(self, got, ctx):
-        v, c, n = self._values_counts(got[0])
-        if n == 0:
-            return {"values": {f"{x}": None for x in self.values}}
-        cum = np.cumsum(c)
-        out = {}
-        for x in self.values:
-            at = np.searchsorted(v, float(x), "right")
-            out[f"{float(x)}"] = 100.0 * (int(cum[at - 1]) if at else 0) / n
-        return {"values": out}
+        pcts = facets.rank_pcts(self.values, *got)
+        return {"values": {f"{x}": p for x, p in zip(self.values, pcts)}}
 
 
 @dataclass
-class ExtendedStats(_ValueHist):
+class ExtendedStats(Stats):
+    """The ``stats`` op (shared with a ``stats`` agg on the field)
+    folded by ``facets.extended_stats``; numeric fields only."""
+
     keys = ("extended_stats",)
+    dates = False
 
     def render(self, got, ctx):
-        v, c, n = self._values_counts(got[0])
-        if n == 0:
+        r = got[0].to_pylist()[0]
+        if not r["n_docs"]:
             return {"count": 0}
-        return _extended_stats(
-            n, float(v.min()), float(v.max()),
-            float((v * c).sum()), float((v * v * c).sum()),
+        return facets.extended_stats(
+            *(r[c] for c in ("n_docs", "min_v", "max_v", "sum_v", "sum_sq"))
         )
 
 
@@ -843,26 +815,7 @@ class SiblingBucket(Agg):
                 keys.append(b.get("key_as_string", b.get("key")))
         if parent["buckets"] and not vals:
             raise ValueError(f"parent buckets carry no metric {self.metric!r}")
-        if not vals:
-            return {"value": None}
-        op, n = self.op, len(vals)
-        if op in ("avg_bucket", "sum_bucket"):
-            s = float(sum(vals))
-            return {"value": s / n if op == "avg_bucket" else s}
-        if op in ("min_bucket", "max_bucket"):
-            mv = min(vals) if op == "min_bucket" else max(vals)
-            return {"value": float(mv),
-                    "keys": [k for k, v in zip(keys, vals) if v == mv]}
-        if op == "percentiles_bucket":
-            # the percentiles agg's quantile_cont over the bucket values
-            uq, cnt = np.unique(np.asarray(vals, np.float64), return_counts=True)
-            qs = [float(x) for x in self.percents]
-            out = interpolate_quantiles(uq, cnt.astype(np.int64), qs)
-            return {"values": {f"{q}": o for q, o in zip(qs, out)}}
-        mn, mx, s = float(min(vals)), float(max(vals)), float(sum(vals))
-        if op == "extended_stats_bucket":
-            return _extended_stats(n, mn, mx, s, float(sum(x * x for x in vals)))
-        return {"count": n, "min": mn, "max": mx, "sum": s, "avg": s / n}
+        return facets.bucket_metric(self.op, vals, keys, self.percents)
 
 
 # body key → entry, in key precedence: a body that carries two kind

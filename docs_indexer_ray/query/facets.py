@@ -16,6 +16,17 @@ aggregation kernels and the Ray Data driver that runs them:
   store by every task — each block is filtered once, every op's
   partial is computed on it, and the driver merges the
   (output-scale) partials: the combiner-before-collect rule.
+* the shared reduces (:func:`interpolate_quantiles`,
+  :func:`extended_stats`, :func:`rank_ops` / :func:`rank_pcts`,
+  :func:`parent_pipeline`, :func:`bucket_metric`) — with the ops, ONE
+  plan and one fold per aggregation kind both front doors serve:
+  REST (``query/aggs.py`` ``KINDS``) and the facets below call them
+  and differ only in rendering (OpenSearch JSON, an Arrow table).
+  The exceptions: ``filters`` / ``adjacency_matrix`` (column
+  predicates over the corpus here, DSL legs inside the match set on
+  REST), ``missing`` (no match set here), ``significant_terms`` (REST
+  only) and the sketch variants (t-digest, HLL, heavy hitters: here
+  only).
 * the facet functions (:func:`terms_facet`, :func:`date_histogram`,
   :func:`stats_facet`, …) — shells over :func:`_scatter` that only
   rename, cast and sort a merged result; facets without a shared op
@@ -29,6 +40,8 @@ semantics): bucket kernels drop null keys, value kernels null values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pyarrow as pa
@@ -848,13 +861,10 @@ def percentiles(
         vals = [acc.quantile(q / 100.0) for q in qs]
     else:
         (h,) = _scatter(docs_ds, matched, [("hist", col, "values", None)])
-        vals = [None] * len(qs)
-        if h.num_rows:
-            vals = interpolate_quantiles(
-                h["key"].to_numpy(zero_copy_only=False),
-                h["n_docs"].to_numpy(zero_copy_only=False).astype(np.int64),
-                qs,
-            )
+        vals = interpolate_quantiles(
+            h["key"].to_numpy(zero_copy_only=False),
+            h["n_docs"].to_numpy(zero_copy_only=False), qs,
+        )
     return pa.table(
         {
             "pct": pa.array([float(q) for q in qs], pa.float64()),
@@ -870,7 +880,10 @@ def interpolate_quantiles(
     (``v`` sorted distinct values, ``c`` their counts): the standard
     ``h = (n-1)·q`` linear-interpolation rule, bit-identical to
     DuckDB/Postgres ``quantile_cont`` — shared by the Dataset facet
-    and the serving tier's per-shard-histogram percentiles."""
+    and the serving tier's per-shard-histogram percentiles.  No value
+    → ``None`` each."""
+    if not len(c):
+        return [None] * len(qs)
     cum = np.cumsum(c.astype(np.int64))  # cum[i] = # values <= v[i]
     n = int(cum[-1])
     out = []
@@ -887,6 +900,98 @@ def interpolate_quantiles(
             x_hi = float(v[i + 1])
         out.append(x_lo + (h - lo) * (x_hi - x_lo))
     return out
+
+
+def extended_stats(n: int, mn, mx, s, ss) -> dict:
+    """OpenSearch ``extended_stats`` of ``n > 0`` values from their
+    min, max, sum and sum of squares: the POPULATION variance in the
+    SQL oracle's form ``(Σx² − (Σx)²/n)/n``, clamped at 0 where float
+    cancellation lands it below, and its correctly rounded root."""
+    var = (ss - s * s / n) / n
+    var = var if var > 0 else 0.0
+    return {
+        "count": n, "min": mn, "max": mx, "sum": s, "avg": s / n,
+        "sum_of_squares": ss, "variance": var, "std_deviation": math.sqrt(var),
+    }
+
+
+def rank_ops(col: str, values) -> list:
+    """The ops of ``percentile_ranks`` of ``values`` over ``col``: the
+    ``range`` value histogram over the bands ``[-inf, v]`` (``[lo, hi)``
+    with ``hi`` the next double above ``v``) and the ``stats`` op's
+    value count — constant-size partials, like :func:`range_facet`."""
+    his = np.nextafter(np.asarray(values, np.float64), np.inf)
+    return [("hist", col, "range", [(-np.inf, float(x)) for x in his]),
+            ("stats", col)]
+
+
+def rank_pcts(values, hist: pa.Table, stats: pa.Table) -> list:
+    """``percentile_ranks`` folded from the merged :func:`rank_ops`
+    results → per value, in ``values`` order, the percentage of the
+    present values ≤ it (``100·count/total``: one division, the SQL
+    oracle's expression shape); all ``None`` when none is present."""
+    le = np.zeros(len(values), np.int64)
+    le[hist["key"].to_numpy()] = hist["n_docs"].to_numpy()
+    n = int(stats["n_docs"][0].as_py())
+    return (100.0 * le / n).tolist() if n else [None] * len(values)
+
+
+#: the parent pipelines of a histogram's ``sum`` metric
+PARENT_PIPELINES = ("cumulative_sum", "derivative", "serial_diff", "moving_fn")
+
+
+def parent_pipeline(kind: str, sums, lag: int = 1, window: int = 3) -> list:
+    """One parent pipeline over a histogram's int64 bucket sums (bucket
+    ascending) → one value per bucket, ``None`` where OpenSearch's skip
+    gap policy leaves a bucket without one: ``cumulative_sum``,
+    ``derivative`` (``s[i] − s[i−1]``), ``serial_diff`` (``s[i] −
+    s[i−lag]``) as exact ints, and ``moving_fn`` (``unweightedAvg``
+    over a trailing ``window`` of buckets, current included, partial
+    at the head) as one division of exact ints.  A ``lag`` or
+    ``window`` below 1 is refused, as OpenSearch does."""
+    sm = np.asarray(sums, np.int64)
+    if kind == "cumulative_sum":
+        return np.cumsum(sm).tolist()
+    if kind == "moving_fn":
+        if window < 1:
+            raise ValueError(f"moving_fn window must be >= 1, got {window}")
+        cum = np.concatenate([[0], np.cumsum(sm)])
+        hi = np.arange(1, len(sm) + 1)
+        lo = np.maximum(hi - window, 0)
+        return [float(int(s)) / int(c) for s, c in zip(cum[hi] - cum[lo], hi - lo)]
+    if kind == "derivative":
+        lag = 1
+    elif kind != "serial_diff":
+        raise ValueError(f"unknown parent pipeline {kind!r}")
+    if lag < 1:
+        raise ValueError(f"serial_diff lag must be >= 1, got {lag}")
+    return [None] * min(lag, len(sm)) + (sm[lag:] - sm[:-lag]).tolist()
+
+
+def bucket_metric(kind: str, vals: list, keys: list, percents=()) -> dict:
+    """One sibling ``*_bucket`` pipeline over a parent's bucket values
+    ``vals`` and their ``keys`` (bucket order), in OpenSearch's shape.
+    Sums keep the values' type (Ray Data's int64 sums stay exact,
+    REST's metric floats stay floats); ``min``/``max_bucket`` carry
+    every key at the extreme.  No value → ``{"value": None}``."""
+    if not vals:
+        return {"value": None}
+    if kind in ("min_bucket", "max_bucket"):
+        mv = min(vals) if kind == "min_bucket" else max(vals)
+        return {"value": mv, "keys": [k for k, v in zip(keys, vals) if v == mv]}
+    if kind == "percentiles_bucket":
+        uq, cnt = np.unique(np.asarray(vals, np.float64), return_counts=True)
+        qs = [float(x) for x in percents]
+        return {"values": dict(zip(map(str, qs), interpolate_quantiles(uq, cnt, qs)))}
+    n, s = len(vals), sum(vals)
+    if kind == "sum_bucket":
+        return {"value": s}
+    if kind == "avg_bucket":
+        return {"value": float(s) / n}
+    if kind == "extended_stats_bucket":
+        return extended_stats(n, min(vals), max(vals), s, sum(x * x for x in vals))
+    return {"count": n, "min": min(vals), "max": max(vals), "sum": s,
+            "avg": float(s) / n}
 
 
 def _bucket_keys(vals, kind: str, arg) -> pa.Array:
@@ -1025,34 +1130,15 @@ def percentile_ranks(
 ) -> pa.Table:
     """OpenSearch ``percentile_ranks`` (inverse percentiles): for each
     requested value, the percentage of matched docs whose ``col`` is ≤
-    that value → ``(value, rank_pct)``.  Exact, single-division double
-    (``100·count/total`` — the SQL oracle's expression shape).
-
-    Docs missing ``col`` are ignored (they count in neither term).
-
-    Shape at scale: the ``range`` value histogram over the bands
-    ``[-inf, v]`` (``[lo, hi)`` with ``hi`` the next double above
-    ``v``) and the ``stats`` op's value count — constant-size
-    partials, like :func:`range_facet`."""
-    vals = np.array(sorted(values), np.float64)
-    bands = [(-np.inf, float(x)) for x in np.nextafter(vals, np.inf)]
-    h, st = _scatter(
-        docs_ds, matched, [("hist", col, "range", bands), ("stats", col)]
-    )
-    le = np.zeros(len(vals), np.int64)
-    le[h["key"].to_numpy()] = h["n_docs"].to_numpy()
-    n = int(st["n_docs"][0].as_py())
-    if n == 0:
-        return pa.table(
-            {
-                "value": pa.array(vals, pa.float64()),
-                "rank_pct": pa.array([None] * len(vals), pa.float64()),
-            }
-        )
+    that value → ``(value, rank_pct)``, value ascending — the shared
+    :func:`rank_ops` / :func:`rank_pcts` plan and fold.  Docs missing
+    ``col`` are ignored (they count in neither term)."""
+    vals = sorted(float(v) for v in values)
+    h, st = _scatter(docs_ds, matched, rank_ops(col, vals))
     return pa.table(
         {
             "value": pa.array(vals, pa.float64()),
-            "rank_pct": pa.array(100.0 * le / n, pa.float64()),
+            "rank_pct": pa.array(rank_pcts(vals, h, st), pa.float64()),
         }
     )
 
@@ -1452,21 +1538,16 @@ def stats_facet(docs_ds, matched: np.ndarray, col: str) -> pa.Table:
 
 def extended_stats_facet(docs_ds, matched: np.ndarray, col: str) -> pa.Table:
     """OpenSearch ``extended_stats``: stats + sum_of_squares +
-    variance + std_deviation (population, OpenSearch's
-    ``(Σx² − (Σx)²/n)/n`` formula — mirrored exactly so the SQL
-    oracle hash-matches; integer-valued fields keep every sum exact).
-
-    The same ``stats`` op as :func:`stats_facet` (it carries Σx²)."""
+    variance + std_dev — the ``stats`` op of :func:`stats_facet` (it
+    carries Σx²) folded by the shared :func:`extended_stats`; an empty
+    match set keeps the stats' null row (OpenSearch shape)."""
     (st,) = _scatter(docs_ds, matched, [("stats", col)])
     row = st.to_pylist()[0]
-    n, sm, ss = row["n_docs"], row["sum_v"], row["sum_sq"]
-    var = std = None
-    if n:  # empty match set → null stats row (OpenSearch shape)
-        var = (ss - sm * sm / n) / n
-        std = float(np.sqrt(var))
-    return st.append_column("variance", pa.array([var], pa.float64())).append_column(
-        "std_dev", pa.array([std], pa.float64())
-    )
+    es = extended_stats(*(row[c] for c in (
+        "n_docs", "min_v", "max_v", "sum_v", "sum_sq"))) if row["n_docs"] else {}
+    return st.append_column(
+        "variance", pa.array([es.get("variance")], pa.float64())
+    ).append_column("std_dev", pa.array([es.get("std_deviation")], pa.float64()))
 
 
 def weighted_avg_facet(
@@ -1671,51 +1752,26 @@ def pipeline_aggs(
     Shape at scale: EXACTLY where OpenSearch runs pipeline aggs — the
     distributed phase is the parent histogram's partial ``(bucket,
     count, sum)`` groupby per batch (output-scale rows to the driver),
-    and the pipeline functions are an O(n_buckets) pass on the reduce
-    side.  ``metric_col`` must be integral so the partial sums combine
-    exactly regardless of batch order; the only float ops are single
-    divisions of exact integers (bit-stable, see float-oracle rules).
+    and the pipelines are the shared O(n_buckets) reduce
+    (:func:`parent_pipeline`).  ``metric_col`` must be integral so the
+    partial sums combine exactly regardless of batch order; the only
+    float ops are single divisions of exact integers (bit-stable, see
+    float-oracle rules).
     """
     bucket, n, sm = _bucket_sums(docs_ds, matched, ts_col, interval_s, metric_col)
-    empty = pa.table(
-        {
-            "bucket": pa.array([], pa.int64()),
-            "n_docs": pa.array([], pa.int64()),
-            "sum_v": pa.array([], pa.int64()),
-            "cum_sum": pa.array([], pa.int64()),
-            "deriv": pa.array([], pa.int64()),
-            "moving_avg": pa.array([], pa.float64()),
-            "avg_v": pa.array([], pa.float64()),
-        }
-    )
-    if len(bucket) == 0:
-        return empty
-    cum = np.cumsum(sm)
-    deriv = np.empty(len(sm), np.int64)
-    deriv[1:] = sm[1:] - sm[:-1]
-    # trailing-window sums via the cumulative array: ws[i] = cum[i] -
-    # cum[i-window]; head windows are partial (OpenSearch keeps them)
-    idx = np.arange(len(sm))
-    lo = idx - window
-    ws = cum - np.where(lo >= 0, cum[np.clip(lo, 0, None)], 0)
-    wc = np.minimum(idx + 1, window)
-    moving = np.array(
-        [float(int(s)) / int(c) for s, c in zip(ws, wc)], np.float64
-    )
-    avg_v = np.array(
-        [float(int(s)) / int(c) for s, c in zip(sm, n)], np.float64
-    )
     return pa.table(
         {
             "bucket": pa.array(bucket, pa.int64()),
             "n_docs": pa.array(n, pa.int64()),
             "sum_v": pa.array(sm, pa.int64()),
-            "cum_sum": pa.array(cum, pa.int64()),
-            "deriv": pa.array(
-                [None] + [int(d) for d in deriv[1:]], pa.int64()
+            "cum_sum": pa.array(parent_pipeline("cumulative_sum", sm), pa.int64()),
+            "deriv": pa.array(parent_pipeline("derivative", sm), pa.int64()),
+            "moving_avg": pa.array(
+                parent_pipeline("moving_fn", sm, window=window), pa.float64()
             ),
-            "moving_avg": pa.array(moving, pa.float64()),
-            "avg_v": pa.array(avg_v, pa.float64()),
+            "avg_v": pa.array(
+                [float(int(s)) / int(c) for s, c in zip(sm, n)], pa.float64()
+            ),
         }
     )
 
@@ -1749,63 +1805,52 @@ def sibling_pipeline_aggs(
 
     Shape at scale: identical to :func:`pipeline_aggs` — the
     distributed phase is the shared parent-histogram partial
-    (:func:`_bucket_sums`); every sibling function is an O(n_buckets)
-    reduce-side pass.  ``metric_col`` integral ⇒ all sums exact; the
-    two float columns are single divisions of exact ints (the
-    float-oracle expression-shape rule)."""
-    if lag < 1:
-        raise ValueError(f"serial_diff lag must be >= 1, got {lag}")
+    (:func:`_bucket_sums`); every function is the shared O(n_buckets)
+    reduce (:func:`parent_pipeline`, :func:`bucket_metric`).
+    ``metric_col`` integral ⇒ all sums exact; the two float columns
+    are single divisions of exact ints (the float-oracle
+    expression-shape rule)."""
     bucket, n, sm = _bucket_sums(docs_ds, matched, ts_col, interval_s, metric_col)
-    if len(bucket) == 0:
-        return pa.table(
-            {
-                "bucket": pa.array([], pa.int64()),
-                "n_docs": pa.array([], pa.int64()),
-                "sum_v": pa.array([], pa.int64()),
-                "serial_diff": pa.array([], pa.int64()),
-                "pct_of_sum": pa.array([], pa.float64()),
-                "sort_rank": pa.array([], pa.int64()),
-                "avg_bucket": pa.array([], pa.float64()),
-                "sum_bucket": pa.array([], pa.int64()),
-                "min_bucket": pa.array([], pa.int64()),
-                "max_bucket": pa.array([], pa.int64()),
-                "min_bucket_key": pa.array([], pa.int64()),
-                "max_bucket_key": pa.array([], pa.int64()),
-                "stats_bucket_count": pa.array([], pa.int64()),
-            }
-        )
-    nb = len(bucket)
-    total = int(sm.sum())
-    sdiff = [None] * min(lag, nb) + [int(d) for d in (sm[lag:] - sm[:-lag])]
+    nb, total = len(bucket), int(sm.sum())
+    vals, keys = sm.tolist(), bucket.tolist()
+
+    def flat(kind, typ, pick=lambda m: m["value"]):
+        # a sibling value repeated on every row
+        return pa.array([pick(bucket_metric(kind, vals, keys))] * nb if nb else [], typ)
+
+    def first_key(m):
+        return m["keys"][0]
+
     # rank by (metric desc, bucket asc): buckets are ascending already,
     # so a stable argsort on -metric preserves the bucket tie-break
-    order = np.argsort(-sm, kind="mergesort")
     rank = np.empty(nb, np.int64)
-    rank[order] = np.arange(1, nb + 1)
-    i_min = int(np.flatnonzero(sm == sm.min())[0])
-    i_max = int(np.flatnonzero(sm == sm.max())[0])
+    rank[np.argsort(-sm, kind="mergesort")] = np.arange(1, nb + 1)
     return pa.table(
         {
             "bucket": pa.array(bucket, pa.int64()),
             "n_docs": pa.array(n, pa.int64()),
             "sum_v": pa.array(sm, pa.int64()),
-            "serial_diff": pa.array(sdiff, pa.int64()),
+            "serial_diff": pa.array(
+                parent_pipeline("serial_diff", sm, lag=lag), pa.int64()
+            ),
             # total == 0 (every matched doc carries a zero metric) →
             # percent-of-nothing is undefined: null, not a crash
             # (OpenSearch's normalize emits nulls for an empty window)
             "pct_of_sum": pa.array(
-                [100.0 * float(int(s)) / total for s in sm]
+                [100.0 * float(s) / total for s in vals]
                 if total != 0 else [None] * nb,
                 pa.float64(),
             ),
             "sort_rank": pa.array(rank, pa.int64()),
-            "avg_bucket": pa.array([float(total) / nb] * nb, pa.float64()),
-            "sum_bucket": pa.array([total] * nb, pa.int64()),
-            "min_bucket": pa.array([int(sm.min())] * nb, pa.int64()),
-            "max_bucket": pa.array([int(sm.max())] * nb, pa.int64()),
-            "min_bucket_key": pa.array([int(bucket[i_min])] * nb, pa.int64()),
-            "max_bucket_key": pa.array([int(bucket[i_max])] * nb, pa.int64()),
-            "stats_bucket_count": pa.array([nb] * nb, pa.int64()),
+            "avg_bucket": flat("avg_bucket", pa.float64()),
+            "sum_bucket": flat("sum_bucket", pa.int64()),
+            "min_bucket": flat("min_bucket", pa.int64()),
+            "max_bucket": flat("max_bucket", pa.int64()),
+            "min_bucket_key": flat("min_bucket", pa.int64(), first_key),
+            "max_bucket_key": flat("max_bucket", pa.int64(), first_key),
+            "stats_bucket_count": flat(
+                "stats_bucket", pa.int64(), lambda m: m["count"]
+            ),
         }
     )
 

@@ -14,7 +14,11 @@ relevance-debugging call, never a hot path.
 
 Position semantics follow Lucene: the position counter advances for
 every surface token, so a dropped stopword (english chain) leaves a
-position GAP — exactly what a ``match_phrase`` sees.  Offsets are
+position GAP.  The index does NOT: it counts positions over the
+EMITTED tokens (``stages/tokenize.py``), so ``match_phrase`` sees no
+gap — ``["quick", "fox"]`` matches "quick the fox jumps" while this
+module reports ``fox`` at position 2.  A documented divergence from
+Lucene; the vectors keep Lucene's numbering.  Offsets are
 character offsets into the stored text (for the ``simple``/``edge``
 chains, into ``text.lower()``, which for the engine's corpora has the
 same length).  Shingles (``trigram`` chain) take the position of
@@ -36,13 +40,7 @@ caller-provided text without indexing it — same response shape, no
 
 from __future__ import annotations
 
-from ..functions.analyzer import (
-    SIMPLE_RE,
-    STOPWORDS_EN,
-    TOKEN_RE,
-    strip_possessive,
-)
-from ..functions.porter import porter_stem
+from ..functions.analyzer import SIMPLE_RE, TOKEN_RE, Analyzer, english_term
 
 __all__ = ["analyze_with_spans", "term_vectors"]
 
@@ -55,17 +53,13 @@ def analyze_with_spans(
     the same order (pinned by test), plus where each came from."""
     out: list[tuple[str, int, int, int]] = []
     if chain == "english":
-        pos = -1
-        for m in TOKEN_RE.finditer(text):
-            pos += 1  # advances past stopwords: Lucene position gaps
-            t = m.group(0)
-            if "'" in t or "’" in t:
-                t = strip_possessive(t)
-            t = t.lower()
-            if t in STOPWORDS_EN:
-                continue
-            t = porter_stem(t)
-            if t:
+        # the chain's own memo: a token the process has analyzed is
+        # not stemmed again
+        memo = Analyzer("english")._cache
+        for pos, m in enumerate(TOKEN_RE.finditer(text)):
+            # pos advances past stopwords: Lucene position gaps
+            t = english_term(m.group(0), memo)
+            if t is not None:
                 out.append((t, pos, m.start(), m.end()))
         return out
     if chain == "standard":

@@ -931,6 +931,60 @@ def test_pipeline_agg_edges(root, ray_session):
         srv.stop()
 
 
+def test_pipeline_window_and_lag_below_one_refused_by_both_doors(
+    root, ray_session
+):
+    """A moving_fn ``window`` or serial_diff ``lag`` below 1 is refused,
+    as OpenSearch refuses it: REST answers a 400 naming the parameter
+    on both backends (never a silent clamp to 1), and the Ray Data
+    facets raise the same ValueError (never ZeroDivisionError or
+    IndexError) — the one check of ``facets.parent_pipeline``."""
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from docs_indexer_ray.query.facets import pipeline_aggs, sibling_pipeline_aggs
+    from docs_indexer_ray.serve_http import SearchServer
+
+    def body(pipe):
+        return {"query": {"match": {"body": "node"}}, "size": 0, "aggs": {
+            "per_min": {
+                "date_histogram": {"field": "warc_ts", "fixed_interval": "60s"},
+                "aggs": {"ids": {"sum": {"field": "doc_id"}}, "p": pipe},
+            },
+        }}
+
+    avg = "MovingFunctions.unweightedAvg(values)"
+    bad = [
+        ({"moving_fn": {"buckets_path": "ids", "window": w, "script": avg}},
+         "window") for w in (0, -1)
+    ] + [({"serial_diff": {"buckets_path": "ids", "lag": g}}, "lag")
+         for g in (0, -2)]
+    for kw in ({}, {"backend": "sharded", "n_shards": 3}):
+        srv = SearchServer(root, **kw).start()
+        try:
+            for pipe, what in bad:
+                code, out = _req(srv.port, "/_search", body=body(pipe))
+                assert code == 400 and out["error"]["type"] == "ValueError", out
+                assert f"{what} must be >= 1" in out["error"]["reason"], out
+        finally:
+            srv.stop()
+
+    n = 6
+    ds = ray.data.from_arrow(pa.table({
+        "doc_id": pa.array(np.arange(n), pa.int64()),
+        "warc_ts": pa.array(np.arange(n, dtype=np.int64) * 60_000_000,
+                            pa.timestamp("us")),
+        "m": pa.array(np.arange(n), pa.int64()),
+    }))
+    every = np.arange(n, dtype=np.int64)
+    for window in (0, -1):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            pipeline_aggs(ds, every, "warc_ts", 60, "m", window=window)
+    with pytest.raises(ValueError, match="lag must be >= 1"):
+        sibling_pipeline_aggs(ds, every, "warc_ts", 60, "m", lag=0)
+
+
 def test_aggs_envelope_fuzz_never_500s(root, ray_session):
     """The aggregation compiler's 400 contract, fuzzed: any
     JSON-shaped aggs body either computes (200) or refuses cleanly
@@ -1503,9 +1557,9 @@ def test_aggregations_take_one_scatter_round(root, ray_session, monkeypatch):
             got[name] = run(srv, _AGG_BODY)
             ops = [m for m, _ in fans]
             assert ops == ["query_phase", "fetch_partial"], ops
-            # percentiles and extended_stats share one value histogram:
-            # 7 aggs, 7 distinct shard ops (terms, stats, two
-            # histograms, three count legs)
+            # extended_stats shares the stats op: 7 aggs, 7 distinct
+            # shard ops (terms, stats, the percentiles value histogram,
+            # the cardinality histogram, three count legs)
             assert len(fans[0][1][4]) == 7, fans[0][1][4]
             if counted:
                 assert len(matched) == n and set(matched.values()) == {1}
@@ -1605,39 +1659,66 @@ def test_bad_agg_leg_fails_before_any_shard_call(root, ray_session, monkeypatch)
 def test_value_aggs_on_a_date_field_fail_before_any_shard_call(
     root, ray_session, monkeypatch
 ):
-    """percentiles, extended_stats and percentile_ranks fold a numeric
-    value histogram: on the ``warc_ts`` timestamp (and the ``lang``
-    keyword) they are a 400 naming the field and the aggregation,
-    raised before ANY shard call on both backends — never the 500 of
-    a float64 cast inside the shard.  A numeric field still
-    computes."""
+    """percentiles, extended_stats and percentile_ranks fold numeric
+    values: on the ``warc_ts`` timestamp (and the ``lang`` keyword)
+    they are a 400 naming the field and the aggregation, raised before
+    ANY shard call on both backends — never the 500 of a float64 cast
+    inside the shard.  Every other kind that reads numbers does the
+    same on a keyword (``stats``, a terms metric sub-agg, a
+    histogram's ``sum``; a terms metric on the timestamp too), where
+    the fleet used to answer a ``RayTaskError`` carrying the actor's
+    traceback.  A numeric field still computes, and ``stats`` / a
+    histogram ``sum`` still read a timestamp as epoch-us."""
     from docs_indexer_ray.serve_http import SearchServer
 
     q = {"match": {"body": "node"}}
+
+    def sub(parent, kind, field):
+        return dict(parent, aggs={"m": {kind: {"field": field}}})
+
+    terms = {"terms": {"field": "lang"}}
+    hist = {"histogram": {"field": "doc_id", "interval": 10}}
+    dhist = {"date_histogram": {"field": "warc_ts", "fixed_interval": "60s"}}
+    refused = [
+        ({kind: {"field": field}}, field, kind) for kind, field in (
+            ("percentiles", "warc_ts"), ("extended_stats", "warc_ts"),
+            ("percentiles", "lang"), ("stats", "lang"),
+            ("extended_stats", "lang"),
+        )
+    ] + [
+        ({"percentile_ranks": {"field": "warc_ts", "values": [1]}},
+         "warc_ts", "percentile_ranks"),
+        (sub(terms, "avg", "lang"), "lang", "avg"),
+        (sub(terms, "stats", "warc_ts"), "warc_ts", "stats"),
+        (sub(terms, "max", "url"), "url", "max"),
+        (sub(hist, "sum", "lang"), "lang", "sum"),
+        (sub(dhist, "sum", "url"), "url", "sum"),
+    ]
+    computed = [
+        {"percentiles": {"field": "doc_id"}},
+        {"stats": {"field": "warc_ts"}},
+        sub(hist, "sum", "warc_ts"),
+        sub(terms, "avg", "doc_id"),
+    ]
     fans, _, _ = _count_shard_work(monkeypatch)
     for kw in ({}, {"backend": "sharded", "n_shards": 3}):
         srv = SearchServer(root, **kw).start()
         try:
-            for kind, field in (
-                ("percentiles", "warc_ts"), ("extended_stats", "warc_ts"),
-                ("percentile_ranks", "warc_ts"), ("percentiles", "lang"),
-            ):
-                agg = {"field": field}
-                if kind == "percentile_ranks":
-                    agg["values"] = [1]
+            for agg, field, kind in refused:
                 fans.clear()
                 code, out = _req(srv.port, "/_search", body={
-                    "query": q, "aggs": {"a": {kind: agg}},
+                    "query": q, "aggs": {"a": agg},
                 })
                 assert code == 400, out
-                assert out["error"]["type"] == "ValueError"
+                assert out["error"]["type"] == "ValueError", out
                 reason = out["error"]["reason"]
                 assert f"[{field}]" in reason and f"[{kind}]" in reason
                 assert fans == []
-            code, out = _req(srv.port, "/_search", body={
-                "query": q, "aggs": {"a": {"percentiles": {"field": "doc_id"}}},
-            })
-            assert code == 200 and out["aggregations"]["a"]["values"], out
+            for agg in computed:
+                code, out = _req(srv.port, "/_search", body={
+                    "query": q, "aggs": {"a": agg},
+                })
+                assert code == 200 and out["aggregations"]["a"], out
         finally:
             srv.stop()
 
@@ -1804,3 +1885,169 @@ def test_terms_family_aggs_drop_null_keys(root, ray_session):
         for b in aggs["h"]["buckets"]:
             assert len(b["top"]["hits"]["hits"]) == 1
     assert got["local"] == got["in_process_3"]
+
+
+def test_every_shared_kind_agrees_across_doors(root, ray_session):
+    """Every aggregation kind both front doors serve — REST ``_search``
+    on the local backend and a 3-shard in-process fleet, and the Ray
+    Data ``facets`` shells — gives the same values on one match set,
+    once the two shapes are mapped onto each other: each kind has one
+    op plan and one reduce; only the rendering differs.  Compared with
+    ``==``, floats included (``extended_stats``' variance is the SQL
+    oracle's form at both doors)."""
+    import datetime as dt
+    import os
+
+    import numpy as np
+    import pyarrow.compute as pc
+    import ray.data
+
+    from docs_indexer_ray.index import manifest as mf
+    from docs_indexer_ray.query import facets as fx
+    from docs_indexer_ray.query.reader import IndexReader
+    from docs_indexer_ray.serve_http import SearchServer
+
+    qs, ranks, ranges = [10.0, 50.0, 90.0], [3.0, 40.0, 12.5], [
+        (float("-inf"), 20.0), (20.0, 50.0), (50.0, float("inf"))]
+    ids = {"sum": {"field": "doc_id"}}
+    siblings = ("avg_bucket", "max_bucket", "min_bucket", "sum_bucket",
+                "stats_bucket", "percentiles_bucket", "extended_stats_bucket")
+    body = {"query": {"match": {"body": "node page"}}, "size": 0, "aggs": {
+        "terms": {"terms": {"field": "lang", "size": 100}},
+        "stats": {"stats": {"field": "doc_id"}},
+        "es": {"extended_stats": {"field": "doc_id"}},
+        "hist": {"histogram": {"field": "doc_id", "interval": 10}},
+        "fixed": {"date_histogram": {"field": "warc_ts", "fixed_interval": "10s"}},
+        "month": {"date_histogram": {"field": "warc_ts",
+                                     "calendar_interval": "month"}},
+        "range": {"range": {"field": "doc_id", "ranges": [
+            {"to": 20}, {"from": 20, "to": 50}, {"from": 50}]}},
+        "card": {"cardinality": {"field": "url"}},
+        "pcts": {"percentiles": {"field": "doc_id", "percents": qs}},
+        "ranks": {"percentile_ranks": {"field": "doc_id", "values": ranks}},
+        "comp": {"composite": {"size": 4, "after": {"d": 7}, "sources": [
+            {"d": {"terms": {"field": "doc_id"}}}]}},
+        "rare": {"rare_terms": {"field": "lang", "max_doc_count": 8}},
+        "tstats": {"terms": {"field": "lang", "size": 100},
+                   "aggs": {"s": {"stats": {"field": "doc_id"}}}},
+        "top": {"terms": {"field": "lang", "size": 100},
+                "aggs": {"t": {"top_hits": {
+                    "size": 2, "sort": [{"doc_id": {"order": "desc"}}]}}}},
+        "per": {"date_histogram": {"field": "warc_ts", "fixed_interval": "10s"},
+                "aggs": {
+                    "ids": ids,
+                    "cum": {"cumulative_sum": {"buckets_path": "ids"}},
+                    "der": {"derivative": {"buckets_path": "ids"}},
+                    "sd": {"serial_diff": {"buckets_path": "ids", "lag": 2}},
+                    "mov": {"moving_fn": {
+                        "buckets_path": "ids", "window": 3,
+                        "script": "MovingFunctions.unweightedAvg(values)"}},
+                }},
+        **{k: {k: {"buckets_path": "per>ids", "percents": qs}} for k in siblings},
+    }}
+    doors = []
+    for fleet in (False, True):
+        srv = SearchServer(root, backend="local").start()
+        try:
+            if fleet:
+                srv._svc = _in_process_fleet(root, 3)
+            code, out = _req(srv.port, "/_search", body=body)
+            assert code == 200, out
+            doors.append(out["aggregations"])
+        finally:
+            srv.stop()
+    assert doors[0] == doors[1]
+    rest = doors[0]
+
+    bdir = mf.current_build(root) or root
+    m = fx.match_doc_ids(IndexReader(bdir), ["node", "page"])
+    assert 0 < len(m) < 90
+    ds = ray.data.read_parquet(os.path.join(bdir, "docs"),
+                               columns=["doc_id", "lang", "url", "warc_ts"])
+
+    def rows(t):
+        return t.to_pylist()
+
+    def iso(epoch_s):
+        return dt.datetime.utcfromtimestamp(epoch_s).isoformat()
+
+    def us(col):
+        return pc.cast(col, "int64").to_pylist()
+
+    assert rest["terms"]["buckets"] == [
+        {"key": r["value"], "doc_count": r["n_docs"]}
+        for r in rows(fx.terms_facet(ds, m, "lang"))]
+    (st,) = rows(fx.stats_facet(ds, m, "doc_id"))
+    assert rest["stats"] == {"count": st["n_docs"], "min": st["min_v"],
+                             "max": st["max_v"], "sum": st["sum_v"],
+                             "avg": st["avg_v"]}
+    (es,) = rows(fx.extended_stats_facet(ds, m, "doc_id"))
+    assert rest["es"] == {
+        "count": es["n_docs"], "min": es["min_v"], "max": es["max_v"],
+        "sum": es["sum_v"], "avg": es["avg_v"], "sum_of_squares": es["sum_sq"],
+        "variance": es["variance"], "std_deviation": es["std_dev"]}
+    h = fx.histogram(ds, m, "doc_id", 10).sort_by("bucket")
+    assert rest["hist"]["buckets"] == [
+        {"key": float(r["bucket"]), "doc_count": r["n_docs"]} for r in rows(h)]
+    h = fx.date_histogram(ds, m, "warc_ts", 10).sort_by("bucket")
+    assert rest["fixed"]["buckets"] == [
+        {"key": r["bucket"] * 10_000, "key_as_string": iso(r["bucket"] * 10),
+         "doc_count": r["n_docs"]} for r in rows(h)]
+    h = fx.date_histogram(ds, m, "warc_ts", "month").sort_by("bucket")
+    assert rest["month"]["buckets"] == [
+        {"key": b // 1000, "key_as_string": iso(b // 1_000_000), "doc_count": n}
+        for b, n in zip(us(h["bucket"]), h["n_docs"].to_pylist())]
+    want = []
+    for r in rows(fx.range_facet(ds, m, "doc_id", ranges)):
+        b = {"doc_count": r["n_docs"]}
+        b.update({s: r[c] for s, c in (("from", "lo"), ("to", "hi"))
+                  if abs(r[c]) != float("inf")})
+        want.append(b)
+    assert rest["range"]["buckets"] == want
+    assert rest["card"]["value"] == fx.cardinality(ds, m, "url")["n_unique"][0].as_py()
+    assert rest["pcts"]["values"] == {
+        str(r["pct"]): r["value"] for r in rows(fx.percentiles(ds, m, "doc_id", qs))}
+    assert rest["ranks"]["values"] == {
+        str(r["value"]): r["rank_pct"]
+        for r in rows(fx.percentile_ranks(ds, m, "doc_id", ranks))}
+    page, after = fx.composite_facet(ds, m, "doc_id", size=4, after=7)
+    assert rest["comp"] == {
+        "buckets": [{"key": {"d": r["key"]}, "doc_count": r["n_docs"]}
+                    for r in rows(page)],
+        "after_key": {"d": after}}
+    assert rest["rare"]["buckets"] == [
+        {"key": r["value"], "doc_count": r["n_docs"]}
+        for r in rows(fx.rare_terms_facet(ds, m, "lang", 8))]
+    assert rest["tstats"]["buckets"] == [
+        {"key": r["value"], "doc_count": r["n_docs"], "s": {
+            "count": r["n_docs"], "min": r["min_v"], "max": r["max_v"],
+            "sum": r["sum_v"], "avg": r["avg_v"]}}
+        for r in rows(fx.terms_stats_facet(ds, m, "lang", "doc_id"))]
+    tops = {}
+    for r in rows(fx.top_hits(ds, m, "lang", "doc_id", k=2)):
+        tops.setdefault(r["value"], []).append(r["doc_id"])
+    assert {b["key"]: [int(x["_id"]) for x in b["t"]["hits"]["hits"]]
+            for b in rest["top"]["buckets"]} == tops
+
+    par = rows(fx.pipeline_aggs(ds, m, "warc_ts", 10, "doc_id", window=3))
+    sib = rows(fx.sibling_pipeline_aggs(ds, m, "warc_ts", 10, "doc_id", lag=2))
+    assert len(par) == len(sib) == len(rest["per"]["buckets"]) > 3
+    for b, p, s in zip(rest["per"]["buckets"], par, sib):
+        assert b["key"] == p["bucket"] * 10_000 and b["doc_count"] == p["n_docs"]
+        got = {k: b[k]["value"] for k in ("ids", "cum", "der", "sd", "mov") if k in b}
+        assert got == {k: v for k, v in (
+            ("ids", p["sum_v"]), ("cum", p["cum_sum"]), ("der", p["deriv"]),
+            ("sd", s["serial_diff"]), ("mov", p["moving_avg"])) if v is not None}
+    s0, sums = sib[0], [p["sum_v"] for p in par]
+    keys = [iso(p["bucket"] * 10) for p in par]
+    assert rest["avg_bucket"] == {"value": s0["avg_bucket"]}
+    assert rest["sum_bucket"] == {"value": s0["sum_bucket"]}
+    for k in ("min", "max"):
+        got = rest[f"{k}_bucket"]
+        assert got["value"] == s0[f"{k}_bucket"]
+        assert got["keys"][0] == iso(s0[f"{k}_bucket_key"] * 10)
+    assert rest["stats_bucket"] == {
+        "count": s0["stats_bucket_count"], "min": s0["min_bucket"],
+        "max": s0["max_bucket"], "sum": s0["sum_bucket"], "avg": s0["avg_bucket"]}
+    for k in ("percentiles_bucket", "extended_stats_bucket"):
+        assert rest[k] == fx.bucket_metric(k, sums, keys, qs)

@@ -36,6 +36,28 @@ def test_spans_agree_with_analyzer(chain):
                 assert hay[s:e].lower() == term
 
 
+def test_english_spans_stem_through_the_chain_memo(monkeypatch):
+    """The english twin shares the chain's per-process stem memo: from
+    a reset memo the first call stems each distinct surface form once,
+    a repeat call (and the Analyzer on the same text) stems nothing."""
+    import docs_indexer_ray.functions.analyzer as an_mod
+
+    monkeypatch.setattr(an_mod, "_ANALYSIS", {})
+    real, calls = an_mod.porter_stem, []
+    monkeypatch.setattr(an_mod, "porter_stem", lambda t: calls.append(t) or real(t))
+    text = TEXTS[0]
+    distinct = {
+        tok for tok in an_mod.TOKEN_RE.findall(text)
+        if an_mod.strip_possessive(tok).lower() not in an_mod.STOPWORDS_EN
+    }
+    first = analyze_with_spans(text, "english")
+    assert len(calls) == len(distinct) > 0
+    calls.clear()
+    assert analyze_with_spans(text, "english") == first
+    assert Analyzer("english")(text) == [t for t, *_ in first]
+    assert calls == []
+
+
 def test_english_positions_gap_at_stopwords():
     spans = analyze_with_spans("the dog and the cat", "english")
     # positions 0('the') 1(dog) 2(and) 3('the') 4(cat): gaps survive
