@@ -43,6 +43,17 @@ def _toks(col: str) -> str:
 
 _STOP10_SQL = "['a','the','and','of','to','in','is','it','that','for']"
 _BM25_TERMS = ("table", "scan", "merge", "slow")
+# two DSL bodies, each run on one in-process shard and on the 4-shard
+# fleet against one SQL replay
+_DSL_RANGE = {"bool": {
+    "must": [{"match": {"body": " ".join(_BM25_TERMS)}}],
+    "filter": [{"range": {"warc_ts": {"gte": "2025-01-01T00:05:00"}}}],
+}}
+_DSL_FUNCTION_SCORE = {"function_score": {
+    "query": {"match": {"body": " ".join(_BM25_TERMS)}},
+    "functions": [{"exp": {"warc_ts": {
+        "origin": "2025-01-01T00:10:00", "scale": "600s", "decay": 0.5}}}],
+}}
 _DUP_UNION = (
     "SELECT doc_id, text FROM documents "
     "UNION ALL SELECT doc_id + 1000000 AS doc_id, text FROM documents WHERE doc_id % 7 = 0"
@@ -1262,59 +1273,27 @@ def q_bm25_knn_rrf(sf_dir: str) -> pa.Table:
 
 def q_bm25_topk_filtered(sf_dir: str) -> pa.Table:
     """Filtered BM25 (Lucene filtered-query semantics: GLOBAL
-    statistics, post-scoring keyword/date predicate): same terms as
-    ``bm25_topk`` restricted to docs with ``warc_ts >= cutoff`` — the
-    local kernel ``bm25.filtered_topk`` over the reader's memoized
-    stored-field mask.  The fleet's filter path (a DSL ``bool`` with a
-    ``range`` filter) is oracled by ``dsl_range_sharded`` against this
-    same SQL."""
-    import datetime as _dt
-
-    from docs_indexer_ray.functions.analyzer import Analyzer
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import filtered_topk
-    from docs_indexer_ray.query.reader import IndexReader
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    reader = IndexReader(root)
-    allowed = np.flatnonzero(
-        reader.stored_mask("warc_ts", ">=", _dt.datetime(2025, 1, 1, 0, 5, 0))
-    )
-    hits = filtered_topk(
-        reader, Analyzer("simple")(" ".join(_BM25_TERMS)), allowed, k=10
-    )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    statistics, post-scoring date predicate): the ``bm25_topk`` terms
+    restricted to docs with ``warc_ts >= cutoff`` — a DSL ``bool`` with
+    a ``range`` filter through one in-process shard over the full
+    reader.  The filter clause adds a constant +1.0 to every hit, so
+    the (rank, doc_id) page equals the raw filtered-BM25 replay;
+    ``dsl_range_sharded`` sends the same body to the 4-shard fleet."""
+    return _fleet_dsl_page(sf_dir, _DSL_RANGE, n_shards=0)
 
 
 def q_bm25_bool(sf_dir: str) -> pa.Table:
-    """OpenSearch ``bool`` query (must / should / must_not): docs must
-    contain BOTH 'table' and 'scan', must NOT contain 'hash'; 'merge'
-    and 'slow' add relevance when present.  Score = BM25 sum over
-    matched must+should clauses (Lucene: no coord, pure-negative
-    clauses never score)."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import bool_topk
-    from docs_indexer_ray.query.reader import IndexReader
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    hits = bool_topk(
-        IndexReader(root),
-        must=["table", "scan"],
-        should=["merge", "slow"],
-        must_not=["hash"],
-        k=10,
-    )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    """OpenSearch ``bool`` query (must / should / must_not) through
+    one in-process shard: docs must contain BOTH 'table' and 'scan',
+    must NOT contain 'hash'; 'merge' and 'slow' add relevance when
+    present.  Score = BM25 sum over matched must+should clauses
+    (Lucene: no coord, pure-negative clauses never score)."""
+    dsl = {"bool": {
+        "must": [{"term": {"body": "table"}}, {"term": {"body": "scan"}}],
+        "should": [{"term": {"body": "merge"}}, {"term": {"body": "slow"}}],
+        "must_not": [{"term": {"body": "hash"}}],
+    }}
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=0)
 
 
 def q_query_string(sf_dir: str) -> pa.Table:
@@ -1344,28 +1323,18 @@ def q_query_string(sf_dir: str) -> pa.Table:
 
 
 def q_boosting(sf_dir: str) -> pa.Table:
-    """OpenSearch ``boosting`` query (`query/bm25.py::boosting_topk`):
+    """OpenSearch ``boosting`` query through one in-process shard:
     rank by BM25 over positive terms 'merge'+'slow', demoting docs
     that also contain 'hash' by negative_boost=0.5 (a power of two —
     the demoted scores replay bit-exactly in SQL)."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import boosting_topk
-    from docs_indexer_ray.query.reader import IndexReader
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    hits = boosting_topk(
-        IndexReader(root),
-        positive=["merge", "slow"],
-        negative=["hash"],
-        negative_boost=0.5,
-        k=10,
-    )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    dsl = {"boosting": {
+        "positive": {"bool": {"should": [
+            {"term": {"body": "merge"}}, {"term": {"body": "slow"}},
+        ]}},
+        "negative": {"term": {"body": "hash"}},
+        "negative_boost": 0.5,
+    }}
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=0)
 
 
 def q_bm25_topk_merged(sf_dir: str) -> pa.Table:
@@ -1426,42 +1395,44 @@ def q_bm25_topk_merged(sf_dir: str) -> pa.Table:
 
 
 def q_bm25_bool_msm(sf_dir: str) -> pa.Table:
-    """``bool`` query with ``minimum_should_match``: docs must contain
-    'table' AND at least 2 of {'merge', 'slow', 'vector'}; score =
-    BM25 sum over matched clauses (global statistics)."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import bool_topk
-    from docs_indexer_ray.query.reader import IndexReader
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    hits = bool_topk(
-        IndexReader(root),
-        must=["table"],
-        should=["merge", "slow", "vector"],
-        minimum_should_match=2,
-        k=10,
-    )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    """``bool`` with a minimum-should-match count, through one
+    in-process shard: docs must contain 'table' AND at least 2 of
+    {'merge', 'slow', 'vector'}; score = BM25 sum over matched clauses
+    (global statistics).  The count gate is a zero-boost
+    ``constant_score`` over a ``terms_set`` (Lucene CoveringQuery) in
+    ``must``, so it adds 0.0 and the scores sum table, then the
+    present should terms in order."""
+    should = ["merge", "slow", "vector"]
+    dsl = {"bool": {
+        "must": [
+            {"term": {"body": "table"}},
+            {"constant_score": {
+                "filter": {"terms_set": {"body": {
+                    "terms": should, "minimum_should_match": 2,
+                }}},
+                "boost": 0,
+            }},
+        ],
+        "should": [{"term": {"body": t}} for t in should],
+    }}
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=0)
 
 
 def q_bm25_search_after(sf_dir: str) -> pa.Table:
     """Deep pagination (OpenSearch ``search_after``): page 2 of the
     flagship query — the 10 hits after page 1's ``(score, doc_id)``
-    cursor.  Stateless: the page is one independent query."""
+    cursor, from the served plain-text planner ``bm25.topk`` (a cursor
+    takes its dense range pass).  Stateless: the page is one
+    independent query."""
     from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import topk, topk_after
+    from docs_indexer_ray.query.bm25 import topk
     from docs_indexer_ray.query.reader import IndexReader
 
     _, root = ensure_index(sf_dir, chain="simple", field="body")
     reader = IndexReader(root)
     page1 = topk(reader, list(_BM25_TERMS), k=10)
     cursor = (page1[-1][1], page1[-1][0]) if page1 else None
-    page2 = topk_after(reader, list(_BM25_TERMS), cursor, k=10)
+    page2 = topk(reader, list(_BM25_TERMS), k=10, after=cursor)
     return pa.table(
         {
             "rank": pa.array(
@@ -1718,32 +1689,15 @@ def q_search_as_you_type(sf_dir: str) -> pa.Table:
 
 
 def q_function_score(sf_dir: str) -> pa.Table:
-    """OpenSearch ``function_score`` recency decay: the flagship BM25
-    query re-ranked by ``score * exp(ln(0.5)/600 * age_s)`` (10-minute
-    half-life against origin 2025-01-01 00:10; the %10 bumped docs sit in the future and exercise the age clamp).  Ranking key quantized to
-    1e-9 (the `more_like_this` trick) so the SQL oracle reproduces the
-    order regardless of SUM association; only rank+doc_id are emitted
-    (`round()` half-mode differs between engines at measure-zero
-    boundaries)."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.bm25 import function_score_topk
-    from docs_indexer_ray.query.reader import IndexReader
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    hits = function_score_topk(
-        IndexReader(root),
-        list(_BM25_TERMS),
-        origin="2025-01-01T00:10:00",
-        scale_s=600.0,
-        decay=0.5,
-        k=10,
-    )
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    """OpenSearch ``function_score`` recency decay through one
+    in-process shard: the flagship BM25 query re-ranked by ``score *
+    exp(ln(0.5)/600 * age_s)`` (10-minute half-life against origin
+    2025-01-01 00:10; the %10 bumped docs sit in the future and
+    exercise the age clamp).  Ranking key quantized to 1e-9 so the SQL
+    oracle reproduces the order regardless of SUM association; only
+    rank+doc_id are emitted (`round()` half-mode differs between
+    engines at measure-zero boundaries)."""
+    return _fleet_dsl_page(sf_dir, _DSL_FUNCTION_SCORE, n_shards=0)
 
 
 def q_regexp(sf_dir: str) -> pa.Table:
@@ -2760,22 +2714,9 @@ def q_query_string_sharded(sf_dir: str) -> pa.Table:
     """The ``query_string`` driver query served through the fleet
     (per-shard range-limited leaf evaluation + exact quantized merge)
     — SQL-oracled with the same replay as ``query_string``."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.served import ShardedQueryService
-
-    _, root = ensure_index(
-        sf_dir, chain="simple", field="body", store_positions=True
-    )
-    svc = ShardedQueryService(root, n_shards=4)
-    try:
-        hits = svc.query_string('+table -hash (merge OR slow^2) "table scan"', k=10)
-    finally:
-        svc.shutdown()
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
+    return _fleet_dsl_page(
+        sf_dir, '+table -hash (merge OR slow^2) "table scan"',
+        n_shards=4, positions=True,
     )
 
 
@@ -2784,32 +2725,8 @@ def q_dsl_range_sharded(sf_dir: str) -> pa.Table:
     filter: range(warc_ts >= cutoff))`` — each shard evaluates the
     stored-field mask over ITS doc range only (memoized
     ``reader.stored_mask``; corpus-wide filter state never leaves the
-    fleet).  The filter clause adds a constant +1.0 to every hit, so
-    the (rank, doc_id) page equals the raw filtered-BM25 replay —
-    ``bm25_topk_filtered``'s SQL."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.served import ShardedQueryService
-
-    _, root = ensure_index(sf_dir, chain="simple", field="body")
-    dsl = {
-        "bool": {
-            "must": [{"match": {"body": " ".join(_BM25_TERMS)}}],
-            "filter": [
-                {"range": {"warc_ts": {"gte": "2025-01-01T00:05:00"}}}
-            ],
-        }
-    }
-    svc = ShardedQueryService(root, n_shards=4)
-    try:
-        hits = svc.query_string(dsl, k=10)
-    finally:
-        svc.shutdown()
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    fleet).  ``bm25_topk_filtered``'s body and SQL, on 4 shards."""
+    return _fleet_dsl_page(sf_dir, _DSL_RANGE, n_shards=4)
 
 
 def q_dsl_bool_sharded(sf_dir: str) -> pa.Table:
@@ -2819,12 +2736,6 @@ def q_dsl_bool_sharded(sf_dir: str) -> pa.Table:
     slow^2) "table scan"`), so it shares that entry's SQL replay —
     the DSL dict rides to the shard actors like a string and the
     quantized merge is identical."""
-    from docs_indexer_ray.pipelines.flagship import ensure_index
-    from docs_indexer_ray.query.served import ShardedQueryService
-
-    _, root = ensure_index(
-        sf_dir, chain="simple", field="body", store_positions=True
-    )
     dsl = {
         "bool": {
             "must": [{"match": {"body": "table"}}],
@@ -2835,28 +2746,26 @@ def q_dsl_bool_sharded(sf_dir: str) -> pa.Table:
             "must_not": [{"match": {"body": "hash"}}],
         }
     }
-    svc = ShardedQueryService(root, n_shards=4)
-    try:
-        hits = svc.query_string(dsl, k=10)
-    finally:
-        svc.shutdown()
-    return pa.table(
-        {
-            "rank": pa.array(np.arange(1, len(hits) + 1, dtype=np.int64)),
-            "doc_id": pa.array([int(d) for d, _ in hits], pa.int64()),
-        }
-    )
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4, positions=True)
 
 
-def _fleet_dsl_page(sf_dir: str, dsl: dict, *, positions: bool = False,
-                    k: int = 10, n_shards: int = 4) -> pa.Table:
-    """Run one DSL body through the sharded fleet → (rank, doc_id)."""
+def _fleet_dsl_page(sf_dir: str, dsl, *, n_shards: int,
+                    positions: bool = False, k: int = 10) -> pa.Table:
+    """Run one DSL body (or query_string text) through the served
+    query phase → (rank, doc_id): a Ray fleet of ``n_shards`` shards,
+    or with ``n_shards=0`` ONE in-process shard over the full reader
+    (the REST local backend and ``search_response``)."""
     from docs_indexer_ray.pipelines.flagship import ensure_index
+    from docs_indexer_ray.query.reader import IndexReader
     from docs_indexer_ray.query.served import ShardedQueryService
 
     kw = {"store_positions": True} if positions else {}
     _, root = ensure_index(sf_dir, chain="simple", field="body", **kw)
-    svc = ShardedQueryService(root, n_shards=n_shards)
+    svc = (
+        ShardedQueryService(root, n_shards=n_shards)
+        if n_shards
+        else ShardedQueryService.in_process(IndexReader(root))
+    )
     try:
         hits = svc.query_string(dsl, k=k)
     finally:
@@ -2878,7 +2787,7 @@ def q_terms_set_covering(sf_dir: str) -> pa.Table:
     dsl = {"terms_set": {"body": {
         "terms": list(_BM25_TERMS), "minimum_should_match": 3,
     }}}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_distance_feature(sf_dir: str) -> pa.Table:
@@ -2894,7 +2803,7 @@ def q_distance_feature(sf_dir: str) -> pa.Table:
             "pivot": "1h", "boost": 5.0,
         }}],
     }}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_dsl_dismax(sf_dir: str) -> pa.Table:
@@ -2911,7 +2820,7 @@ def q_dsl_dismax(sf_dir: str) -> pa.Table:
         ],
         "tie_breaker": 0.3,
     }}
-    return _fleet_dsl_page(sf_dir, dsl, positions=True)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4, positions=True)
 
 
 def q_dsl_ids_matchall(sf_dir: str) -> pa.Table:
@@ -2926,7 +2835,7 @@ def q_dsl_ids_matchall(sf_dir: str) -> pa.Table:
             {"match": {"body": "table"}},
         ],
     }}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_dsl_constscore_range(sf_dir: str) -> pa.Table:
@@ -2943,7 +2852,7 @@ def q_dsl_constscore_range(sf_dir: str) -> pa.Table:
             "boost": 0.5,
         }}],
     }}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_dsl_phrase_prefix(sf_dir: str) -> pa.Table:
@@ -2957,7 +2866,7 @@ def q_dsl_phrase_prefix(sf_dir: str) -> pa.Table:
     dsl = {"match_phrase_prefix": {
         "body": {"query": "table s", "max_expansions": 50}
     }}
-    return _fleet_dsl_page(sf_dir, dsl, positions=True)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4, positions=True)
 
 
 def q_dsl_match_bool_prefix(sf_dir: str) -> pa.Table:
@@ -2966,7 +2875,7 @@ def q_dsl_match_bool_prefix(sf_dir: str) -> pa.Table:
     (Lucene's multi-term rewrite — +1.0 for any doc holding an
     s-prefixed term), membership is the should-union."""
     dsl = {"match_bool_prefix": {"body": "merge s"}}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_dsl_boosting_regexp(sf_dir: str) -> pa.Table:
@@ -2980,7 +2889,7 @@ def q_dsl_boosting_regexp(sf_dir: str) -> pa.Table:
         "negative": {"regexp": {"body": "h.*h"}},
         "negative_boost": 0.25,
     }}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_simple_qs_sharded(sf_dir: str) -> pa.Table:
@@ -2996,23 +2905,16 @@ def q_simple_qs_sharded(sf_dir: str) -> pa.Table:
     dsl = {"simple_query_string": {
         "query": 'merge +slow | "table scan" -hash'
     }}
-    return _fleet_dsl_page(sf_dir, dsl, positions=True)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4, positions=True)
 
 
 def q_dsl_function_score_sharded(sf_dir: str) -> pa.Table:
     """The DSL ``function_score`` (exp recency decay) through the
-    4-shard fleet: identical parameters to the SQL-oracled standalone
-    ``function_score`` entry, but lowered from a JSON body onto the
+    4-shard fleet: the ``function_score`` entry's body on the
     ``_FuncScore`` AST leaf — per-shard decay weights come from each
     shard's memoized ``stored_column`` slice and the quantized merge
     is exact, so it shares that entry's SQL replay."""
-    dsl = {"function_score": {
-        "query": {"match": {"body": " ".join(_BM25_TERMS)}},
-        "functions": [{"exp": {"warc_ts": {
-            "origin": "2025-01-01T00:10:00", "scale": "600s",
-            "decay": 0.5}}}],
-    }}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, _DSL_FUNCTION_SCORE, n_shards=4)
 
 
 def q_dsl_mlt_sharded(sf_dir: str) -> pa.Table:
@@ -3025,7 +2927,7 @@ def q_dsl_mlt_sharded(sf_dir: str) -> pa.Table:
     on the quantized key, so only rank+doc_id are emitted)."""
     dsl = {"more_like_this": {"like": [{"_id": _MLT_DOC}],
                               "max_query_terms": 25}}
-    return _fleet_dsl_page(sf_dir, dsl)
+    return _fleet_dsl_page(sf_dir, dsl, n_shards=4)
 
 
 def q_search_sort_sharded(sf_dir: str) -> pa.Table:
@@ -3100,7 +3002,7 @@ def q_intervals_allof(sf_dir: str) -> pa.Table:
     from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.pipelines.flagship import ensure_index
     from docs_indexer_ray.query.dsl import dsl_to_node
-    from docs_indexer_ray.query.qstring import _eval
+    from docs_indexer_ray.query.qstring import _eval_range
     from docs_indexer_ray.query.reader import IndexReader
 
     _, root = ensure_index(
@@ -3110,7 +3012,7 @@ def q_intervals_allof(sf_dir: str) -> pa.Table:
         {"match": {"query": "table scan", "ordered": True}},
         {"match": {"query": "merge"}},
     ], "ordered": True}}}}, Analyzer("simple"))
-    _, match = _eval(IndexReader(root), node)
+    _, match = _eval_range(IndexReader(root), node)
     return pa.table({"doc_id": pa.array(np.flatnonzero(match), pa.int64())})
 
 
@@ -3125,7 +3027,7 @@ def q_intervals_filtered(sf_dir: str) -> pa.Table:
     from docs_indexer_ray.functions.analyzer import Analyzer
     from docs_indexer_ray.pipelines.flagship import ensure_index
     from docs_indexer_ray.query.dsl import dsl_to_node
-    from docs_indexer_ray.query.qstring import _eval
+    from docs_indexer_ray.query.qstring import _eval_range
     from docs_indexer_ray.query.reader import IndexReader
 
     _, root = ensure_index(
@@ -3139,7 +3041,7 @@ def q_intervals_filtered(sf_dir: str) -> pa.Table:
         node = dsl_to_node({"intervals": {"body": {"match": {
             "query": "table merge", "ordered": True,
             "filter": {rel: {"match": {"query": "scan"}}}}}}}, an)
-        _, match = _eval(reader, node)
+        _, match = _eval_range(reader, node)
         out[col] = np.flatnonzero(match)
     n = reader.n_docs
     return pa.table({

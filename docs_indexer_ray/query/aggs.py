@@ -222,13 +222,21 @@ class TermsStats(Terms):
 class Stats(Agg):
     field: str
     keys = ("stats",)
-    dates = True  # a timestamp summarizes its epoch-us values
+    dates = True  # a timestamp: epoch-us values, rendered in epoch-ms
 
     def ops(self, reader, analyzer):
         return [("stats", _numeric(reader, self.field, self.keys[0], self.dates))]
 
     def render(self, got, ctx):
-        return _stats(got[0].to_pylist()[0])
+        import pyarrow.types as pt
+
+        out = _stats(got[0].to_pylist()[0])
+        schema = ctx.reader._docs_dataset().schema
+        if out["count"] and pt.is_temporal(schema.field(self.field).type):
+            for side in ("min", "max", "avg"):  # as date_range's bounds
+                DateRange._edge(out, side, out[side])
+            out["sum"] /= 1000.0
+        return out
 
 
 @dataclass

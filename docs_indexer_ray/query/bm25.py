@@ -23,7 +23,8 @@ Ranking is fully deterministic: ties broken by ascending ``doc_id``
 relative margin so float rounding can never prune a true top-k doc,
 and because WAND visits candidates in ascending doc-id order, a
 later equal-score doc always loses the tie-break to a heap incumbent,
-which makes ``ub <= θ`` pruning rank-safe.
+which makes ``ub <= θ`` pruning rank-safe.  :func:`topk` is the served
+planner; ``score_topk`` and ``wand_topk`` are its reference kernels.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "merge_shard_topk",
     "wand_topk",
     "topk",
-    "topk_after",
     "bm25_scores_dense",
 ]
 
@@ -284,32 +284,6 @@ def score_topk(reader, terms: list[str], k: int = 10, k1: float = K1, b: float =
     return _rank_top(_zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b)), k)
 
 
-def filtered_topk(
-    reader,
-    terms: list[str],
-    allowed_ids: np.ndarray,
-    k: int = 10,
-    k1: float = K1,
-    b: float = B,
-) -> list[tuple[int, float]]:
-    """Filtered BM25 top-k: score as usual (GLOBAL statistics — the
-    filter does not change idf/avgdl, Lucene's filtered-query
-    semantics), keep only docs in ``allowed_ids`` (sorted int64,
-    e.g. from :func:`doc_filter_ids`), rank score desc / doc asc.
-
-    Scale note: the allowed set is a query-time bitmap over the
-    reader's doc range — corpus-scale filters belong on the SHARDED
-    readers (`IndexReader(doc_range=…)`), where each shard holds only
-    its range's slice of the bitmap; scores stay globally comparable
-    so the filtered shard merge is exact (`merge_shard_topk`)."""
-    scores = _zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b))
-    mask = np.zeros(len(scores), dtype=bool)
-    ids = np.asarray(allowed_ids, dtype=np.int64)
-    mask[ids[(ids >= 0) & (ids < len(scores))]] = True
-    scores[~mask] = 0.0
-    return _rank_top(scores, k)
-
-
 def synonym_topk(
     reader,
     groups: list[list[str]],
@@ -327,7 +301,8 @@ def synonym_topk(
     Ranking key quantized to 1e-9 so SUM association in a SQL replay
     cannot flip near-ties.  Dense TAAT over the groups' postings —
     the same per-query floor and sharding story as
-    :func:`bm25_scores_dense`."""
+    :func:`bm25_scores_dense`.  Library-only: no DSL lowering, no
+    served caller (the driver's ``synonym`` oracle checks it)."""
     n = reader.n_docs
     avgdl = reader.avgdl if reader.avgdl > 0 else 1.0
     scores = np.zeros(n, dtype=np.float64)
@@ -369,8 +344,7 @@ def collapse_topk(
     SQL oracle reproduces the order regardless of SUM association.
 
     Keys come from the docs store's ``key_field`` for matched docs
-    only (row-group-pruned ``fetch_docs``, the ``function_score``
-    pattern), or from ``fetch_keys(matched_ids) -> (ids, keys)`` for
+    only (row-group-pruned ``fetch_docs``), or from ``fetch_keys(matched_ids) -> (ids, keys)`` for
     an external key source (e.g. a crawl-metadata side table joined by
     doc id).  The group-then-rank is one vectorized pass
     (:func:`collapse_rows`): lexsort by (-score, doc),
@@ -382,7 +356,8 @@ def collapse_topk(
     each shard returns its own per-key best and the merge re-collapses
     ≤ shards × k rows.
 
-    Returns ``[(doc_id, score, key)]``, ≤ k rows.
+    Returns ``[(doc_id, score, key)]``, ≤ k rows.  Library-only: no
+    DSL lowering, no served caller (oracle ``bm25_collapse_source``).
     """
     import pyarrow as pa
 
@@ -422,161 +397,6 @@ def collapse_rows(keys, ids: np.ndarray, scores: np.ndarray, cap: int) -> np.nda
     return order[np.sort(first)[:cap]]
 
 
-def function_score_topk(
-    reader,
-    terms: list[str],
-    origin,
-    scale_s: float = 600.0,
-    decay: float = 0.5,
-    ts_field: str = "warc_ts",
-    k: int = 10,
-    k1: float = K1,
-    b: float = B,
-) -> list[tuple[int, float]]:
-    """OpenSearch ``function_score`` with an exponential recency decay:
-    ``final = bm25 * exp(ln(decay)/scale_s * max(age_s, 0))`` where
-    ``age_s = origin - doc[ts_field]`` in whole seconds — docs older
-    than ``scale_s`` lose a factor ``decay``, future docs keep full
-    score (Lucene's exp decay with offset 0).
-
-    Stored timestamps are fetched ONLY for matched docs (row-group-
-    pruned docs-store read), the decay weight uses libm ``math.exp``
-    per doc, and the ranking key is the product QUANTIZED to 1e-9 (the
-    `more_like_this` trick) so a SQL oracle reproduces the order no
-    matter how its SUM associates the per-term floats.  The per-query
-    cost floor is the dense-TAAT one — at corpus scale this runs
-    per-shard on the sharded tier and merges exactly, since decay
-    weights are per-doc and statistics are global."""
-    import math
-
-    scores = _zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b))
-    matched = np.flatnonzero(scores > 0.0)
-    if len(matched) == 0:
-        return []
-    t = reader.fetch_docs(matched.tolist(), ["doc_id", ts_field])
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    ts = t[ts_field].to_numpy(zero_copy_only=False)
-    origin64 = np.datetime64(origin, "s")
-    age = (origin64 - ts.astype("datetime64[s]")).astype(np.int64)
-    age_by_doc = dict(zip(ids.tolist(), age.tolist()))
-    lam = math.log(decay) / scale_s
-    ranked = sorted(
-        (
-            (
-                -round(
-                    float(scores[d]) * math.exp(lam * float(max(age_by_doc[d], 0))),
-                    9,
-                ),
-                d,
-            )
-            for d in matched.tolist()
-        ),
-    )[:k]
-    return [(d, -negs) for negs, d in ranked]
-
-
-def bool_topk(
-    reader,
-    must: list[str],
-    should: list[str] = (),
-    must_not: list[str] = (),
-    k: int = 10,
-    k1: float = K1,
-    b: float = B,
-    minimum_should_match: int = 0,
-) -> list[tuple[int, float]]:
-    """Boolean query top-k with OpenSearch/Lucene ``bool`` semantics:
-    a doc qualifies iff it contains EVERY ``must`` term, NO
-    ``must_not`` term, and at least ``minimum_should_match`` distinct
-    ``should`` terms (OpenSearch's default is 0 when ``must`` is
-    present, 1 otherwise — pass it explicitly); its score is the BM25
-    sum over the ``must`` + ``should`` clauses it matches (modern
-    Lucene: no coord factor, a pure-filter ``must_not`` contributes
-    nothing).  Global statistics, rank score desc / doc asc.
-
-    Shape: one dense TAAT pass over must+should (same kernel the
-    oracle path uses), then vectorized posting-membership masks — the
-    must/should/must_not lists decode once each; no per-doc Python."""
-    scores = _zero_deleted(reader, bm25_scores_dense(reader, list(must) + list(should), k1, b))
-    mask = np.ones(len(scores), dtype=bool)
-    for term in must:
-        hit = np.zeros(len(scores), dtype=bool)
-        dec = reader.decode_all(term)
-        if dec is not None:
-            hit[dec[0].astype(np.int64)] = True
-        mask &= hit
-    if minimum_should_match > 0 and should:
-        n_should = np.zeros(len(scores), dtype=np.int32)
-        for term in set(should):
-            dec = reader.decode_all(term)
-            if dec is not None:
-                n_should[dec[0].astype(np.int64)] += 1
-        mask &= n_should >= minimum_should_match
-    for term in must_not:
-        dec = reader.decode_all(term)
-        if dec is not None:
-            mask[dec[0].astype(np.int64)] = False
-    scores[~mask] = 0.0
-    return _rank_top(scores, k)
-
-
-def boosting_topk(
-    reader,
-    positive: list[str],
-    negative: list[str],
-    negative_boost: float = 0.5,
-    k: int = 10,
-    k1: float = K1,
-    b: float = B,
-) -> list[tuple[int, float]]:
-    """OpenSearch/Lucene ``boosting`` query: rank by the BM25 score of
-    the ``positive`` terms, DEMOTING (not excluding) any doc that also
-    matches a ``negative`` term by multiplying its score with
-    ``negative_boost`` (Lucene ``BoostingQuery``; OpenSearch query DSL
-    "boosting").  Docs matching only the negative side never score —
-    the positive side is the match set.  Rank (score desc, doc asc).
-
-    Shape: one dense TAAT pass over the positive terms + one
-    posting-membership mask per negative term — same vectorized
-    kernels as ``bool_topk``; the demotion is one masked multiply.
-    ``negative_boost=0.5`` is a power of two, so the demoted floats
-    stay bit-exact against a SQL replay of the same expression."""
-    scores = _zero_deleted(reader, bm25_scores_dense(reader, list(positive), k1, b))
-    neg = np.zeros(len(scores), dtype=bool)
-    for term in negative:
-        dec = reader.decode_all(term)
-        if dec is not None:
-            neg[dec[0].astype(np.int64)] = True
-    scores[neg] *= negative_boost
-    return _rank_top(scores, k)
-
-
-def topk_after(
-    reader,
-    terms: list[str],
-    after: tuple[float, int] | None,
-    k: int = 10,
-    k1: float = K1,
-    b: float = B,
-) -> list[tuple[int, float]]:
-    """Deep pagination (OpenSearch ``search_after``): the next ``k``
-    hits strictly after the ``(score, doc_id)`` cursor in (score desc,
-    doc asc) order — stateless, unlike scroll contexts, so any page is
-    one independent query.  Composes with the sharded tier: each shard
-    applies the same cursor to its range and the exact merge picks the
-    page (global statistics keep cursors comparable across shards)."""
-    scores = _zero_deleted(reader, bm25_scores_dense(reader, terms, k1, b))
-    if after is not None:
-        a_score, a_doc = float(after[0]), int(after[1])
-        docs = np.arange(len(scores))
-        # keep docs AFTER the cursor: lower score, or same score with
-        # a higher doc id.  Exact float equality is correct here — the
-        # cursor is a score this same engine produced.
-        keep = (scores < a_score) | ((scores == a_score) & (docs > a_doc))
-        scores = np.where(keep, scores, 0.0)
-    return _rank_top(scores, k)
-
-
 def topk(
     reader,
     terms: list[str],
@@ -596,9 +416,9 @@ def topk(
     the range (WAND's skip structure has no delete awareness) and the
     range's expected postings ``Σdf · (hi − lo) / n_docs ≤ (hi − lo) //
     1024`` — dense costs ~5 ns per doc of the range, a WAND cursor step
-    ~6 µs.  There is no floor: the ROADMAP direction 2 table (600 to
-    200,000 docs, long-tail queries) has WAND never beating the dense
-    pass, so below ~1M docs only the rarest terms take it."""
+    ~6 µs.  There is no floor: from 600 to 200,000 docs on long-tail
+    queries WAND never beat the dense pass, so below ~1M docs only the
+    rarest terms take it."""
     lo, hi = reader.doc_lo, reader.doc_hi
     dels = reader.deleted_ids()
     if after is None and np.searchsorted(dels, lo) == np.searchsorted(dels, hi):

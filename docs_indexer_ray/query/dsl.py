@@ -56,9 +56,9 @@ Supported clauses (one key per query object, like OpenSearch):
 * ``match_bool_prefix`` — every analyzed token a term, the last a
   constant-score prefix wildcard (Lucene's multi-term rewrite).
 * ``function_score`` — ONE ``exp`` recency-decay function over a
-  stored timestamp column, ``boost_mode: multiply`` (the engine's
-  ``bm25.function_score_topk`` semantics in the AST; per-doc weights
-  from the memoized ``stored_column`` slice, shard-exact).
+  stored timestamp column, ``boost_mode: multiply``: score ×
+  ``exp(ln(decay)/scale · max(age, 0))`` (per-doc weights from the
+  memoized ``stored_column`` slice, shard-exact).
 * ``span_near`` / ``span_first`` / ``span_term`` — positional span
   queries: ``in_order: true`` lowers to the sloppy-phrase walk,
   ``in_order: false`` to the unordered ``phrase.span_near`` window

@@ -26,6 +26,8 @@ globally comparable) with the exact cross-shard ``merge_shard_topk``
 — the serving tier's existing machinery composes unchanged because
 score combination is pointwise per doc.  The single-field WAND upper
 bound generalizes too (Σ_f boost_f × maxscore_f) for a pruned path.
+Library-only: no DSL lowering, no served caller (the driver's
+``bm25_multimatch*`` oracles check all three modes).
 """
 
 from __future__ import annotations

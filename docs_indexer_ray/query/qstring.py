@@ -10,7 +10,7 @@ every leaf delegates to the already-oracled kernels:
 ===================  =============================================
 syntax               lowered onto
 ===================  =============================================
-``a b``              bool should (``bm25.bool_topk`` semantics)
+``a b``              bool should (Lucene ``BooleanQuery``)
 ``a AND b`` ``&&``   bool must
 ``a OR b`` ``||``    bool should (minimum_should_match = 1)
 ``NOT a`` ``!a``     bool must_not
@@ -46,9 +46,9 @@ pair with ``scores`` zeroed outside ``match`` — parents therefore sum
 exactly the matching scoring clauses (modern Lucene: no coord).  A
 bool group with only prohibited clauses matches nothing (Lucene
 ``BooleanQuery`` semantics).  Tombstoned docs are masked once at the
-top.  The dense pass is the same O(n_docs) TAAT regime as
-``bm25.bool_topk`` — per-doc-local with global statistics, so the
-sharded tier's disjoint doc ranges compose it exactly.
+top.  Each leaf is a dense O(n_docs) TAAT pass over its postings —
+per-doc-local with global statistics, so the sharded tier's disjoint
+doc ranges compose it exactly.
 
 Analysis: each bare word runs through the reader's analyzer chain
 (the vocabulary lives in analyzer space); a word that analyzes to
@@ -251,7 +251,7 @@ class _Boosting:
     """Lucene BoostingQuery (the query-DSL ``boosting`` clause): the
     positive child's matches and scores, demoted by ``negative_boost``
     wherever the negative child also matches — the negative side
-    never gates membership (``bm25.boosting_topk`` semantics)."""
+    never gates membership."""
 
     positive: object
     negative: object
@@ -262,8 +262,7 @@ class _Boosting:
 @dataclass
 class _FuncScore:
     """Query-DSL ``function_score`` with ONE exponential recency-decay
-    function, ``boost_mode: multiply`` (``bm25.function_score_topk``'s
-    semantics lifted into the AST): the child's scores multiply by
+    function, ``boost_mode: multiply``: the child's scores multiply by
     ``exp(ln(decay)/scale_s · max(age_s, 0))`` where ``age_s = origin
     − doc[field]``.  Decay weights are per-doc over the reader's
     memoized ``stored_column`` slice — no per-query stored fetch, and
@@ -890,8 +889,6 @@ def _eval(reader, node) -> tuple[np.ndarray, np.ndarray]:
         scores = np.zeros(n, np.float64)
         match = np.zeros(n, bool)
         if hits:
-            import math
-
             from .bm25 import bm25_idf
 
             idf = sum(bm25_idf(n, reader.term_df(t)) for t in node.terms)

@@ -332,12 +332,16 @@ class ShardedQueryService:
         """Run ``[(shard, method, args), …]`` and return the results in
         order — the ONE place that knows whether a shard is a Ray actor
         (all calls submitted, then one ``ray.get``) or an in-process
-        object (plain calls)."""
+        object (plain calls).  A shard's own error re-raises as itself;
+        a dead actor's ``RayActorError`` passes unchanged."""
         if not self.remote:
             return [getattr(a, op)(*args) for a, op, args in calls]
         import ray
 
-        return ray.get([getattr(a, op).remote(*args) for a, op, args in calls])
+        try:
+            return ray.get([getattr(a, op).remote(*args) for a, op, args in calls])
+        except ray.exceptions.RayTaskError as e:
+            raise e.cause from e
 
     def _fan(self, op: str, *args) -> list:
         """``op(*args)`` on one replica of every shard, in shard order."""

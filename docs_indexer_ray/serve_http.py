@@ -311,8 +311,7 @@ class SearchServer:
             p["q"] = spec["query"]  # dict → DSL (syntax path forced)
             if isinstance(p["q"], dict):
                 # validate the DSL HERE, before any fleet fan-out: a
-                # malformed body costs one parse, not a sharded round
-                # trip (and errors 400 un-wrapped, not RayTaskError)
+                # malformed body costs one parse, not a sharded round trip
                 from .query.dsl import dsl_to_node
 
                 dsl_to_node(p["q"], self._analyzer)
@@ -547,8 +546,8 @@ class SearchServer:
             )
         # the aggregation plan comes first: a malformed count leg must
         # fail before any shard call.  Identical ops run once
-        # (percentiles and extended_stats share one value histogram,
-        # terms and rare_terms one terms count); idx[i] are the
+        # (extended_stats shares the stats op, terms and rare_terms
+        # one terms count); idx[i] are the
         # positions in ops of the results specs[i] renders from
         specs = aggs.shorthand(params) + list(body_aggs)
         plan = {}  # repr(op) → (position in ops, op)

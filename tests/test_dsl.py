@@ -616,12 +616,15 @@ def test_dsl_new_clauses_on_the_sharded_fleet(built, ray_session):
 
 
 def test_dsl_function_score_exp_decay(built):
-    """function_score(exp over warc_ts, boost_mode multiply) ≡ the
-    standalone bm25.function_score_topk kernel, locally and as an
-    independently computed weight check; missing-field nulls weigh 1."""
+    """function_score(exp over warc_ts, boost_mode multiply) ≡ an
+    independent brute force: the dense BM25 times ``exp(ln 0.5 / 30 ·
+    max(age_s, 0))``, ages read from the docs store's ``warc_ts``;
+    missing-field nulls weigh 1."""
+    import math
+
     import numpy as np
 
-    from docs_indexer_ray.query.bm25 import function_score_topk
+    from docs_indexer_ray.query.bm25 import bm25_scores_dense
     from docs_indexer_ray.query.qstring import query_string_topk
 
     origin = "2025-01-01T00:02:00"  # just past the corpus's 90 s ts span
@@ -631,9 +634,21 @@ def test_dsl_function_score_exp_decay(built):
             "origin": origin, "scale": "30s", "decay": 0.5}}}],
     }}
     got = query_string_topk(built, dsl, k=15)
-    want = function_score_topk(
-        built, ["node", "pools"], origin, scale_s=30.0, decay=0.5, k=15
-    )
+    dense = bm25_scores_dense(built, ["node", "pools"])
+    t = built.fetch_docs(list(range(built.n_docs)), ["doc_id", "warc_ts"])
+    ts = t["warc_ts"].to_numpy(zero_copy_only=False).astype("datetime64[s]")
+    age = (np.datetime64(origin, "s") - ts).astype(np.int64)
+    # the page's scores are its ranking key, quantized to 1e-9
+    want = sorted(
+        (
+            (d, round(float(dense[d])
+                      * math.exp(math.log(0.5) / 30 * max(a, 0)), 9))
+            for d, a in zip(t["doc_id"].to_pylist(), age.tolist())
+            if dense[d] > 0
+        ),
+        key=lambda h: (-h[1], h[0]),
+    )[:15]
+    assert len(want) == 15
     assert [d for d, _ in got] == [d for d, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert a == pytest.approx(b, rel=1e-12)

@@ -249,6 +249,37 @@ def test_recursive_dedup_oracles_run_in_bounded_memory(entry_mod, name, rows):
     assert len(c.execute(entry_mod.oracle_sql()[name]).fetchall()) == rows
 
 
+# driver queries whose SQL oracles check the served code, and the
+# served entry point each one must call
+SERVED_ENTRY = {
+    "bm25_bool": "query_phase",
+    "bm25_bool_msm": "query_phase",
+    "boosting": "query_phase",
+    "function_score": "query_phase",
+    "bm25_topk_filtered": "query_phase",
+    "bm25_search_after": "topk",
+    "intervals_allof": "_eval_range",
+    "intervals_filtered": "_eval_range",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERVED_ENTRY))
+def test_oracled_query_runs_the_served_path(entry_mod, monkeypatch, name):
+    from docs_indexer_ray.query import bm25, qstring
+    from docs_indexer_ray.query.served import ShardedQueryService
+
+    called = []
+    for owner, attr in ((ShardedQueryService, "query_phase"),
+                        (bm25, "topk"), (qstring, "_eval_range")):
+        def spy(*a, _f=getattr(owner, attr), _n=attr, **kw):
+            called.append(_n)
+            return _f(*a, **kw)
+
+        monkeypatch.setattr(owner, attr, spy)
+    assert entry_mod.queries()[name](SF).num_rows > 0
+    assert SERVED_ENTRY[name] in called, called
+
+
 def test_every_query_has_oracle_or_is_marked(entry_mod):
     qs = set(entry_mod.queries())
     oracles = set(entry_mod.oracle_sql())

@@ -31,41 +31,25 @@ def built(ray_session, tmp_path_factory):
     return IndexReader(root), pages
 
 
-def test_filtered_topk_matches_post_filtered_dense(built):
-    from docs_indexer_ray.functions.analyzer import Analyzer
-    from docs_indexer_ray.query.bm25 import bm25_scores_dense, filtered_topk
-
-    reader, _ = built
-    terms = Analyzer("simple")("node pools quota")
-    allowed = np.arange(0, reader.n_docs, 3, dtype=np.int64)  # every 3rd doc
-    got = filtered_topk(reader, terms, allowed, k=5)
-    dense = bm25_scores_dense(reader, terms)
-    cand = [(d, dense[d]) for d in allowed if dense[d] != 0.0]
-    cand.sort(key=lambda x: (-x[1], x[0]))
-    assert [(d, pytest.approx(s)) for d, s in cand[:5]] == got
-    # filter semantics: statistics are global — a filtered hit's score
-    # equals its unfiltered score
-    full = {d: s for d, s in zip(range(reader.n_docs), dense)}
-    for d, s in got:
-        assert s == pytest.approx(full[d])
-    # empty filter → no hits
-    assert filtered_topk(reader, terms, np.empty(0, np.int64), k=5) == []
-
-
 def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factory):
-    """The distributed filtered path — a DSL ``bool`` must+filter on
-    the fleet's query phase (per-shard allowed bitmaps built from each
-    shard's docs-store slice, exact cross-shard merge) — must rank the
-    local filtered_topk's hits over an allowed set built from the docs store."""
+    """The filtered path — a DSL ``bool`` must+filter through the query
+    phase, on one in-process shard over the full reader and on a
+    3-shard fleet (per-shard allowed bitmaps built from each shard's
+    docs-store slice, exact cross-shard merge) — ranks the post-filtered
+    dense BM25 ranking over an allowed set built from the docs store.
+    Statistics stay global, so each hit scores its unfiltered dense
+    score plus the filter clause's 1.0; a filter admitting no doc
+    returns no hits."""
     import pyarrow.dataset as pads
     import os
 
     from docs_indexer_ray.functions.analyzer import Analyzer
-    from docs_indexer_ray.query.bm25 import filtered_topk
+    from docs_indexer_ray.query.bm25 import bm25_scores_dense
     from docs_indexer_ray.query.served import ShardedQueryService
 
     reader, _ = built
     query = "node pools quota"
+    dense = bm25_scores_dense(reader, Analyzer("simple")(query))
     dset = pads.dataset(os.path.join(reader.index_dir, "docs"), partitioning="hive")
     t = dset.to_table(columns=["doc_id", "url", "warc_ts"])
     ids = t["doc_id"].to_pylist()
@@ -82,24 +66,31 @@ def test_sharded_filtered_topk_matches_local(built, ray_session, tmp_path_factor
          [d for d, v in stamps.items() if v >= ts_cut]),
     ]
 
-    svc = ShardedQueryService(
+    def dsl(col, gte):
+        return {"bool": {"must": [{"match": {"body": query}}],
+                         "filter": [{"range": {col: {"gte": gte}}}]}}
+
+    fleet = ShardedQueryService(
         os.path.dirname(reader.index_dir), n_shards=3, chain="simple"
     )
     try:
-        for (col, gte), allowed in cases:
-            assert 0 < len(allowed) < len(ids)
-            allowed = np.sort(allowed).astype(np.int64)
-            local = filtered_topk(reader, Analyzer("simple")(query), allowed, k=5)
-            assert local
-            dsl = {"bool": {"must": [{"match": {"body": query}}],
-                            "filter": [{"range": {col: {"gte": gte}}}]}}
-            sharded = svc.query_string(dsl, k=5)
-            # memoized mask path: a second identical query hits the cache
-            again = svc.query_string(dsl, k=5)
-            assert [d for d, _ in local] == [d for d, _ in sharded]
-            assert sharded == again
+        for svc in (ShardedQueryService.in_process(reader), fleet):
+            for (col, gte), allowed in cases:
+                assert 0 < len(allowed) < len(ids)
+                cand = sorted(
+                    ((d, dense[d]) for d in allowed if dense[d] != 0.0),
+                    key=lambda x: (-x[1], x[0]),
+                )[:5]
+                assert cand
+                got = svc.query_string(dsl(col, gte), k=5)
+                assert [d for d, _ in got] == [d for d, _ in cand]
+                for d, s in got:
+                    assert s == round(dense[d] + 1.0, 9)  # the quantized key
+                # memoized mask path: a second identical query hits the cache
+                assert svc.query_string(dsl(col, gte), k=5) == got
+            assert svc.query_string(dsl("warc_ts", "2999-01-01T00:00:00"), k=5) == []
     finally:
-        svc.shutdown()
+        fleet.shutdown()
 
 
 def test_match_doc_ids_union_semantics(built):
@@ -1495,7 +1486,7 @@ def test_all_query_surfaces_exclude_tombstones(built, ray_session, tmp_path):
 
     from docs_indexer_ray.index.build import build_index
     from docs_indexer_ray.index.deletes import add_deletes
-    from docs_indexer_ray.query.bm25 import score_topk, topk_after
+    from docs_indexer_ray.query.bm25 import score_topk, topk
     from docs_indexer_ray.query.multimatch import multi_match_topk
     from docs_indexer_ray.query.phrase import (
         match_phrase,
@@ -1532,7 +1523,7 @@ def test_all_query_surfaces_exclude_tombstones(built, ray_session, tmp_path):
     assert victim not in {d for d, _ in span_near(r, phrase, 5)}
     assert victim not in {d for d, _ in span_first(r, "node", 50)}
     assert victim not in {d for d, _ in score_topk(r, phrase, k=50)}
-    assert victim not in {d for d, _ in topk_after(r, phrase, None, k=50)}
+    assert victim not in {d for d, _ in topk(r, phrase, k=50)}
     from docs_indexer_ray.query.bm25 import synonym_topk
     from docs_indexer_ray.query.qstring import query_string_topk
 

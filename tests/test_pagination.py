@@ -45,16 +45,17 @@ def _walk_after(rank_fn, n_pages: int, k: int):
 
 
 def test_topk_after_walk_equals_one_ranking(built):
-    """Plain-match deep pagination: walking pages of 4 via the
-    (score, doc_id) cursor reproduces one top-12 ranking exactly —
-    including across score ties (doc-id tiebreak)."""
+    """Plain-match deep pagination: walking pages of 4 of the served
+    planner ``bm25.topk`` via the (score, doc_id) cursor reproduces one
+    ``score_topk`` top-12 ranking exactly — including across score
+    ties (doc-id tiebreak)."""
     from docs_indexer_ray.functions.analyzer import Analyzer
-    from docs_indexer_ray.query.bm25 import score_topk, topk_after
+    from docs_indexer_ray.query.bm25 import score_topk, topk
 
     terms = Analyzer(built.chain)("node pools quota")
     full = score_topk(built, terms, k=12)
     assert len(full) == 12
-    walked = _walk_after(lambda c: topk_after(built, terms, c, k=4), 3, 4)
+    walked = _walk_after(lambda c: topk(built, terms, k=4, after=c), 3, 4)
     assert walked == full
 
 
@@ -112,7 +113,8 @@ def test_search_response_from_and_after_pages(built):
 def test_search_response_pinned_to_reference_kernels(ray_session, tmp_path):
     """search_response runs the served query-then-fetch; its page and
     its total are pinned to the reference kernels outside the query
-    phase — query_string_topk / score_topk / topk_after for the
+    phase — query_string_topk / score_topk (a cursor page: its full
+    ranking filtered to the hits strictly after the cursor) for the
     (doc_id, score) page, match_doc_ids or the dense ``_eval`` match
     mask for the live match count — on every page kind, on a clean
     build and again after tombstoning matching docs."""
@@ -121,7 +123,7 @@ def test_search_response_pinned_to_reference_kernels(ray_session, tmp_path):
 
     from docs_indexer_ray.index.build import build_index
     from docs_indexer_ray.index.deletes import add_deletes
-    from docs_indexer_ray.query.bm25 import score_topk, topk_after
+    from docs_indexer_ray.query.bm25 import score_topk
     from docs_indexer_ray.query.facets import match_doc_ids
     from docs_indexer_ray.query.qstring import (
         _eval,
@@ -155,7 +157,11 @@ def test_search_response_pinned_to_reference_kernels(ray_session, tmp_path):
             return hits, int(np.count_nonzero(live))
         terms = reader.analyzer(q)
         if after is not None:
-            hits = topk_after(reader, terms, after, k=k)
+            a_s, a_d = after
+            hits = [
+                (d, s) for d, s in score_topk(reader, terms, k=reader.n_docs)
+                if s < a_s or (s == a_s and d > a_d)
+            ][:k]
         else:
             hits = score_topk(reader, terms, k=from_ + k)[from_:]
         return hits, len(match_doc_ids(reader, terms))

@@ -51,34 +51,61 @@ def test_or_sequence_equals_score_topk(built):
     assert _q9(got) == _q9(want)
 
 
-def test_plus_minus_equals_bool_topk(built):
-    from docs_indexer_ray.query.bm25 import bool_topk
+def _bool_ref(r, must=(), should=(), must_not=(), k=15):
+    """Independent Lucene ``bool`` reference: the dense BM25 sum over
+    must+should, gated by ``decode_all`` membership sets (every must,
+    no must_not, ≥1 should when there is no must), ranked (score desc,
+    doc asc)."""
+    from docs_indexer_ray.query.bm25 import bm25_scores_dense
 
+    def docs(t):
+        dec = r.decode_all(t)
+        return set() if dec is None else set(dec[0].tolist())
+
+    scores = bm25_scores_dense(r, list(must) + list(should))
+    cand = set(range(r.n_docs))
+    for t in must:
+        cand &= docs(t)
+    if not must:
+        cand &= set().union(*map(docs, should))
+    for t in must_not:
+        cand -= docs(t)
+    return sorted(((d, float(scores[d])) for d in cand),
+                  key=lambda h: (-h[1], h[0]))[:k]
+
+
+def test_plus_minus_equals_bool_topk(built):
     got = query_string_topk(built, "+node -namespace quota", k=15)
-    want = bool_topk(
-        built, must=["node"], should=["quota"], must_not=["namespace"], k=15
-    )
+    want = _bool_ref(built, must=["node"], should=["quota"],
+                     must_not=["namespace"])
+    assert len(want) == 15
+    assert _q9(got) == _q9(want)
+    # on this corpus every "node" page also says "pools" and no
+    # "quotas" page does: a must_not that removes hits
+    got = query_string_topk(built, "quotas node -pools", k=100)
+    want = _bool_ref(built, should=["quotas", "node"], must_not=["pools"], k=100)
+    assert want and len(want) < len(_bool_ref(built, should=["quotas", "node"], k=100))
     assert _q9(got) == _q9(want)
 
 
 def test_and_or_not_operators(built):
-    from docs_indexer_ray.query.bm25 import bool_topk
-
-    assert _ids(query_string_topk(built, "node AND quota", k=15)) == _ids(
-        bool_topk(built, must=["node", "quota"], k=15)
-    )
-    assert _ids(query_string_topk(built, "node && quota", k=15)) == _ids(
-        bool_topk(built, must=["node", "quota"], k=15)
-    )
+    both = _bool_ref(built, must=["node", "quota"])
+    assert _ids(query_string_topk(built, "node AND quota", k=15)) == _ids(both)
+    assert _ids(query_string_topk(built, "node && quota", k=15)) == _ids(both)
     assert _ids(query_string_topk(built, "node AND NOT namespace", k=15)) == _ids(
-        bool_topk(built, must=["node"], must_not=["namespace"], k=15)
+        _bool_ref(built, must=["node"], must_not=["namespace"])
     )
     assert _ids(query_string_topk(built, "node OR quota", k=15)) == _ids(
         query_string_topk(built, "node quota", k=15)
     )
+    # must terms that co-occur, and a must_not that empties the page
+    pair = _bool_ref(built, must=["node", "pools"])
+    assert pair
+    assert _ids(query_string_topk(built, "node AND pools", k=15)) == _ids(pair)
+    assert query_string_topk(built, "node AND NOT pools", k=15) == []
     # default_operator=and flips bare adjacency to must
     assert _ids(query_string_topk(built, "node quota", k=15, default_operator="and")) == _ids(
-        bool_topk(built, must=["node", "quota"], k=15)
+        both
     )
 
 
@@ -124,18 +151,12 @@ def test_boost_scales_contribution(built):
 
 
 def test_grouping_and_nesting(built):
-    from docs_indexer_ray.query.bm25 import bool_topk
-
     got = query_string_topk(built, "(node OR quota) AND NOT namespace", k=15)
-    want = bool_topk(
-        built,
-        must=[],
-        should=["node", "quota"],
-        must_not=["namespace"],
-        k=15,
-        minimum_should_match=1,
-    )
+    want = _bool_ref(built, should=["node", "quota"], must_not=["namespace"])
     assert _ids(got) == _ids(want)
+    got = query_string_topk(built, "(node OR quotas) AND NOT pools", k=100)
+    want = _bool_ref(built, should=["node", "quotas"], must_not=["pools"], k=100)
+    assert want and _ids(got) == _ids(want)
 
 
 def test_pure_negative_and_empty_match_nothing(built):

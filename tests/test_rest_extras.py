@@ -1166,6 +1166,42 @@ def test_rest_self_heals_after_shard_actor_death(root, ray_session):
         srv.stop()
 
 
+def test_shard_errors_answer_like_the_local_backend(root, ray_session):
+    """An error raised inside a Ray shard reaches the client as the
+    local backend answers it — same status, error ``type`` and
+    ``reason`` — never a ``RayTaskError(X)`` carrying the actor's
+    traceback, pid and ip."""
+    from docs_indexer_ray.serve_http import SearchServer
+
+    q = {"match": {"body": "node"}}
+    requests = [
+        # a composite cursor of the wrong type for its integer source
+        ({"query": q, "size": 0, "aggs": {"c": {"composite": {
+            "sources": [{"s": {"terms": {"field": "doc_id"}}}],
+            "after": {"s": "not-an-int"},
+        }}}}, {}),
+        # a stored field the docs store does not have
+        ({"query": q, "_source": ["no_such_column"]}, {}),
+        # a query string nested past the parser's 100-group guard
+        (None, {"q": "(" * 101 + "node" + ")" * 101, "syntax": "1"}),
+    ]
+    answers = {}
+    for backend, kw in (("local", {}), ("sharded", {"n_shards": 2})):
+        srv = SearchServer(root, backend=backend, **kw).start()
+        try:
+            answers[backend] = [
+                _req(srv.port, "/_search", body=body, **params)
+                for body, params in requests
+            ]
+        finally:
+            srv.stop()
+    for (lc, lerr), (sc, serr) in zip(answers["local"], answers["sharded"]):
+        assert 400 <= lc < 500, lerr
+        assert (sc, serr["error"]["type"], serr["error"]["reason"]) == (
+            lc, lerr["error"]["type"], lerr["error"]["reason"]
+        )
+
+
 def test_rank_eval_and_cat_indices(root, ray_session):
     """POST /_rank_eval: per-request precision/MRR/DCG/NDCG against
     graded ratings through the REAL backend; /_cat/indices reports the
@@ -1667,11 +1703,28 @@ def test_value_aggs_on_a_date_field_fail_before_any_shard_call(
     same on a keyword (``stats``, a terms metric sub-agg, a
     histogram's ``sum``; a terms metric on the timestamp too), where
     the fleet used to answer a ``RayTaskError`` carrying the actor's
-    traceback.  A numeric field still computes, and ``stats`` / a
-    histogram ``sum`` still read a timestamp as epoch-us."""
+    traceback.  A numeric field still computes, a histogram ``sum``
+    still reads a timestamp as epoch-us, and ``stats`` on the
+    timestamp answers like OpenSearch: epoch millis plus ISO
+    ``min/max/avg_as_string``, equal to the docs store's values."""
+    import datetime as dt
+
+    import numpy as np
+    import pyarrow as pa
+
+    from docs_indexer_ray.query.facets import match_doc_ids
+    from docs_indexer_ray.query.reader import IndexReader
     from docs_indexer_ray.serve_http import SearchServer
 
     q = {"match": {"body": "node"}}
+    reader = IndexReader(root)
+    live = np.setdiff1d(match_doc_ids(reader, ["node"]), reader.deleted_ids())
+    us = [v for v in reader.fetch_docs(live.tolist(), ["warc_ts"])["warc_ts"]
+          .cast(pa.int64()).to_pylist() if v is not None]
+    epoch = dt.datetime(1970, 1, 1)
+
+    def iso(v):
+        return (epoch + dt.timedelta(microseconds=v)).isoformat()
 
     def sub(parent, kind, field):
         return dict(parent, aggs={"m": {kind: {"field": field}}})
@@ -1719,6 +1772,21 @@ def test_value_aggs_on_a_date_field_fail_before_any_shard_call(
                     "query": q, "aggs": {"a": agg},
                 })
                 assert code == 200 and out["aggregations"]["a"], out
+            code, out = _req(srv.port, "/_search", body={
+                "query": q, "aggs": {"a": {"stats": {"field": "warc_ts"}}},
+            })
+            st = out["aggregations"]["a"]
+            assert st["count"] == len(us) > 0
+            assert (st["min"], st["max"]) == (min(us) // 1000, max(us) // 1000)
+            assert (st["min_as_string"], st["max_as_string"]) == (
+                iso(min(us)), iso(max(us))
+            )
+            assert st["sum"] == pytest.approx(sum(us) / 1000.0, rel=1e-12)
+            assert abs(st["avg"] - sum(us) / len(us) / 1000.0) < 1
+            avg_us = (dt.datetime.fromisoformat(st["avg_as_string"]) - epoch) / (
+                dt.timedelta(microseconds=1)
+            )
+            assert abs(avg_us - sum(us) / len(us)) < 1
         finally:
             srv.stop()
 
